@@ -11,7 +11,10 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
+
+from .fairness import EXACT_MAX_CLIENTS
 
 SCHEMA_VERSION = 1
 
@@ -160,6 +163,15 @@ class RunConfig:
             raise ConfigError("max_rounds must be nonnegative")
         if self.target_accuracy is not None and not 0 < self.target_accuracy <= 1:
             raise ConfigError("target_accuracy must lie in (0, 1]")
+        # ceil(rate * N) is the largest cohort either sampler can return
+        clients = sum(self.federation.counts().values())
+        largest_cohort = math.ceil(self.protocol.sample_rate * clients)
+        if self.protocol.shapley_mode == "exact" and largest_cohort > EXACT_MAX_CLIENTS:
+            raise ConfigError(
+                f"protocol.shapley_mode 'exact' supports cohorts of at most "
+                f"{EXACT_MAX_CLIENTS} clients, but sample_rate {self.protocol.sample_rate} "
+                f"of {clients} clients allows {largest_cohort}"
+            )
 
     def to_dict(self) -> dict:
         out = dataclasses.asdict(self)

@@ -13,8 +13,11 @@ from typing import Callable
 
 import numpy as np
 
-from .models import ModelParams
+from .models import Arch, ModelParams
 from .rng import stream
+
+# Largest cohort exact Shapley enumerates (2^n coalitions).
+EXACT_MAX_CLIENTS = 10
 
 
 @dataclass(frozen=True)
@@ -54,11 +57,15 @@ def shapley_estimate(
 ) -> np.ndarray:
     """Per-client Shapley values of a coalition value function.
 
-    exact mode enumerates all 2^n coalitions (n <= 10); monte_carlo
-    averages marginal contributions over num_perms permutations drawn from
-    counter-based streams, so estimates are identical at any parallelism.
-    value_fn receives a tuple of client ids (possibly empty) and must
-    return a finite float. Coalition values are memoized.
+    exact mode enumerates all 2^n coalitions (n <= EXACT_MAX_CLIENTS);
+    monte_carlo averages marginal contributions over num_perms permutations
+    drawn from counter-based streams, so estimates are identical at any
+    parallelism. value_fn receives a tuple of client ids in ascending order
+    (possibly empty) and must return a finite float. Coalition values are
+    memoized, so value_fn runs once per distinct coalition; a caller whose
+    coalitions all draw on one fixed set of models should prepare that set
+    once, outside value_fn (the harness stacks a round's variants into one
+    matrix and selects rows per coalition).
     """
     ids = list(cohort_ids)
     n = len(ids)
@@ -77,8 +84,8 @@ def shapley_estimate(
 
     phi = np.zeros(n)
     if mode == "exact":
-        if n > 10:
-            raise ValueError("exact mode supports at most 10 clients")
+        if n > EXACT_MAX_CLIENTS:
+            raise ValueError(f"exact mode supports at most {EXACT_MAX_CLIENTS} clients")
         fact = [math.factorial(k) for k in range(n + 1)]
         for mask in range(1 << n):
             subset = tuple(ids[j] for j in range(n) if mask >> j & 1)
@@ -135,19 +142,24 @@ def fair_weights(
     return FairWeights(phi=phi, w=raw / total, eps_smooth=eps_smooth, delta_size=delta_size)
 
 
-def aggregate_messengers(variants: list[ModelParams], weights: np.ndarray) -> ModelParams:
-    """Coordinate-wise convex combination of same-architecture variants."""
+def _stack_variants(variants: list[ModelParams]) -> tuple[Arch, np.ndarray]:
+    """(shared architecture, variant thetas as the rows of one matrix)."""
     if not variants:
         raise ValueError("no variants to aggregate")
     arch = variants[0].arch
     if any(v.arch != arch for v in variants):
         raise ValueError("variants must share one architecture")
+    return arch, np.stack([v.theta for v in variants])
+
+
+def aggregate_messengers(variants: list[ModelParams], weights: np.ndarray) -> ModelParams:
+    """Coordinate-wise convex combination of same-architecture variants."""
+    arch, stacked = _stack_variants(variants)
     w = np.asarray(weights, dtype=np.float64)
-    if len(w) != len(variants):
+    if len(w) != len(stacked):
         raise ValueError("one weight per variant required")
     if abs(w.sum() - 1.0) > 1e-9:
         raise ValueError("weights must sum to 1")
-    stacked = np.stack([v.theta for v in variants])
     return ModelParams(arch, w @ stacked)
 
 
@@ -164,12 +176,7 @@ def robust_aggregate(
     the per-coordinate median (mean of the middle two for even counts) and
     ignores weights.
     """
-    if not variants:
-        raise ValueError("no variants to aggregate")
-    arch = variants[0].arch
-    if any(v.arch != arch for v in variants):
-        raise ValueError("variants must share one architecture")
-    stacked = np.stack([v.theta for v in variants])
+    arch, stacked = _stack_variants(variants)
     n = stacked.shape[0]
     if config.method == "coordinate_median":
         return ModelParams(arch, np.median(stacked, axis=0))

@@ -233,7 +233,6 @@ def inject_attack(
     base: ModelParams,
     cohort: list[ClientProfile],
     spec: AttackSpec,
-    seed: int,
 ) -> list[ModelParams]:
     """Apply delta-level attacks to the variants of flagged clients.
 
@@ -281,7 +280,6 @@ class SimState:
     h_max: float
     eps_total: float
     last_client_losses: dict[int, float]
-    phi_prior: dict[int, float]  # latest Shapley estimate per client; uniform at start
     privacy_params: privacy.PrivacyParams
     per_round_eps: float
 
@@ -475,7 +473,6 @@ def init_state(cfg: RunConfig) -> SimState:
         h_max=0.0,
         eps_total=0.0,
         last_client_losses={},
-        phi_prior={pr.id: 1.0 / len(profiles) for pr in profiles},
         privacy_params=priv,
         per_round_eps=per_round_eps,
     )
@@ -520,6 +517,35 @@ def _loss_spread(state: SimState, cohort: list[int]) -> float:
     if mean <= 0:
         return 0.0
     return float(np.std(losses) / mean)
+
+
+def coalition_value_fn(
+    cohort: list[int],
+    variants: list[ModelParams],
+    base: ModelParams,
+    validation: DatasetShard,
+):
+    """Shapley value function of one round: coalition -> validation accuracy.
+
+    A non-empty coalition is worth the accuracy of the uniform average of
+    its members' variants, the same arithmetic as aggregate_messengers
+    followed by evaluate; the empty coalition is worth base's accuracy.
+    The variants are checked and stacked once (cohort holds one id per
+    variant), and each coalition selects its rows in the order of its ids,
+    the order in which aggregate_messengers would stack them.
+    """
+    _, v_empty = models.evaluate(base, validation)
+    arch, stacked = fair._stack_variants(variants)
+    row = {i: r for r, i in enumerate(cohort)}
+
+    def value_fn(subset: tuple[int, ...]) -> float:
+        if not subset:
+            return v_empty
+        uniform = np.full(len(subset), 1.0 / len(subset))
+        agg = ModelParams(arch, uniform @ stacked[[row[i] for i in subset]])
+        return models.accuracy(models.logits(agg, validation.features), validation.labels)
+
+    return value_fn
 
 
 def _resolve_f(robust_f, cohort_size: int) -> int:
@@ -645,26 +671,14 @@ def _run_round_messenger(state: SimState, cfg: RunConfig) -> tuple[SimState, Rou
     eps_total = state.eps_total + eps_round
 
     # attack injection on flagged clients' deltas
-    variants = inject_attack(
-        variants, messenger_model, cohort_profiles, state.attack, subseed(cfg.seed, "attack", t)
-    )
+    variants = inject_attack(variants, messenger_model, cohort_profiles, state.attack)
 
     # phase 5: influence weights and aggregation
     phi_list = None
     if algorithm == "affl":
-        _, v_empty = models.evaluate(messenger_model, state.validation)
-        by_id = {i: v for i, v in zip(cohort, variants)}
-
-        def value_fn(subset: tuple[int, ...]) -> float:
-            if not subset:
-                return v_empty
-            uniform = np.full(len(subset), 1.0 / len(subset))
-            agg = fair.aggregate_messengers([by_id[i] for i in subset], uniform)
-            return models.evaluate(agg, state.validation)[1]
-
         phi = fair.shapley_estimate(
             cohort,
-            value_fn,
+            coalition_value_fn(cohort, variants, messenger_model, state.validation),
             mode=p.shapley_mode,
             num_perms=p.shapley_perms,
             seed=subseed(cfg.seed, "shapley", t),
@@ -676,15 +690,11 @@ def _run_round_messenger(state: SimState, cfg: RunConfig) -> tuple[SimState, Rou
             p.delta_size,
         ).w
         phi_list = [float(v) for v in phi]
-        phi_prior = dict(state.phi_prior)
-        phi_prior.update({i: float(v) for i, v in zip(cohort, phi)})
     elif algorithm == "uniform_weight_affl":
         weights = np.full(len(cohort), 1.0 / len(cohort))
-        phi_prior = state.phi_prior
     else:  # static_messenger: size-proportional
         counts = np.array([pr.sample_count for pr in cohort_profiles], dtype=np.float64)
         weights = counts / counts.sum()
-        phi_prior = state.phi_prior
 
     if p.robust_method is not None:
         robust_cfg = fair.RobustAggConfig(
@@ -743,7 +753,6 @@ def _run_round_messenger(state: SimState, cfg: RunConfig) -> tuple[SimState, Rou
         h_max=h_max,
         eps_total=eps_total,
         last_client_losses=losses,
-        phi_prior=phi_prior,
     )
     return new_state, record
 
@@ -780,9 +789,7 @@ def _run_round_fedavg(state: SimState, cfg: RunConfig) -> tuple[SimState, RoundR
         eps_round = state.per_round_eps
     eps_total = state.eps_total + eps_round
 
-    trained = inject_attack(
-        trained, base, cohort_profiles, state.attack, subseed(cfg.seed, "attack", t)
-    )
+    trained = inject_attack(trained, base, cohort_profiles, state.attack)
 
     counts = np.array([pr.sample_count for pr in cohort_profiles], dtype=np.float64)
     weights = counts / counts.sum()

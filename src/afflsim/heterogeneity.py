@@ -55,43 +55,61 @@ def stat_divergence(shard: DatasetShard, global_label_dist: np.ndarray) -> float
     return min(1.0, max(0.0, jsd / LN2))
 
 
-def _scaled_l1(x: np.ndarray, y: np.ndarray, ranges: np.ndarray) -> float:
-    """Mean of per-coordinate |x-y|/range over coordinates with range > 0."""
+def descriptor_divergences(vectors: np.ndarray) -> np.ndarray:
+    """Every row's mean range-normalized L1 distance to the other rows.
+
+    Coordinates are scaled by their range over all rows; coordinates with
+    zero range carry no information and are left out. Row i's divergence is
+    the mean, over its n-1 peers j in index order, of the mean of
+    |x_i - x_j| / range over the informative coordinates. A single row, or
+    a matrix without informative coordinates, gives zeros.
+    """
+    vectors = np.asarray(vectors, dtype=np.float64)
+    n = len(vectors)
+    ranges = vectors.max(axis=0) - vectors.min(axis=0)
     informative = ranges > 0
-    if not informative.any():
-        return 0.0
-    diffs = np.abs(x[informative] - y[informative]) / ranges[informative]
-    return float(diffs.mean())
+    if n < 2 or not informative.any():
+        return np.zeros(n)
+    x = vectors[:, informative]
+    diffs = np.abs(x[:, None, :] - x[None, :, :])
+    diffs /= ranges[informative]
+    pairwise = diffs.mean(axis=2)
+    peers = pairwise[~np.eye(n, dtype=bool)].reshape(n, n - 1)
+    # Each contiguous row is summed in the same pairwise order as np.mean
+    # of a 1-D list of its peer distances, so values match a per-pair loop
+    # bit for bit (tests/test_heterogeneity.py checks this with ==).
+    return peers.mean(axis=1)
 
 
 def descriptor_divergence(vectors: np.ndarray, index: int) -> float:
-    ranges = vectors.max(axis=0) - vectors.min(axis=0)
-    peers = [i for i in range(len(vectors)) if i != index]
-    if not peers:
-        return 0.0
-    return float(
-        np.mean([_scaled_l1(vectors[index], vectors[i], ranges) for i in peers])
-    )
+    """Row ``index``'s entry of descriptor_divergences."""
+    return float(descriptor_divergences(vectors)[index])
+
+
+def _arch_vectors(population: list[ClientProfile]) -> np.ndarray:
+    if not population:
+        raise ValueError("population must be non-empty")
+    return np.array([p.arch_descriptor for p in population], dtype=np.float64)
+
+
+def _res_vectors(population: list[ClientProfile]) -> np.ndarray:
+    if not population:
+        raise ValueError("population must be non-empty")
+    return np.array([[np.log(p.compute_capacity), p.network_delay] for p in population])
+
+
+def _position(profile: ClientProfile, population: list[ClientProfile]) -> int:
+    return next(i for i, p in enumerate(population) if p.id == profile.id)
 
 
 def arch_divergence(profile: ClientProfile, population: list[ClientProfile]) -> float:
     """Mean range-normalized L1 distance of arch descriptors to peers."""
-    if not population:
-        raise ValueError("population must be non-empty")
-    vectors = np.array([p.arch_descriptor for p in population], dtype=np.float64)
-    index = next(i for i, p in enumerate(population) if p.id == profile.id)
-    return descriptor_divergence(vectors, index)
+    return descriptor_divergence(_arch_vectors(population), _position(profile, population))
 
 
 def res_divergence(profile: ClientProfile, population: list[ClientProfile]) -> float:
     """As arch_divergence over (log compute capacity, network delay)."""
-    if not population:
-        raise ValueError("population must be non-empty")
-    vectors = np.array(
-        [[np.log(p.compute_capacity), p.network_delay] for p in population]
-    )
-    index = next(i for i, p in enumerate(population) if p.id == profile.id)
-    return descriptor_divergence(vectors, index)
+    return descriptor_divergence(_res_vectors(population), _position(profile, population))
 
 
 def heterogeneity_index(
@@ -116,13 +134,17 @@ def assess_cohort(
     global_label_dist: np.ndarray,
     config: HeterogeneityConfig,
 ) -> HeterogeneityReport:
-    """Full per-cohort assessment; components computed in client-id order."""
+    """Full per-cohort assessment; components computed in client-id order.
+
+    The architecture and resource descriptor matrices are built once for
+    the cohort, and descriptor_divergences gives every client's divergence
+    from one pairwise array, so the per-value arithmetic equals
+    arch_divergence and res_divergence called client by client.
+    """
+    arch = descriptor_divergences(_arch_vectors(cohort))
+    res = descriptor_divergences(_res_vectors(cohort))
     components = [
-        (
-            stat_divergence(shard, global_label_dist),
-            arch_divergence(profile, cohort),
-            res_divergence(profile, cohort),
-        )
-        for profile, shard in zip(cohort, shards)
+        (stat_divergence(shard, global_label_dist), float(a), float(r))
+        for shard, a, r in zip(shards, arch, res)
     ]
     return heterogeneity_index(components, config)

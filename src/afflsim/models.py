@@ -196,6 +196,11 @@ def train_local(params: ModelParams, shard, steps: int, lr: float) -> ModelParam
     return current
 
 
+def accuracy(z: np.ndarray, labels: np.ndarray) -> float:
+    """Share of rows whose argmax logit is the label."""
+    return float(np.mean(np.argmax(z, axis=1) == labels))
+
+
 def evaluate(params: ModelParams, shard) -> tuple[float, float]:
     """(mean cross-entropy, argmax accuracy) on a shard."""
     if shard.features.shape[0] == 0:
@@ -204,8 +209,7 @@ def evaluate(params: ModelParams, shard) -> tuple[float, float]:
     p = softmax(z)
     n = shard.features.shape[0]
     loss = float(-np.mean(np.log(np.maximum(p[np.arange(n), shard.labels], 1e-300))))
-    acc = float(np.mean(np.argmax(z, axis=1) == shard.labels))
-    return loss, acc
+    return loss, accuracy(z, shard.labels)
 
 
 def assign_difficulty_tiers(shard, warmup: ModelParams, num_tiers: int):

@@ -15,7 +15,7 @@ from afflsim.config import (
     preset_default,
     preset_smoke,
 )
-from afflsim.harness import load_summary
+from afflsim.harness import load_summary, run_experiment
 
 
 def write_cfg(tmp_path, data, name="cfg.json"):
@@ -52,6 +52,28 @@ def test_invalid_values_rejected():
         config_from_dict({"attack": {"kind": "gradient_theft"}})
     with pytest.raises(ConfigError):
         config_from_dict({"max_rounds": -1})
+
+
+def exact_shapley_config(rate, load_aware=False):
+    d = preset_smoke(7)
+    d["federation"]["rural"] = 12
+    d["protocol"].update(
+        shapley_mode="exact", sample_rate=rate, load_aware_sampling=load_aware
+    )
+    d["max_rounds"] = 1
+    return d
+
+
+def test_exact_shapley_rejected_when_cohort_can_exceed_limit():
+    with pytest.raises(ConfigError, match="protocol.shapley_mode"):
+        config_from_dict(exact_shapley_config(1.0))
+
+
+@pytest.mark.parametrize("load_aware", [False, True])
+def test_exact_shapley_runs_when_cohort_fits(load_aware):
+    log = run_experiment(config_from_dict(exact_shapley_config(0.5, load_aware)))
+    assert log.rounds_run == 1
+    assert 1 <= len(log.records[0].phi) <= 6
 
 
 def test_unreadable_file_and_bad_json(tmp_path):

@@ -13,6 +13,7 @@ from afflsim.harness import (
     THREADS_ENV,
     AttackSpec,
     apply_attack_flags,
+    coalition_value_fn,
     compute_load,
     flip_labels,
     init_state,
@@ -110,7 +111,7 @@ def test_attack_fraction_zero_is_identity():
     pop = [profile(i) for i in range(4)]
     base = ModelParams(Arch(4, 3, 4), np.zeros(Arch(4, 3, 4).param_count))
     variants = [ModelParams(base.arch, np.full(base.param_count, float(i))) for i in range(4)]
-    out = inject_attack(variants, base, pop, AttackSpec(None, 0.0), seed=0)
+    out = inject_attack(variants, base, pop, AttackSpec(None, 0.0))
     for a, b in zip(out, variants):
         assert np.array_equal(a.theta, b.theta)
         assert a is not b
@@ -124,7 +125,7 @@ def test_sign_flip_negates_delta_exactly():
     base = ModelParams(arch, rng.normal(0, 1, arch.param_count))
     delta = rng.normal(0, 1, arch.param_count)
     variants = [ModelParams(arch, base.theta + delta), ModelParams(arch, base.theta + delta)]
-    out = inject_attack(variants, base, pop, AttackSpec("sign_flip", 0.4), seed=0)
+    out = inject_attack(variants, base, pop, AttackSpec("sign_flip", 0.4))
     assert np.array_equal(out[0].theta, base.theta + delta)
     assert out[1].theta == pytest.approx(base.theta - delta, abs=1e-12)
 
@@ -136,7 +137,7 @@ def test_large_norm_scales_delta():
     base = ModelParams(arch, np.zeros(arch.param_count))
     delta = stream(1, "atk").normal(0, 1, arch.param_count)
     out = inject_attack(
-        [ModelParams(arch, delta)], base, pop, AttackSpec("large_norm", 0.4, scale=100.0), seed=0
+        [ModelParams(arch, delta)], base, pop, AttackSpec("large_norm", 0.4, scale=100.0)
     )
     assert np.linalg.norm(out[0].theta - base.theta) == pytest.approx(
         100.0 * np.linalg.norm(delta), rel=1e-9
@@ -178,14 +179,8 @@ def test_empty_round_leaves_state_unchanged():
     assert np.array_equal(new_state.messenger.theta, theta_before)
 
 
-def test_round_matches_scripted_composition_of_public_ops():
-    """One run_round equals the same phases composed from public operations."""
-    d = preset_smoke(7)
-    d["protocol"]["shapley_perms"] = 10
-    cfg = config_from_dict(d)
-    state = init_state(cfg)
-    new_state, record = run_round(state, cfg)
-
+def first_round_variants(cfg, state):
+    """(cohort, messenger variants) of round 1, composed from public operations."""
     p = cfg.protocol
     t = 1
     cohort = sample_clients(state.profiles, p.sample_rate, p.load_aware_sampling, cfg.seed, t)
@@ -201,6 +196,38 @@ def test_round_matches_scripted_composition_of_public_ops():
                 state.messenger, params, state.train_shards[i], p.lambda_kl, p.distill_steps, p.distill_lr
             )
         )
+    return cohort, variants
+
+
+def test_coalition_value_equals_aggregate_then_evaluate():
+    cfg = smoke_cfg()
+    state = init_state(cfg)
+    cohort, variants = first_round_variants(cfg, state)
+    value_fn = coalition_value_fn(cohort, variants, state.messenger, state.validation)
+    by_id = dict(zip(cohort, variants))
+    assert value_fn(()) == evaluate(state.messenger, state.validation)[1]
+    rng = stream(0, "coalitions")
+    subsets = [tuple(cohort)] + [(i,) for i in cohort]
+    for _ in range(30):
+        size = int(rng.integers(1, len(cohort) + 1))
+        subsets.append(tuple(sorted(int(i) for i in rng.choice(cohort, size, replace=False))))
+    for subset in subsets:
+        uniform = np.full(len(subset), 1.0 / len(subset))
+        agg = aggregate_messengers([by_id[i] for i in subset], uniform)
+        assert value_fn(subset) == evaluate(agg, state.validation)[1]
+
+
+def test_round_matches_scripted_composition_of_public_ops():
+    """One run_round equals the same phases composed from public operations."""
+    d = preset_smoke(7)
+    d["protocol"]["shapley_perms"] = 10
+    cfg = config_from_dict(d)
+    state = init_state(cfg)
+    new_state, record = run_round(state, cfg)
+
+    p = cfg.protocol
+    t = 1
+    cohort, variants = first_round_variants(cfg, state)
     _, v_empty = evaluate(state.messenger, state.validation)
     by_id = dict(zip(cohort, variants))
 
@@ -278,16 +305,6 @@ def test_target_prefix_monotonicity():
     # deterministic prefix: shared rounds match exactly
     for a, b in zip(log_lo.records, log_hi.records):
         assert a.global_val_accuracy == b.global_val_accuracy
-
-
-def test_shapley_prior_initialized_uniform_and_updated():
-    cfg = smoke_cfg()
-    state = init_state(cfg)
-    n = len(state.profiles)
-    assert all(v == pytest.approx(1.0 / n) for v in state.phi_prior.values())
-    new_state, record = run_round(state, cfg)
-    assert record.phi is not None
-    assert new_state.phi_prior[record.cohort[0]] == pytest.approx(record.phi[0])
 
 
 def test_metrics_recomputable_from_persisted_log(tmp_path):

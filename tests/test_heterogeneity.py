@@ -7,7 +7,9 @@ from afflsim.federation import ClientProfile, DatasetShard
 from afflsim.heterogeneity import (
     HeterogeneityConfig,
     arch_divergence,
+    assess_cohort,
     descriptor_divergence,
+    descriptor_divergences,
     heterogeneity_index,
     res_divergence,
     stat_divergence,
@@ -91,6 +93,80 @@ def test_descriptor_divergence_rescaling_invariance():
     scaled[:, 1] *= 37.0
     rescaled = [descriptor_divergence(scaled, i) for i in range(6)]
     assert base == pytest.approx(rescaled, abs=1e-12)
+
+
+def loop_divergence(vectors, index):
+    """Reference: the per-pair loop, one scaled L1 distance per peer."""
+    ranges = vectors.max(axis=0) - vectors.min(axis=0)
+    informative = ranges > 0
+    peers = [i for i in range(len(vectors)) if i != index]
+    if not peers:
+        return 0.0
+    dists = []
+    for j in peers:
+        if not informative.any():
+            dists.append(0.0)
+            continue
+        diffs = np.abs(vectors[index][informative] - vectors[j][informative]) / ranges[informative]
+        dists.append(float(diffs.mean()))
+    return float(np.mean(dists))
+
+
+def assert_matches_loop(vectors):
+    got = descriptor_divergences(vectors)
+    assert got.shape == (len(vectors),)
+    for i in range(len(vectors)):
+        assert got[i] == loop_divergence(vectors, i)
+        assert descriptor_divergence(vectors, i) == loop_divergence(vectors, i)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 9, 40, 160])
+def test_descriptor_divergences_equal_per_pair_loop(n):
+    rng = stream(n, "divergence-oracle")
+    for cols in (2, 3):
+        assert_matches_loop(rng.uniform(-3.0, 50.0, (n, cols)))
+    # integer-valued descriptors with repeats, as arch descriptors are
+    assert_matches_loop(rng.integers(0, 4, (n, 3)).astype(np.float64))
+
+
+def test_descriptor_divergences_skip_zero_range_coordinates():
+    rng = stream(2, "divergence-zero-range")
+    vectors = rng.uniform(0.0, 1.0, (12, 3))
+    vectors[:, 1] = 4.0
+    assert_matches_loop(vectors)
+    assert np.array_equal(descriptor_divergences(vectors), descriptor_divergences(vectors[:, [0, 2]]))
+
+
+def test_descriptor_divergences_all_constant_and_tiny_cohorts():
+    assert np.array_equal(descriptor_divergences(np.full((5, 3), 2.5)), np.zeros(5))
+    assert np.array_equal(descriptor_divergences(np.array([[1.0, 2.0]])), np.zeros(1))
+    pair = np.array([[1.0, 8.0, 100.0], [2.0, 8.0, 300.0]])
+    assert np.array_equal(descriptor_divergences(pair), np.ones(2))
+    assert_matches_loop(pair)
+
+
+def test_assess_cohort_equals_per_client_composition():
+    rng = stream(3, "assess-oracle")
+    cohort = [
+        profile(
+            i,
+            capacity=float(rng.uniform(0.1, 100.0)),
+            delay=float(rng.uniform(1.0, 8.0)),
+            hidden=int(rng.choice([0, 8, 16, 32])),
+        )
+        for i in range(40)
+    ]
+    shards = [shard_with_labels(rng.integers(0, 3, 20), 3) for _ in cohort]
+    dist = np.array([0.2, 0.3, 0.5])
+    arch = np.array([p.arch_descriptor for p in cohort], dtype=np.float64)
+    res = np.array([[np.log(p.compute_capacity), p.network_delay] for p in cohort])
+    report = assess_cohort(shards, cohort, dist, HeterogeneityConfig())
+    expected = [
+        (stat_divergence(s, dist), loop_divergence(arch, i), loop_divergence(res, i))
+        for i, s in enumerate(shards)
+    ]
+    assert report.per_client == tuple(expected)
+    assert report.h_t == heterogeneity_index(expected, HeterogeneityConfig()).h_t
 
 
 def test_res_divergence_identical_resources():
