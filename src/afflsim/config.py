@@ -107,6 +107,22 @@ class ProtocolBlock:
             raise ConfigError("dropout_rate must lie in [0, 1)")
         if isinstance(self.robust_f, str) and self.robust_f != "auto":
             raise ConfigError("robust_f must be an integer or 'auto'")
+        for name in ("shapley_perms", "adapt_interval", "curriculum_tiers"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"protocol.{name} must be >= 1")
+        for name in ("local_lr", "inject_lr", "distill_lr", "probe_lr"):
+            if not getattr(self, name) > 0:
+                raise ConfigError(f"protocol.{name} must be positive")
+        widths = self.grid_hidden
+        if not widths or widths[0] < 0 or any(b <= a for a, b in zip(widths, widths[1:])):
+            raise ConfigError(
+                "protocol.grid_hidden must be nonnegative hidden widths in strictly "
+                f"ascending order, got {widths}"
+            )
+        if not 0 <= self.initial_capacity_index < len(widths):
+            raise ConfigError(
+                f"protocol.initial_capacity_index must index protocol.grid_hidden {widths}"
+            )
 
 
 @dataclass(frozen=True)
@@ -163,8 +179,15 @@ class RunConfig:
             raise ConfigError("max_rounds must be nonnegative")
         if self.target_accuracy is not None and not 0 < self.target_accuracy <= 1:
             raise ConfigError("target_accuracy must lie in (0, 1]")
-        # ceil(rate * N) is the largest cohort either sampler can return
         clients = sum(self.federation.counts().values())
+        if clients < 1:
+            raise ConfigError("federation.academic + regional + rural must be at least 1")
+        if self.protocol.sample_rate * clients < 1:
+            raise ConfigError(
+                f"protocol.sample_rate {self.protocol.sample_rate} of {clients} clients "
+                "samples fewer than one client per round"
+            )
+        # ceil(rate * N) is the largest cohort either sampler can return
         largest_cohort = math.ceil(self.protocol.sample_rate * clients)
         if self.protocol.shapley_mode == "exact" and largest_cohort > EXACT_MAX_CLIENTS:
             raise ConfigError(

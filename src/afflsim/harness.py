@@ -418,8 +418,6 @@ def init_state(cfg: RunConfig) -> SimState:
         probe_lr=p.probe_lr,
         adapt_interval=p.adapt_interval,
     )
-    if not 0 <= p.initial_capacity_index < len(templates):
-        raise ValueError("initial_capacity_index outside the template grid")
     messenger = models.init_params(
         templates[p.initial_capacity_index], subseed(cfg.seed, "messenger")
     )
@@ -641,11 +639,12 @@ def _run_round_messenger(state: SimState, cfg: RunConfig) -> tuple[SimState, Rou
     def client_work(i: int) -> tuple[ModelParams, ModelParams]:
         train_shard = state.train_shards[i]
         params = models.train_local(state.client_params[i], train_shard, p.local_steps, p.local_lr)
+        fwd = msg.messenger_forward(messenger_model, train_shard)
         params = msg.inject_knowledge(
-            params, messenger_model, train_shard, pi, p.inject_steps, p.inject_lr
+            params, messenger_model, train_shard, pi, p.inject_steps, p.inject_lr, fwd
         )
         variant = msg.distill_to_messenger(
-            messenger_model, params, train_shard, p.lambda_kl, p.distill_steps, p.distill_lr
+            messenger_model, params, train_shard, p.lambda_kl, p.distill_steps, p.distill_lr, fwd
         )
         return params, variant
 

@@ -12,6 +12,7 @@ multi-modal fusion.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -132,14 +133,14 @@ def _distill_toward_teacher(
     lr: float,
 ) -> tuple[ModelParams, float]:
     """Train params to match fixed teacher probabilities; returns final KL."""
-    theta = params.theta.copy()
-    current = ModelParams(params.arch, theta)
+    current = params.copy()
     n = features.shape[0]
     for _ in range(steps):
         z, hidden = forward(current, features)
         delta = (softmax(z) - teacher_probs) / n
-        theta = theta - lr * backprop(current, features, delta, hidden)
-        current = ModelParams(params.arch, theta)
+        grad = backprop(current, features, delta, hidden)
+        grad *= lr
+        current.theta -= grad
     p = softmax(logits(current, features))
     kl = float(
         np.mean(np.sum(teacher_probs * (_safe_log(teacher_probs) - _safe_log(p)), axis=1))
@@ -200,6 +201,20 @@ def select_capacity(
     )
 
 
+class MessengerForward(NamedTuple):
+    """(logits, hidden activations or None, softmax probabilities) of a model."""
+
+    logits: np.ndarray
+    hidden: np.ndarray | None
+    probs: np.ndarray
+
+
+def messenger_forward(messenger: ModelParams, shard: DatasetShard) -> MessengerForward:
+    """The frozen messenger's forward pass on a shard, computed once per client."""
+    z, hidden = forward(messenger, shard.features)
+    return MessengerForward(z, hidden, softmax(z))
+
+
 def _tier_sample_weights(shard: DatasetShard, pi: np.ndarray) -> np.ndarray:
     """Per-sample weights pi[tier]/|tier|; empty tiers contribute nothing."""
     if shard.difficulty_tiers is None:
@@ -236,20 +251,24 @@ def inject_knowledge(
     pi: np.ndarray,
     steps: int,
     lr: float,
+    messenger_fwd: MessengerForward | None = None,
 ) -> ModelParams:
     """Gradient steps on the curriculum-weighted distillation loss.
 
-    Only the client tower moves; the messenger is frozen.
+    Only the client tower moves; the messenger is frozen. messenger_fwd,
+    if given, must be messenger_forward(messenger, shard).
     """
     w = _tier_sample_weights(shard, pi)
-    p_m = softmax(logits(messenger, shard.features))
-    theta = client.theta.copy()
-    current = ModelParams(client.arch, theta)
+    if messenger_fwd is None:
+        messenger_fwd = messenger_forward(messenger, shard)
+    p_m = messenger_fwd.probs
+    current = client.copy()
     for _ in range(steps):
         z, hidden = forward(current, shard.features)
         delta = w[:, None] * (softmax(z) - p_m)
-        theta = theta - lr * backprop(current, shard.features, delta, hidden)
-        current = ModelParams(client.arch, theta)
+        grad = backprop(current, shard.features, delta, hidden)
+        grad *= lr
+        current.theta -= grad
     return current
 
 
@@ -285,22 +304,32 @@ def distill_to_messenger(
     lambda_kl: float,
     steps: int,
     lr: float,
+    messenger_fwd: MessengerForward | None = None,
 ) -> ModelParams:
-    """Train a per-client messenger variant; the client tower is frozen."""
+    """Train a per-client messenger variant; the client tower is frozen.
+
+    messenger_fwd, if given, must be messenger_forward(messenger, shard);
+    it stands in for the first step's forward pass.
+    """
     n = shard.sample_count
     p_c = softmax(logits(client, shard.features))
     onehot = np.zeros((n, shard.num_classes))
     onehot[np.arange(n), shard.labels] = 1.0
-    theta = messenger.theta.copy()
-    current = ModelParams(messenger.arch, theta)
-    for _ in range(steps):
-        z, hidden = forward(current, shard.features)
+    current = messenger.copy()
+    for step in range(steps):
+        if step == 0 and messenger_fwd is not None:
+            z, hidden, p_m = messenger_fwd
+        else:
+            z, hidden = forward(current, shard.features)
+            p_m = None
         if not np.all(np.isfinite(z)):
             raise FloatingPointError("non-finite distillation loss")
-        p_m = softmax(z)
+        if p_m is None:
+            p_m = softmax(z)
         delta = ((p_m - onehot) + lambda_kl * (p_m - p_c)) / n
-        theta = theta - lr * backprop(current, shard.features, delta, hidden)
-        current = ModelParams(messenger.arch, theta)
+        grad = backprop(current, shard.features, delta, hidden)
+        grad *= lr
+        current.theta -= grad
     return current
 
 

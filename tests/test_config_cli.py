@@ -54,6 +54,46 @@ def test_invalid_values_rejected():
         config_from_dict({"max_rounds": -1})
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("sample_rate", 0.2),  # 0.2 * 4 clients < 1
+        ("shapley_perms", 0),
+        ("adapt_interval", 0),
+        ("curriculum_tiers", 0),
+        ("local_lr", -0.1),
+        ("inject_lr", 0.0),
+        ("distill_lr", -0.5),
+        ("probe_lr", 0.0),
+        ("grid_hidden", [8, 4]),
+        ("grid_hidden", [4, 4]),
+        ("grid_hidden", [-1, 4]),
+        ("grid_hidden", []),
+        ("initial_capacity_index", 2),  # the grid has two templates
+    ],
+)
+def test_value_that_would_fail_mid_run_is_rejected_naming_field(key, value):
+    d = preset_smoke(7)
+    d["protocol"][key] = value
+    with pytest.raises(ConfigError, match=f"protocol.{key}"):
+        config_from_dict(d)
+
+
+def test_zero_clients_rejected():
+    d = preset_smoke(7)
+    d["federation"]["rural"] = 0
+    with pytest.raises(ConfigError, match="federation"):
+        config_from_dict(d)
+
+
+@pytest.mark.parametrize("load_aware", [False, True])
+def test_sample_rate_of_one_client_runs(load_aware):
+    d = preset_smoke(7)
+    d["protocol"].update(sample_rate=0.25, load_aware_sampling=load_aware)  # 4 clients
+    d["max_rounds"] = 1
+    assert run_experiment(config_from_dict(d)).rounds_run == 1
+
+
 def exact_shapley_config(rate, load_aware=False):
     d = preset_smoke(7)
     d["federation"]["rural"] = 12

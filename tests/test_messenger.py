@@ -15,6 +15,7 @@ from afflsim.messenger import (
     fuse_modalities,
     inject_knowledge,
     injection_loss,
+    messenger_forward,
     resize_params,
     select_capacity,
 )
@@ -134,6 +135,17 @@ def test_selection_skipped_off_interval():
     assert again is prev
 
 
+def test_selection_does_not_mutate_current():
+    shard = make_shard(tiers=0)
+    grid = grid_for(shard, probe_steps=5)
+    for index in range(len(grid.templates)):  # includes the no-resize template
+        current = init_params(grid.templates[index], 6)
+        snapshot = current.theta.copy()
+        teacher = stream(7, "teacher").normal(0, 1, (shard.sample_count, shard.num_classes))
+        select_capacity(grid, 0.3, shard, teacher, 0.1, 0, None, current, seed=5)
+        assert np.array_equal(current.theta, snapshot)
+
+
 def test_selection_deterministic():
     shard = make_shard(tiers=0)
     grid = grid_for(shard)
@@ -242,6 +254,16 @@ def test_injection_freezes_messenger_and_requires_tiers():
         inject_knowledge(client, mess, bare, np.array([0.5, 0.5]), 1, 0.5)
 
 
+def test_injection_does_not_mutate_client():
+    shard = make_shard(tiers=2)
+    client = init_params(Arch(5, 3, 4), 1)
+    mess = init_params(Arch(5, 3, 8), 2)
+    snapshot = client.theta.copy()
+    out = inject_knowledge(client, mess, shard, np.array([0.5, 0.5]), 3, 0.5)
+    assert np.array_equal(client.theta, snapshot)
+    assert not np.array_equal(out.theta, snapshot)
+
+
 def test_injection_empty_tier_contributes_nothing():
     shard = make_shard(tiers=0, n=20)
     shard = shard.with_tiers(np.zeros(20, dtype=int), 2)  # tier 1 empty
@@ -307,6 +329,36 @@ def test_distill_freezes_client():
     snapshot = client.theta.copy()
     distill_to_messenger(mess, client, shard, 1.0, steps=5, lr=0.3)
     assert np.array_equal(client.theta, snapshot)
+
+
+def test_distill_does_not_mutate_messenger():
+    shard = make_shard(tiers=0)
+    mess = init_params(Arch(5, 3, 4), 13)
+    client = init_params(Arch(5, 3, 8), 14)
+    snapshot = mess.theta.copy()
+    out = distill_to_messenger(mess, client, shard, 1.0, steps=5, lr=0.3)
+    assert np.array_equal(mess.theta, snapshot)
+    assert not np.array_equal(out.theta, snapshot)
+
+
+@pytest.mark.parametrize("hidden", [0, 4])
+@pytest.mark.parametrize("n", [20, 40])  # below and above softmax's column-path row count
+def test_precomputed_messenger_forward_is_bit_identical(hidden, n):
+    shard = make_shard(tiers=2, n=n)
+    client = init_params(Arch(5, 3, 6), 17)
+    mess = init_params(Arch(5, 3, hidden), 18)
+    pi = np.array([0.6, 0.4])
+    fwd = messenger_forward(mess, shard)
+    inner = inject_knowledge(client, mess, shard, pi, 3, 0.4)
+    shared = inject_knowledge(client, mess, shard, pi, 3, 0.4, fwd)
+    assert np.array_equal(inner.theta, shared.theta)
+    for steps in (0, 1, 4):
+        inner = distill_to_messenger(mess, shared, shard, 0.7, steps, 0.5)
+        reused = distill_to_messenger(mess, shared, shard, 0.7, steps, 0.5, fwd)
+        assert np.array_equal(inner.theta, reused.theta)
+    # the shared forward is read, never written
+    assert np.array_equal(fwd.logits, messenger_forward(mess, shard).logits)
+    assert np.array_equal(fwd.probs, messenger_forward(mess, shard).probs)
 
 
 def test_distill_improves_messenger_fit():

@@ -180,3 +180,49 @@ def test_non_finite_loss_raises():
     params = ModelParams(Arch(6, 3, 0), theta)
     with pytest.raises(FloatingPointError):
         train_local(params, shard, steps=1, lr=0.1)
+
+
+# -- softmax ---------------------------------------------------------------
+
+
+def reference_softmax(z):
+    """The row-wise softmax as first written: one max, exp and sum per row."""
+    z = z - z.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("classes", range(2, 10))
+@pytest.mark.parametrize("rows", [1, 2, 31, 32, 33, 1280, 12000])
+def test_softmax_bit_identical_to_reference(classes, rows):
+    z = stream(rows, "softmax", classes).normal(0.0, 4.0, (rows, classes))
+    snapshot = z.copy()
+    out = softmax(z)
+    assert np.array_equal(out, reference_softmax(z))
+    assert np.array_equal(z, snapshot)  # input untouched
+
+
+@pytest.mark.parametrize("classes", [2, 3, 4, 7, 8, 9])
+def test_softmax_one_dim_is_single_row(classes):
+    z = stream(0, "softmax-1d", classes).normal(0.0, 3.0, classes)
+    snapshot = z.copy()
+    out = softmax(z)
+    assert out.shape == (classes,)
+    assert np.array_equal(out, reference_softmax(z[None, :])[0])
+    assert np.array_equal(z, snapshot)
+
+
+@pytest.mark.parametrize("classes", range(2, 10))
+def test_softmax_extreme_logits_and_tied_maxima(classes):
+    rows = 64
+    rng = stream(1, "softmax-extreme", classes)
+    z = rng.choice([-700.0, 0.0, 700.0], size=(rows, classes))
+    z[::4] = 700.0  # every entry ties for the max
+    z[1::4, :2] = 699.5  # two-way tie below a larger max elsewhere in the row
+    z[1::4, -1] = 700.0
+    z[2::4] = -700.0
+    snapshot = z.copy()
+    out = softmax(z)
+    assert np.array_equal(out, reference_softmax(z))
+    assert np.all(np.isfinite(out))
+    assert np.array_equal(z, snapshot)
