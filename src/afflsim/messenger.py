@@ -320,12 +320,9 @@ def distill_to_messenger(
         if step == 0 and messenger_fwd is not None:
             z, hidden, p_m = messenger_fwd
         else:
-            z, hidden = forward(current, shard.features)
-            p_m = None
+            z, hidden, p_m = messenger_forward(current, shard)
         if not np.all(np.isfinite(z)):
             raise FloatingPointError("non-finite distillation loss")
-        if p_m is None:
-            p_m = softmax(z)
         delta = ((p_m - onehot) + lambda_kl * (p_m - p_c)) / n
         grad = backprop(current, shard.features, delta, hidden)
         grad *= lr

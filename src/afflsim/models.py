@@ -106,19 +106,17 @@ def _unpack(arch: Arch, theta: np.ndarray):
 # Below this many classes numpy's row sum adds left to right, which a
 # running column sum reproduces bit for bit; from 8 up it sums pairwise.
 _COLUMN_MAX_CLASSES = 8
-# Below this many rows the column loop's Python steps cost more than they save.
-_COLUMN_MIN_ROWS = 32
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
     """Row-wise stable softmax (1-D input treated as a single row).
 
-    Tall inputs with few classes reduce column by column: a row-wise max
+    2-D inputs with few classes reduce column by column: a row-wise max
     or sum over a short axis is several times slower than a few
     elementwise passes over whole columns, and gives the same bits.
     """
     z = np.asarray(z, dtype=np.float64)
-    if z.ndim == 2 and z.shape[0] >= _COLUMN_MIN_ROWS and 2 <= z.shape[1] < _COLUMN_MAX_CLASSES:
+    if z.ndim == 2 and 2 <= z.shape[1] < _COLUMN_MAX_CLASSES:
         cols = z.shape[1]
         m = np.maximum(z[:, 0], z[:, 1])
         for j in range(2, cols):

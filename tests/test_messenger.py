@@ -342,7 +342,7 @@ def test_distill_does_not_mutate_messenger():
 
 
 @pytest.mark.parametrize("hidden", [0, 4])
-@pytest.mark.parametrize("n", [20, 40])  # below and above softmax's column-path row count
+@pytest.mark.parametrize("n", [20, 40])
 def test_precomputed_messenger_forward_is_bit_identical(hidden, n):
     shard = make_shard(tiers=2, n=n)
     client = init_params(Arch(5, 3, 6), 17)
@@ -359,6 +359,11 @@ def test_precomputed_messenger_forward_is_bit_identical(hidden, n):
     # the shared forward is read, never written
     assert np.array_equal(fwd.logits, messenger_forward(mess, shard).logits)
     assert np.array_equal(fwd.probs, messenger_forward(mess, shard).probs)
+    fresh_hidden = messenger_forward(mess, shard).hidden
+    if hidden == 0:
+        assert fwd.hidden is None and fresh_hidden is None
+    else:
+        assert np.array_equal(fwd.hidden, fresh_hidden)
 
 
 def test_distill_improves_messenger_fit():
