@@ -6,7 +6,7 @@ consensus, and a healthcare-style benchmark metric suite — all deterministic
 given (config, seed).
 """
 
-from .config import ConfigError, RunConfig, config_from_dict, load_config
+from .config import AttackBlock, ConfigError, RunConfig, config_from_dict, load_config
 from .fairness import (
     FairWeights,
     RobustAggConfig,
@@ -27,7 +27,6 @@ from .federation import (
     pooled_label_distribution,
 )
 from .harness import (
-    AttackSpec,
     RoundRecord,
     RunLog,
     compute_load,

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import sys
@@ -236,12 +237,7 @@ def suite_privacy(outdir: str, seed: int = 7) -> metrics.MetricsReport:
     clear = _run(preset_privacy(seed, enabled=False))
     eps_total = private.records[-1].eps_total if private.records else 0.0
     priv_cfg = config_from_dict(preset_privacy(seed, enabled=True))
-    dp = privacy.PrivacyParams(
-        clip_norm=priv_cfg.privacy.clip_norm,
-        noise_multiplier=priv_cfg.privacy.noise_multiplier,
-        delta=priv_cfg.privacy.delta,
-        enabled=True,
-    )
+    dp = dataclasses.replace(priv_cfg.privacy, enabled=True)
     mia_clear = privacy.overfit_scenario(seed)
     mia_private = privacy.overfit_scenario(seed, dp)
     _write_csv(

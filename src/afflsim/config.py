@@ -15,6 +15,8 @@ import math
 from dataclasses import dataclass, field
 
 from .fairness import EXACT_MAX_CLIENTS
+from .federation import SAMPLE_RANGES
+from .privacy import PrivacyParams
 
 SCHEMA_VERSION = 1
 
@@ -105,8 +107,10 @@ class ProtocolBlock:
             raise ConfigError("sample_rate must lie in (0, 1]")
         if not 0 <= self.dropout_rate < 1:
             raise ConfigError("dropout_rate must lie in [0, 1)")
-        if isinstance(self.robust_f, str) and self.robust_f != "auto":
-            raise ConfigError("robust_f must be an integer or 'auto'")
+        if self.robust_f != "auto" and (type(self.robust_f) is not int or self.robust_f < 0):
+            raise ConfigError(
+                f"protocol.robust_f must be a nonnegative integer or 'auto', got {self.robust_f!r}"
+            )
         for name in ("shapley_perms", "adapt_interval", "curriculum_tiers"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"protocol.{name} must be >= 1")
@@ -123,14 +127,6 @@ class ProtocolBlock:
             raise ConfigError(
                 f"protocol.initial_capacity_index must index protocol.grid_hidden {widths}"
             )
-
-
-@dataclass(frozen=True)
-class PrivacyBlock:
-    enabled: bool = False
-    clip_norm: float = 1.0
-    noise_multiplier: float = 0.0
-    delta: float = 1e-5
 
 
 @dataclass(frozen=True)
@@ -163,7 +159,7 @@ class MetricsBlock:
 class RunConfig:
     federation: FederationBlock = field(default_factory=FederationBlock)
     protocol: ProtocolBlock = field(default_factory=ProtocolBlock)
-    privacy: PrivacyBlock = field(default_factory=PrivacyBlock)
+    privacy: PrivacyParams = field(default_factory=PrivacyParams)
     attack: AttackBlock = field(default_factory=AttackBlock)
     metrics: MetricsBlock = field(default_factory=MetricsBlock)
     seed: int = 0
@@ -179,22 +175,62 @@ class RunConfig:
             raise ConfigError("max_rounds must be nonnegative")
         if self.target_accuracy is not None and not 0 < self.target_accuracy <= 1:
             raise ConfigError("target_accuracy must lie in (0, 1]")
-        clients = sum(self.federation.counts().values())
+        for name in ("validation_samples", "probe_samples"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1")
+        p, fed = self.protocol, self.federation
+        counts = fed.counts()
+        clients = sum(counts.values())
         if clients < 1:
             raise ConfigError("federation.academic + regional + rural must be at least 1")
-        if self.protocol.sample_rate * clients < 1:
+        rate = p.sample_rate
+        if rate * clients < 1:
             raise ConfigError(
-                f"protocol.sample_rate {self.protocol.sample_rate} of {clients} clients "
+                f"protocol.sample_rate {rate} of {clients} clients "
                 "samples fewer than one client per round"
             )
         # ceil(rate * N) is the largest cohort either sampler can return
-        largest_cohort = math.ceil(self.protocol.sample_rate * clients)
-        if self.protocol.shapley_mode == "exact" and largest_cohort > EXACT_MAX_CLIENTS:
+        largest_cohort = math.ceil(rate * clients)
+        if p.shapley_mode == "exact" and largest_cohort > EXACT_MAX_CLIENTS:
             raise ConfigError(
                 f"protocol.shapley_mode 'exact' supports cohorts of at most "
-                f"{EXACT_MAX_CLIENTS} clients, but sample_rate {self.protocol.sample_rate} "
+                f"{EXACT_MAX_CLIENTS} clients, but sample_rate {rate} "
                 f"of {clients} clients allows {largest_cohort}"
             )
+        # without dropout the smallest cohort is what the sampler returns:
+        # round(rate * N) uniform, floor(rate * N) load-aware
+        if p.robust_method == "trimmed_mean" and p.robust_f != "auto" and p.dropout_rate == 0:
+            smallest_cohort = (
+                math.floor(rate * clients) if p.load_aware_sampling else int(round(rate * clients))
+            )
+            if smallest_cohort <= 2 * p.robust_f:
+                raise ConfigError(
+                    f"protocol.robust_f {p.robust_f} trims 2f >= {smallest_cohort} clients, "
+                    "the smallest cohort the sampler returns"
+                )
+        smallest_shard = min(SAMPLE_RANGES[cls][0] for cls, n in counts.items() if n > 0)
+        if p.curriculum_tiers > smallest_shard:
+            raise ConfigError(
+                f"protocol.curriculum_tiers {p.curriculum_tiers} exceeds the smallest "
+                f"shard a configured institution class can get ({smallest_shard} samples)"
+            )
+        modalities = range(fed.num_modalities)
+        if p.fusion_weights is not None and len(p.fusion_weights) != len(modalities):
+            raise ConfigError(
+                f"protocol.fusion_weights needs one entry per modality ({len(modalities)})"
+            )
+        if p.active_modalities is not None:
+            by_class = fed.modalities_by_class or {}
+            if not p.active_modalities or any(m not in modalities for m in p.active_modalities):
+                raise ConfigError(
+                    f"protocol.active_modalities must be a nonempty subset of {list(modalities)}"
+                )
+            for cls, n in counts.items():
+                held = by_class.get(cls)
+                if n > 0 and held is not None and not set(held) & set(p.active_modalities):
+                    raise ConfigError(
+                        f"protocol.active_modalities leaves {cls} clients no modality"
+                    )
 
     def to_dict(self) -> dict:
         out = dataclasses.asdict(self)
@@ -215,7 +251,7 @@ def _jsonable(obj):
 _BLOCKS = {
     "federation": FederationBlock,
     "protocol": ProtocolBlock,
-    "privacy": PrivacyBlock,
+    "privacy": PrivacyParams,
     "attack": AttackBlock,
     "metrics": MetricsBlock,
 }
@@ -227,6 +263,14 @@ _TUPLE_FIELDS = {
     "active_modalities",
     "fusion_weights",
 }
+
+
+def _check_integers(cls, kwargs: dict, prefix: str) -> None:
+    """Every field whose default is a plain int takes only ints (not bools)."""
+    for f in dataclasses.fields(cls):
+        value = kwargs.get(f.name)
+        if type(f.default) is int and f.name in kwargs and type(value) is not int:
+            raise ConfigError(f"{prefix}{f.name} must be an integer, got {value!r}")
 
 
 def _build_block(cls, data: dict, path: str):
@@ -241,6 +285,7 @@ def _build_block(cls, data: dict, path: str):
         if key in _TUPLE_FIELDS and isinstance(value, list):
             value = tuple(value)
         kwargs[key] = value
+    _check_integers(cls, kwargs, f"{path}.")
     try:
         return cls(**kwargs)
     except ConfigError:
@@ -263,6 +308,7 @@ def config_from_dict(data: dict) -> RunConfig:
             kwargs[key] = _build_block(_BLOCKS[key], value, key)
         else:
             kwargs[key] = value
+    _check_integers(RunConfig, kwargs, "")
     try:
         return RunConfig(**kwargs)
     except ConfigError:

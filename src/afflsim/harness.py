@@ -24,7 +24,7 @@ from . import fairness as fair
 from . import heterogeneity as het
 from . import messenger as msg
 from . import models, privacy
-from .config import RunConfig
+from .config import AttackBlock, RunConfig
 from .federation import (
     ClientProfile,
     DatasetShard,
@@ -40,19 +40,6 @@ SCHEMA_VERSION = 1
 
 THREADS_ENV = "AFFLSIM_THREADS"
 OUTPUT_DIR_ENV = "AFFLSIM_OUTPUT_DIR"
-
-
-@dataclass(frozen=True)
-class AttackSpec:
-    kind: str | None = None  # sign_flip | large_norm | label_flip
-    attacker_fraction: float = 0.0
-    scale: float = 10.0
-
-    def __post_init__(self):
-        if not 0 <= self.attacker_fraction < 0.5:
-            raise ValueError("attacker_fraction must lie in [0, 0.5)")
-        if self.kind not in (None, "sign_flip", "large_norm", "label_flip"):
-            raise ValueError(f"unknown attack kind {self.kind!r}")
 
 
 @dataclass
@@ -211,7 +198,7 @@ def sample_clients(
     return sorted(population[i].id for i in np.nonzero(picks > 0)[0])
 
 
-def apply_attack_flags(profiles: list[ClientProfile], spec: AttackSpec) -> list[ClientProfile]:
+def apply_attack_flags(profiles: list[ClientProfile], spec: AttackBlock) -> list[ClientProfile]:
     """Mark the floor(fraction*N) largest clients as attackers."""
     if spec.kind is None or spec.attacker_fraction == 0.0:
         return list(profiles)
@@ -232,7 +219,7 @@ def inject_attack(
     variants: list[ModelParams],
     base: ModelParams,
     cohort: list[ClientProfile],
-    spec: AttackSpec,
+    spec: AttackBlock,
 ) -> list[ModelParams]:
     """Apply delta-level attacks to the variants of flagged clients.
 
@@ -267,36 +254,30 @@ class SimState:
     probe: DatasetShard
     pooled_eval: DatasetShard
     pooled_dist: np.ndarray
-    client_params: list[ModelParams]
-    messenger: ModelParams
-    global_model: ModelParams | None  # fedavg only
+    client_params: list[ModelParams]  # fedavg: copies of the broadcast model
+    messenger: ModelParams  # the broadcast model; fedavg's global model
     grid: msg.CapacityGrid
     schedule: msg.CurriculumSchedule
     het_config: het.HeterogeneityConfig
-    attack: AttackSpec
     capacity_decision: msg.CapacityDecision | None
     lambda2: float
     round_index: int
     h_max: float
     eps_total: float
     last_client_losses: dict[int, float]
-    privacy_params: privacy.PrivacyParams
     per_round_eps: float
-
-
-def _steps_per_round(cfg: RunConfig) -> int:
-    p = cfg.protocol
-    if p.algorithm == "fedavg":
-        return p.local_steps
-    return p.local_steps + p.inject_steps + p.distill_steps
 
 
 def _round_energy(cfg: RunConfig, cohort_profiles: list[ClientProfile]) -> float:
     """kWh per round: sum over cohort of work/capacity times the coefficient."""
-    steps = _steps_per_round(cfg)
+    p = cfg.protocol
+    steps = p.local_steps
+    if p.algorithm != "fedavg":
+        steps += p.inject_steps + p.distill_steps
     return sum(
-        steps * pr.sample_count / pr.compute_capacity * cfg.energy_coefficient
-        for pr in cohort_profiles
+        (steps * pr.sample_count / pr.compute_capacity * cfg.energy_coefficient
+         for pr in cohort_profiles),
+        0.0,
     )
 
 
@@ -314,11 +295,7 @@ def _build_fusion(cfg: RunConfig, fed: FederationConfig, seed: int) -> msg.Fusio
             rng = stream(seed, "fusion-encoder", mid)
             encoders.append(rng.normal(0.0, 1.0, (d, fused_dim)) / np.sqrt(d))
     ids = tuple(m for m, _ in blocks)
-    raw = cfg.protocol.fusion_weights
-    if raw is None:
-        raw = tuple(0.0 for _ in ids)
-    elif len(raw) != len(ids):
-        raise ValueError("fusion_weights needs one entry per modality")
+    raw = cfg.protocol.fusion_weights or tuple(0.0 for _ in ids)
     return msg.FusionConfig(ids, tuple(float(w) for w in raw), tuple(encoders))
 
 
@@ -369,26 +346,24 @@ def init_state(cfg: RunConfig) -> SimState:
         profiles = [replace(p, arch=Arch(in_dim, p.arch.num_classes, p.arch.hidden)) for p in profiles]
     in_dim = shards[0].features.shape[1]
 
-    attack = AttackSpec(
-        kind=cfg.attack.kind,
-        attacker_fraction=cfg.attack.attacker_fraction,
-        scale=cfg.attack.scale,
-    )
-    profiles = apply_attack_flags(profiles, attack)
+    profiles = apply_attack_flags(profiles, cfg.attack)
     train_shards = [
         flip_labels(s) if p.honesty == "label_flip" else s
         for p, s in zip(profiles, shards)
     ]
 
     p = cfg.protocol
-    algorithm = p.algorithm
-    if algorithm == "fedavg":
+    fedavg = p.algorithm == "fedavg"
+    templates = tuple(Arch(in_dim, fed.num_classes, h) for h in p.grid_hidden)
+    if fedavg:
         arch = Arch(in_dim, fed.num_classes, p.fedavg_hidden)
         profiles = [replace(pr, arch=arch) for pr in profiles]
-        global_model = models.init_params(arch, subseed(cfg.seed, "global"))
-        client_params = [global_model.copy() for _ in profiles]
+        messenger = models.init_params(arch, subseed(cfg.seed, "global"))
+        client_params = [messenger] * len(profiles)  # train_local copies its input
     else:
-        global_model = None
+        messenger = models.init_params(
+            templates[p.initial_capacity_index], subseed(cfg.seed, "messenger")
+        )
         client_params = [
             models.init_params(pr.arch, subseed(cfg.seed, "client-init", pr.id))
             for pr in profiles
@@ -407,9 +382,9 @@ def init_state(cfg: RunConfig) -> SimState:
         flip_labels(s) if pr.honesty == "label_flip" else s
         for pr, s in zip(profiles, shards)
     ]
-    client_params = warmed
+    # fedavg clients hold the broadcast model; the warm-up only set tiers
+    client_params = [messenger.copy() for _ in profiles] if fedavg else warmed
 
-    templates = tuple(Arch(in_dim, fed.num_classes, h) for h in p.grid_hidden)
     grid = msg.CapacityGrid(
         templates=templates,
         lambda1=p.lambda1,
@@ -417,9 +392,6 @@ def init_state(cfg: RunConfig) -> SimState:
         probe_steps=p.probe_steps,
         probe_lr=p.probe_lr,
         adapt_interval=p.adapt_interval,
-    )
-    messenger = models.init_params(
-        templates[p.initial_capacity_index], subseed(cfg.seed, "messenger")
     )
     if p.curriculum_tau is not None and p.curriculum_sigma is not None:
         schedule = msg.CurriculumSchedule(num_tiers, tuple(p.curriculum_tau), tuple(p.curriculum_sigma))
@@ -432,12 +404,7 @@ def init_state(cfg: RunConfig) -> SimState:
         shards[0].num_classes,
     )
 
-    priv = privacy.PrivacyParams(
-        clip_norm=cfg.privacy.clip_norm,
-        noise_multiplier=cfg.privacy.noise_multiplier,
-        delta=cfg.privacy.delta,
-        enabled=cfg.privacy.enabled,
-    )
+    priv = cfg.privacy
     per_round_eps = 0.0
     if priv.enabled and priv.noise_multiplier > 0:
         priv.check_delta(min(pr.sample_count for pr in profiles))
@@ -460,18 +427,15 @@ def init_state(cfg: RunConfig) -> SimState:
         pooled_dist=pooled,
         client_params=client_params,
         messenger=messenger,
-        global_model=global_model,
         grid=grid,
         schedule=schedule,
         het_config=het.HeterogeneityConfig(p.het_alpha, p.het_beta, p.het_gamma),
-        attack=attack,
         capacity_decision=decision,
         lambda2=p.lambda2,
         round_index=0,
         h_max=0.0,
         eps_total=0.0,
         last_client_losses={},
-        privacy_params=priv,
         per_round_eps=per_round_eps,
     )
 
@@ -546,92 +510,56 @@ def coalition_value_fn(
     return value_fn
 
 
-def _resolve_f(robust_f, cohort_size: int) -> int:
-    if robust_f == "auto":
-        return max(0, (cohort_size - 1) // 3)
-    return int(robust_f)
+def _adapt_capacity(
+    state: SimState, cohort: list[int], h_t: float, t: int
+) -> tuple[msg.CapacityDecision, ModelParams]:
+    """(capacity decision, broadcast model of round t); affl variants only.
 
-
-def _empty_record(state: SimState, round_index: int, dropped: list[int]) -> RoundRecord:
-    model = state.global_model if state.global_model is not None else state.messenger
-    loss, acc = models.evaluate(model, state.validation)
-    pool_loss, _ = models.evaluate(model, state.pooled_eval)
-    return RoundRecord(
-        round_index=round_index,
-        h_t=0.0,
-        capacity_index=(
-            state.capacity_decision.chosen_index if state.global_model is None else None
-        ),
-        cohort=[],
-        dropped=dropped,
-        phi=None,
-        weights=None,
-        per_client=[],
-        global_val_loss=loss,
-        global_val_accuracy=acc,
-        global_pool_loss=pool_loss,
-        fairness_gap=0.0,
+    On the adaptation interval the template grid is probed, and a switch of
+    template resizes the messenger before it is broadcast.
+    """
+    prev = state.capacity_decision
+    adaptive = state.config.protocol.algorithm in ("affl", "uniform_weight_affl")
+    if not adaptive or t % state.grid.adapt_interval != 0:
+        return prev, state.messenger
+    seed = state.config.seed
+    decision = msg.select_capacity(
+        state.grid,
+        h_t,
+        state.probe,
+        probe_teacher_logits(state, cohort),
+        _loss_spread(state, cohort),
+        t,
+        prev,
+        state.messenger,
+        subseed(seed, "capacity", t),
         lambda2=state.lambda2,
-        bytes_up=0,
-        bytes_down=0,
-        energy_kwh=0.0,
-        eps_round=0.0,
-        eps_total=state.eps_total,
-        empty=True,
     )
+    if decision.chosen_index == prev.chosen_index:
+        return decision, state.messenger
+    template = state.grid.templates[decision.chosen_index]
+    return decision, msg.resize_params(state.messenger, template, subseed(seed, "resize", t))
 
 
-def run_round(state: SimState, cfg: RunConfig | None = None) -> tuple[SimState, RoundRecord]:
-    """Advance one protocol round; returns new state plus its record."""
-    cfg = cfg or state.config
-    if cfg.protocol.algorithm == "fedavg":
-        return _run_round_fedavg(state, cfg)
-    return _run_round_messenger(state, cfg)
+def _client_step(
+    state: SimState, cohort: list[int], base: ModelParams, t: int
+) -> tuple[list[ModelParams], list[ModelParams]]:
+    """(client params after the round, one upload per cohort client).
 
-
-def _run_round_messenger(state: SimState, cfg: RunConfig) -> tuple[SimState, RoundRecord]:
-    p = cfg.protocol
-    algorithm = p.algorithm
-    t = state.round_index + 1
-    cohort, dropped = _sample_cohort(state, t)
-    if not cohort:
-        new_state = replace(state, round_index=t)
-        return new_state, _empty_record(new_state, t, dropped)
-    cohort_profiles = [state.profiles[i] for i in cohort]
-    cohort_shards = [state.shards[i] for i in cohort]
-
-    # phase 1: heterogeneity assessment on the sampled cohort
-    report = het.assess_cohort(
-        cohort_shards, cohort_profiles, state.pooled_dist, state.het_config
-    )
-    h_max = max(state.h_max, report.h_t)
-
-    # phase 2: capacity adaptation on the configured interval
-    messenger_model = state.messenger
-    decision = state.capacity_decision
-    if algorithm in ("affl", "uniform_weight_affl") and t % state.grid.adapt_interval == 0:
-        teacher = probe_teacher_logits(state, cohort)
-        decision = msg.select_capacity(
-            state.grid,
-            report.h_t,
-            state.probe,
-            teacher,
-            _loss_spread(state, cohort),
-            t,
-            state.capacity_decision,
-            state.messenger,
-            subseed(cfg.seed, "capacity", t),
-            lambda2=state.lambda2,
+    fedavg clients train the broadcast model and upload it. Messenger
+    clients train their own model, inject the messenger's knowledge under
+    the curriculum (uniform for static_messenger), and upload a distilled
+    messenger variant.
+    """
+    p = state.config.protocol
+    if p.algorithm == "fedavg":
+        uploads = _parallel_map(
+            lambda i: models.train_local(base, state.train_shards[i], p.local_steps, p.local_lr),
+            cohort,
         )
-        if decision.chosen_index != state.capacity_decision.chosen_index:
-            messenger_model = msg.resize_params(
-                state.messenger,
-                state.grid.templates[decision.chosen_index],
-                subseed(cfg.seed, "resize", t),
-            )
+        return state.client_params, uploads
 
-    # phase 3+4: local training, curriculum injection, distillation (per client)
-    if algorithm == "static_messenger":
+    if p.algorithm == "static_messenger":
         pi = np.full(state.schedule.num_tiers, 1.0 / state.schedule.num_tiers)
     else:
         pi = msg.curriculum_weights(t, state.schedule)
@@ -639,206 +567,148 @@ def _run_round_messenger(state: SimState, cfg: RunConfig) -> tuple[SimState, Rou
     def client_work(i: int) -> tuple[ModelParams, ModelParams]:
         train_shard = state.train_shards[i]
         params = models.train_local(state.client_params[i], train_shard, p.local_steps, p.local_lr)
-        fwd = msg.messenger_forward(messenger_model, train_shard)
+        fwd = msg.messenger_forward(base, train_shard)
         params = msg.inject_knowledge(
-            params, messenger_model, train_shard, pi, p.inject_steps, p.inject_lr, fwd
+            params, base, train_shard, pi, p.inject_steps, p.inject_lr, fwd
         )
         variant = msg.distill_to_messenger(
-            messenger_model, params, train_shard, p.lambda_kl, p.distill_steps, p.distill_lr, fwd
+            base, params, train_shard, p.lambda_kl, p.distill_steps, p.distill_lr, fwd
         )
         return params, variant
 
     results = _parallel_map(client_work, cohort)
     client_params = list(state.client_params)
-    variants = []
-    for i, (params, variant) in zip(cohort, results):
+    for i, (params, _) in zip(cohort, results):
         client_params[i] = params
-        variants.append(variant)
+    return client_params, [variant for _, variant in results]
 
-    # privacy on the variant deltas that leave clients
-    eps_round = 0.0
-    if state.privacy_params.enabled and state.privacy_params.noise_multiplier > 0:
-        private = []
-        for i, variant in zip(cohort, variants):
-            delta = variant.theta - messenger_model.theta
-            noisy = privacy.privatize(
-                delta, state.privacy_params, subseed(cfg.seed, "dp", t, i)
-            )
-            private.append(ModelParams(variant.arch, messenger_model.theta + noisy))
-        variants = private
-        eps_round = state.per_round_eps
-    eps_total = state.eps_total + eps_round
 
-    # attack injection on flagged clients' deltas
-    variants = inject_attack(variants, messenger_model, cohort_profiles, state.attack)
+def _privatize(
+    state: SimState, cohort: list[int], uploads: list[ModelParams], base: ModelParams, t: int
+) -> tuple[list[ModelParams], float]:
+    """Clip and noise the deltas that leave the clients; (uploads, epsilon spent)."""
+    params = state.config.privacy
+    if not (params.enabled and params.noise_multiplier > 0):
+        return uploads, 0.0
+    seed = state.config.seed
+    noised = [
+        ModelParams(
+            upload.arch,
+            base.theta
+            + privacy.privatize(upload.theta - base.theta, params, subseed(seed, "dp", t, i)),
+        )
+        for i, upload in zip(cohort, uploads)
+    ]
+    return noised, state.per_round_eps
 
-    # phase 5: influence weights and aggregation
-    phi_list = None
-    if algorithm == "affl":
+
+def _weights(
+    state: SimState, cohort: list[int], uploads: list[ModelParams], base: ModelParams, t: int
+) -> tuple[list[float] | None, np.ndarray]:
+    """(Shapley values or None, aggregation weights) of the round's uploads.
+
+    affl weighs by Shapley fair weights, uniform_weight_affl uniformly, and
+    static_messenger and fedavg in proportion to shard size.
+    """
+    p = state.config.protocol
+    sizes = np.array([state.profiles[i].sample_count for i in cohort], dtype=np.float64)
+    if p.algorithm == "affl":
         phi = fair.shapley_estimate(
             cohort,
-            coalition_value_fn(cohort, variants, messenger_model, state.validation),
+            coalition_value_fn(cohort, uploads, base, state.validation),
             mode=p.shapley_mode,
             num_perms=p.shapley_perms,
-            seed=subseed(cfg.seed, "shapley", t),
+            seed=subseed(state.config.seed, "shapley", t),
         )
-        weights = fair.fair_weights(
-            phi,
-            np.array([pr.sample_count for pr in cohort_profiles]),
-            p.eps_smooth,
-            p.delta_size,
-        ).w
-        phi_list = [float(v) for v in phi]
-    elif algorithm == "uniform_weight_affl":
-        weights = np.full(len(cohort), 1.0 / len(cohort))
-    else:  # static_messenger: size-proportional
-        counts = np.array([pr.sample_count for pr in cohort_profiles], dtype=np.float64)
-        weights = counts / counts.sum()
+        weights = fair.fair_weights(phi, sizes, p.eps_smooth, p.delta_size).w
+        return [float(v) for v in phi], weights
+    if p.algorithm == "uniform_weight_affl":
+        return None, np.full(len(cohort), 1.0 / len(cohort))
+    return None, sizes / sizes.sum()
 
-    if p.robust_method is not None:
-        robust_cfg = fair.RobustAggConfig(
-            method=p.robust_method, f=_resolve_f(p.robust_f, len(cohort))
-        )
-        new_messenger = fair.robust_aggregate(variants, robust_cfg, weights=weights)
-    else:
-        new_messenger = fair.aggregate_messengers(variants, weights)
 
-    # phase 6: fairness monitoring
-    per_client = []
-    losses = dict(state.last_client_losses)
-    for i in cohort:
-        loss, acc = models.evaluate(client_params[i], state.shards[i])
-        per_client.append((i, loss, acc))
-        losses[i] = loss
-    accs = np.array([a for _, _, a in per_client])
-    gap = fair.fairness_gap(accs)
-    lambda2 = fair.monitor_and_adjust(gap, p.theta_fair, state.lambda2)
+def _aggregate(state: SimState, uploads: list[ModelParams], weights: np.ndarray) -> ModelParams:
+    p = state.config.protocol
+    if p.robust_method is None:
+        return fair.aggregate_messengers(uploads, weights)
+    # robust_f "auto" is floor((cohort - 1) / 3)
+    f = max(0, (len(uploads) - 1) // 3) if p.robust_f == "auto" else p.robust_f
+    robust_cfg = fair.RobustAggConfig(method=p.robust_method, f=f)
+    return fair.robust_aggregate(uploads, robust_cfg, weights=weights)
 
-    gv_loss, gv_acc = models.evaluate(new_messenger, state.validation)
-    pool_loss, _ = models.evaluate(new_messenger, state.pooled_eval)
-    pc = new_messenger.param_count
-    bytes_down = len(cohort) * 4 * messenger_model.param_count
-    bytes_up = len(cohort) * 4 * pc
-    energy = _round_energy(cfg, cohort_profiles)
+
+def run_round(state: SimState) -> tuple[SimState, RoundRecord]:
+    """Advance one protocol round; returns the new state plus its record.
+
+    Every algorithm runs the same phases, each once: sample, heterogeneity,
+    capacity, client step, DP, attack, weights, aggregate, evaluate, record.
+    A round whose whole cohort dropped out goes from sampling straight to
+    evaluation, and the broadcast model stands.
+    """
+    cfg = state.config
+    fedavg = cfg.protocol.algorithm == "fedavg"
+    t = state.round_index + 1
+    cohort, dropped = _sample_cohort(state, t)
+    cohort_profiles = [state.profiles[i] for i in cohort]
+    h_t, decision, base = 0.0, state.capacity_decision, state.messenger
+    client_params, model = state.client_params, state.messenger
+    phi = weights = None
+    eps_round = 0.0
+    if cohort:
+        h_t = het.assess_cohort(
+            [state.shards[i] for i in cohort], cohort_profiles, state.pooled_dist, state.het_config
+        ).h_t
+        decision, base = _adapt_capacity(state, cohort, h_t, t)
+        client_params, uploads = _client_step(state, cohort, base, t)
+        uploads, eps_round = _privatize(state, cohort, uploads, base, t)
+        uploads = inject_attack(uploads, base, cohort_profiles, cfg.attack)
+        phi, weights = _weights(state, cohort, uploads, base, t)
+        model = _aggregate(state, uploads, weights)
+        if fedavg:
+            client_params = [model.copy() for _ in state.profiles]
+
+    # evaluation: each cohort client's model on its own shard, the broadcast
+    # model on validation and pooled data; fairness escalation for messengers
+    per_client = [(i, *models.evaluate(client_params[i], state.shards[i])) for i in cohort]
+    losses = {**state.last_client_losses, **{i: loss for i, loss, _ in per_client}}
+    gap = fair.fairness_gap([acc for _, _, acc in per_client]) if cohort else 0.0
+    lambda2 = state.lambda2
+    if cohort and not fedavg:
+        lambda2 = fair.monitor_and_adjust(gap, cfg.protocol.theta_fair, lambda2)
+    gv_loss, gv_acc = models.evaluate(model, state.validation)
+    pool_loss, _ = models.evaluate(model, state.pooled_eval)
+    bytes_each_way = len(cohort) * 4 * base.param_count
+    eps_total = state.eps_total + eps_round
 
     record = RoundRecord(
         round_index=t,
-        h_t=report.h_t,
-        capacity_index=decision.chosen_index,
+        h_t=h_t,
+        capacity_index=None if fedavg else decision.chosen_index,
         cohort=list(cohort),
         dropped=dropped,
-        phi=phi_list,
-        weights=[float(w) for w in weights],
+        phi=phi,
+        weights=None if weights is None else [float(w) for w in weights],
         per_client=per_client,
         global_val_loss=gv_loss,
         global_val_accuracy=gv_acc,
         global_pool_loss=pool_loss,
         fairness_gap=gap,
         lambda2=state.lambda2,
-        bytes_up=bytes_up,
-        bytes_down=bytes_down,
-        energy_kwh=energy,
+        bytes_up=bytes_each_way,
+        bytes_down=bytes_each_way,
+        energy_kwh=_round_energy(cfg, cohort_profiles),
         eps_round=eps_round,
         eps_total=eps_total,
-        empty=False,
+        empty=not cohort,
     )
     new_state = replace(
         state,
         client_params=client_params,
-        messenger=new_messenger,
+        messenger=model,
         capacity_decision=decision,
         lambda2=lambda2,
         round_index=t,
-        h_max=h_max,
-        eps_total=eps_total,
-        last_client_losses=losses,
-    )
-    return new_state, record
-
-
-def _run_round_fedavg(state: SimState, cfg: RunConfig) -> tuple[SimState, RoundRecord]:
-    p = cfg.protocol
-    t = state.round_index + 1
-    cohort, dropped = _sample_cohort(state, t)
-    if not cohort:
-        new_state = replace(state, round_index=t)
-        return new_state, _empty_record(new_state, t, dropped)
-    cohort_profiles = [state.profiles[i] for i in cohort]
-    cohort_shards = [state.shards[i] for i in cohort]
-    report = het.assess_cohort(
-        cohort_shards, cohort_profiles, state.pooled_dist, state.het_config
-    )
-    h_max = max(state.h_max, report.h_t)
-    base = state.global_model
-
-    def client_work(i: int) -> ModelParams:
-        return models.train_local(base, state.train_shards[i], p.local_steps, p.local_lr)
-
-    trained = _parallel_map(client_work, cohort)
-
-    eps_round = 0.0
-    if state.privacy_params.enabled and state.privacy_params.noise_multiplier > 0:
-        noised = []
-        for i, model in zip(cohort, trained):
-            delta = privacy.privatize(
-                model.theta - base.theta, state.privacy_params, subseed(cfg.seed, "dp", t, i)
-            )
-            noised.append(ModelParams(base.arch, base.theta + delta))
-        trained = noised
-        eps_round = state.per_round_eps
-    eps_total = state.eps_total + eps_round
-
-    trained = inject_attack(trained, base, cohort_profiles, state.attack)
-
-    counts = np.array([pr.sample_count for pr in cohort_profiles], dtype=np.float64)
-    weights = counts / counts.sum()
-    if p.robust_method is not None:
-        robust_cfg = fair.RobustAggConfig(
-            method=p.robust_method, f=_resolve_f(p.robust_f, len(cohort))
-        )
-        new_global = fair.robust_aggregate(trained, robust_cfg, weights=weights)
-    else:
-        new_global = fair.aggregate_messengers(trained, weights)
-
-    per_client = []
-    losses = dict(state.last_client_losses)
-    for i in cohort:
-        loss, acc = models.evaluate(new_global, state.shards[i])
-        per_client.append((i, loss, acc))
-        losses[i] = loss
-    accs = np.array([a for _, _, a in per_client])
-    gap = fair.fairness_gap(accs)
-    gv_loss, gv_acc = models.evaluate(new_global, state.validation)
-    pool_loss, _ = models.evaluate(new_global, state.pooled_eval)
-    pc = new_global.param_count
-    energy = _round_energy(cfg, cohort_profiles)
-    record = RoundRecord(
-        round_index=t,
-        h_t=report.h_t,
-        capacity_index=None,
-        cohort=list(cohort),
-        dropped=dropped,
-        phi=None,
-        weights=[float(w) for w in weights],
-        per_client=per_client,
-        global_val_loss=gv_loss,
-        global_val_accuracy=gv_acc,
-        global_pool_loss=pool_loss,
-        fairness_gap=gap,
-        lambda2=state.lambda2,
-        bytes_up=len(cohort) * 4 * pc,
-        bytes_down=len(cohort) * 4 * pc,
-        energy_kwh=energy,
-        eps_round=eps_round,
-        eps_total=eps_total,
-        empty=False,
-    )
-    new_state = replace(
-        state,
-        global_model=new_global,
-        client_params=[new_global.copy() for _ in state.profiles],
-        round_index=t,
-        h_max=h_max,
+        h_max=max(state.h_max, h_t),
         eps_total=eps_total,
         last_client_losses=losses,
     )
@@ -853,8 +723,7 @@ def _run_round_fedavg(state: SimState, cfg: RunConfig) -> tuple[SimState, RoundR
 def run_experiment(cfg: RunConfig) -> RunLog:
     """Run the configured algorithm to target accuracy or max rounds."""
     state = init_state(cfg)
-    model = state.global_model if state.global_model is not None else state.messenger
-    loss0, acc0 = models.evaluate(model, state.validation)
+    loss0, acc0 = models.evaluate(state.messenger, state.validation)
     log = RunLog(
         algorithm=cfg.protocol.algorithm,
         seed=cfg.seed,
@@ -864,7 +733,7 @@ def run_experiment(cfg: RunConfig) -> RunLog:
         initial_val_accuracy=acc0,
     )
     for _ in range(cfg.max_rounds):
-        state, record = run_round(state, cfg)
+        state, record = run_round(state)
         log.records.append(record)
         log.h_max = state.h_max
         if (
@@ -874,13 +743,9 @@ def run_experiment(cfg: RunConfig) -> RunLog:
         ):
             log.rounds_to_target = record.round_index
             break
-    final_model = state.global_model if state.global_model is not None else state.messenger
     class_accs: dict[str, list[float]] = {}
     for profile, shard in zip(state.profiles, state.shards):
-        eval_model = (
-            final_model if cfg.protocol.algorithm == "fedavg" else state.client_params[profile.id]
-        )
-        _, acc = models.evaluate(eval_model, shard)
+        _, acc = models.evaluate(state.client_params[profile.id], shard)
         log.final_client_accuracy[profile.id] = acc
         class_accs.setdefault(profile.institution_class, []).append(acc)
     log.final_class_accuracy = {k: float(np.mean(v)) for k, v in class_accs.items()}

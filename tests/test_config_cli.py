@@ -13,6 +13,7 @@ from afflsim.config import (
     config_from_dict,
     load_config,
     preset_default,
+    preset_multimodal,
     preset_smoke,
 )
 from afflsim.harness import load_summary, run_experiment
@@ -76,6 +77,99 @@ def test_value_that_would_fail_mid_run_is_rejected_naming_field(key, value):
     d = preset_smoke(7)
     d["protocol"][key] = value
     with pytest.raises(ConfigError, match=f"protocol.{key}"):
+        config_from_dict(d)
+
+
+def with_value(data: dict, path: str, value) -> dict:
+    """data with the dotted key path (e.g. "protocol.robust_f") set to value."""
+    *blocks, key = path.split(".")
+    target = data
+    for block in blocks:
+        target = target.setdefault(block, {})
+    target[key] = value
+    return data
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        ("max_rounds", 2.5),
+        ("seed", "x"),
+        ("protocol.shapley_perms", 2.5),
+        ("protocol.local_steps", True),
+        ("federation.rural", 4.0),
+    ],
+)
+def test_non_integer_in_integer_field_is_rejected_naming_field(path, value):
+    with pytest.raises(ConfigError, match=f"{path} must be an integer"):
+        config_from_dict(with_value(preset_smoke(7), path, value))
+
+
+def smoke_trimmed_mean(seed):
+    d = preset_smoke(seed)
+    d["protocol"]["robust_method"] = "trimmed_mean"
+    return d
+
+
+@pytest.mark.parametrize(
+    "preset, path, value",
+    [
+        (preset_smoke, "protocol.curriculum_tiers", 2001),  # rural shards hold <= 2000 rows
+        (preset_multimodal, "protocol.fusion_weights", [0.0, 1.0]),  # three modalities
+        (preset_multimodal, "protocol.active_modalities", []),
+        (preset_multimodal, "protocol.active_modalities", [3]),
+        (smoke_trimmed_mean, "protocol.robust_f", -1),
+        (preset_smoke, "validation_samples", 0),
+        (preset_smoke, "probe_samples", 0),
+        (preset_smoke, "privacy.clip_norm", 0.0),
+        (preset_smoke, "privacy.delta", 1.0),
+        (preset_smoke, "privacy.noise_multiplier", -1.0),
+    ],
+)
+def test_config_that_would_fail_in_run_experiment_is_rejected(preset, path, value):
+    d = with_value(preset(7), path, value)
+    if path.startswith("privacy."):
+        d["privacy"]["enabled"] = True
+    with pytest.raises(ConfigError, match=path.split(".")[-1]):
+        config_from_dict(d)
+
+
+def test_active_modalities_leaving_a_class_no_modality_is_rejected():
+    d = preset_multimodal(7, active_modalities=(1, 2))
+    d["federation"]["modalities_by_class"] = {"rural": [0]}
+    with pytest.raises(ConfigError, match="protocol.active_modalities"):
+        config_from_dict(d)
+
+
+@pytest.mark.parametrize(
+    "robust_f, protocol",
+    [
+        (2, {}),  # 4 clients, 2f = 4
+        (1, {"sample_rate": 0.625}),  # uniform cohort round(2.5) = 2
+        (1, {"sample_rate": 0.625, "load_aware_sampling": True}),  # floor(2.5) = 2
+    ],
+)
+def test_trimmed_mean_f_too_large_for_smallest_cohort_is_rejected(robust_f, protocol):
+    d = smoke_trimmed_mean(7)
+    d["protocol"].update(robust_f=robust_f, **protocol)
+    with pytest.raises(ConfigError, match="protocol.robust_f"):
+        config_from_dict(d)
+
+
+@pytest.mark.parametrize("load_aware", [False, True])
+def test_trimmed_mean_f_at_the_limit_runs(load_aware):
+    d = smoke_trimmed_mean(7)
+    d["protocol"].update(robust_f=1, sample_rate=0.75, load_aware_sampling=load_aware)
+    d["max_rounds"] = 2
+    assert run_experiment(config_from_dict(d)).rounds_run == 2
+
+
+def test_curriculum_tiers_bound_is_the_smallest_possible_shard():
+    d = preset_smoke(7)  # rural only: shards of 500 to 2000 rows
+    d["protocol"]["curriculum_tiers"] = 500
+    assert config_from_dict(d).protocol.curriculum_tiers == 500
+    d["protocol"]["curriculum_tiers"] = 501
+    with pytest.raises(ConfigError, match="protocol.curriculum_tiers"):
         config_from_dict(d)
 
 

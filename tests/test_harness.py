@@ -11,7 +11,7 @@ from afflsim.fairness import aggregate_messengers, fair_weights, fairness_gap, m
 from afflsim.federation import ClientProfile
 from afflsim.harness import (
     THREADS_ENV,
-    AttackSpec,
+    AttackBlock,
     apply_attack_flags,
     coalition_value_fn,
     compute_load,
@@ -100,10 +100,10 @@ def test_sample_guards():
 
 def test_attack_flags_assigned_to_largest():
     pop = [profile(i, samples=500 + 100 * i) for i in range(6)]
-    flagged = apply_attack_flags(pop, AttackSpec("sign_flip", 0.4))
+    flagged = apply_attack_flags(pop, AttackBlock("sign_flip", 0.4))
     attackers = [p.id for p in flagged if p.is_attacker]
     assert attackers == [4, 5]  # floor(0.4*6)=2 largest
-    one = apply_attack_flags(pop, AttackSpec("sign_flip", 0.33))
+    one = apply_attack_flags(pop, AttackBlock("sign_flip", 0.33))
     assert [p.id for p in one if p.is_attacker] == [5]  # floor(0.33*6)=1
 
 
@@ -111,7 +111,7 @@ def test_attack_fraction_zero_is_identity():
     pop = [profile(i) for i in range(4)]
     base = ModelParams(Arch(4, 3, 4), np.zeros(Arch(4, 3, 4).param_count))
     variants = [ModelParams(base.arch, np.full(base.param_count, float(i))) for i in range(4)]
-    out = inject_attack(variants, base, pop, AttackSpec(None, 0.0))
+    out = inject_attack(variants, base, pop, AttackBlock(None, 0.0))
     for a, b in zip(out, variants):
         assert np.array_equal(a.theta, b.theta)
         assert a is not b
@@ -125,7 +125,7 @@ def test_sign_flip_negates_delta_exactly():
     base = ModelParams(arch, rng.normal(0, 1, arch.param_count))
     delta = rng.normal(0, 1, arch.param_count)
     variants = [ModelParams(arch, base.theta + delta), ModelParams(arch, base.theta + delta)]
-    out = inject_attack(variants, base, pop, AttackSpec("sign_flip", 0.4))
+    out = inject_attack(variants, base, pop, AttackBlock("sign_flip", 0.4))
     assert np.array_equal(out[0].theta, base.theta + delta)
     assert out[1].theta == pytest.approx(base.theta - delta, abs=1e-12)
 
@@ -137,7 +137,7 @@ def test_large_norm_scales_delta():
     base = ModelParams(arch, np.zeros(arch.param_count))
     delta = stream(1, "atk").normal(0, 1, arch.param_count)
     out = inject_attack(
-        [ModelParams(arch, delta)], base, pop, AttackSpec("large_norm", 0.4, scale=100.0)
+        [ModelParams(arch, delta)], base, pop, AttackBlock("large_norm", 0.4, scale=100.0)
     )
     assert np.linalg.norm(out[0].theta - base.theta) == pytest.approx(
         100.0 * np.linalg.norm(delta), rel=1e-9
@@ -171,7 +171,7 @@ def test_empty_round_leaves_state_unchanged():
     cfg = config_from_dict(d)
     state = init_state(cfg)
     theta_before = state.messenger.theta.copy()
-    new_state, record = run_round(state, cfg)
+    new_state, record = run_round(state)
     assert record.empty
     assert record.cohort == []
     assert len(record.dropped) == 4
@@ -223,7 +223,7 @@ def test_round_matches_scripted_composition_of_public_ops():
     d["protocol"]["shapley_perms"] = 10
     cfg = config_from_dict(d)
     state = init_state(cfg)
-    new_state, record = run_round(state, cfg)
+    new_state, record = run_round(state)
 
     p = cfg.protocol
     t = 1
@@ -358,11 +358,11 @@ def test_fedavg_identical_shards_match_centralized_descent():
     # surgery: both clients hold the same shard, so fedavg == centralized GD
     state.shards[1] = state.shards[0]
     state.train_shards[1] = state.train_shards[0]
-    global0 = state.global_model.copy()
+    global0 = state.messenger.copy()
     for _ in range(3):
-        state, _ = run_round(state, cfg)
+        state, _ = run_round(state)
     central = train_local(global0, state.shards[0], steps=3, lr=cfg.protocol.local_lr)
-    assert state.global_model.theta == pytest.approx(central.theta, abs=1e-9)
+    assert state.messenger.theta == pytest.approx(central.theta, abs=1e-9)
 
 
 def test_fedavg_weights_proportional_to_sample_counts():
