@@ -45,6 +45,23 @@ class FederationBlock:
     regional_hidden: int = 16
     rural_hidden: int = 8
 
+    def __post_init__(self):
+        for name in (*self.counts(), "academic_hidden", "regional_hidden", "rural_hidden"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"federation.{name} must be >= 0")
+        if self.num_classes < 2:
+            raise ConfigError("federation.num_classes must be >= 2")
+        if not self.concentration > 0:
+            raise ConfigError("federation.concentration must be positive")
+        if self.num_modalities < 1:
+            raise ConfigError("federation.num_modalities must be >= 1")
+        if self.feature_dim < self.num_modalities:
+            raise ConfigError("federation.feature_dim must be at least num_modalities")
+        if not 0 <= 2 * self.radial_pairs <= self.num_classes:
+            raise ConfigError("federation.radial_pairs must lie in [0, num_classes / 2]")
+        if not self.radial_scale > 1:
+            raise ConfigError("federation.radial_scale must exceed 1")
+
     def counts(self) -> dict:
         return {"academic": self.academic, "regional": self.regional, "rural": self.rural}
 
@@ -114,9 +131,20 @@ class ProtocolBlock:
         for name in ("shapley_perms", "adapt_interval", "curriculum_tiers"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"protocol.{name} must be >= 1")
-        for name in ("local_lr", "inject_lr", "distill_lr", "probe_lr"):
+        for name in ("warmup_steps", "local_steps", "inject_steps", "distill_steps",
+                     "probe_steps", "fedavg_hidden"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"protocol.{name} must be >= 0")
+        for name in ("local_lr", "inject_lr", "distill_lr", "probe_lr", "lambda2"):
             if not getattr(self, name) > 0:
                 raise ConfigError(f"protocol.{name} must be positive")
+        for name in ("lambda1", "eps_smooth", "delta_size"):
+            if not getattr(self, name) >= 0:
+                raise ConfigError(f"protocol.{name} must be nonnegative")
+        if self.fused_dim is not None and (type(self.fused_dim) is not int or self.fused_dim < 1):
+            raise ConfigError(
+                f"protocol.fused_dim must be a positive integer or null, got {self.fused_dim!r}"
+            )
         widths = self.grid_hidden
         if not widths or widths[0] < 0 or any(b <= a for a, b in zip(widths, widths[1:])):
             raise ConfigError(
@@ -178,6 +206,8 @@ class RunConfig:
         for name in ("validation_samples", "probe_samples"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
+        if not self.energy_coefficient >= 0:
+            raise ConfigError("energy_coefficient must be nonnegative")
         p, fed = self.protocol, self.federation
         counts = fed.counts()
         clients = sum(counts.values())

@@ -286,7 +286,7 @@ def _build_fusion(cfg: RunConfig, fed: FederationConfig, seed: int) -> msg.Fusio
         return None
     blocks = fed.modality_blocks()
     dims = [stop - start for _, (start, stop) in blocks]
-    fused_dim = cfg.protocol.fused_dim or max(dims)
+    fused_dim = max(dims) if cfg.protocol.fused_dim is None else cfg.protocol.fused_dim
     encoders = []
     for (mid, _), d in zip(blocks, dims):
         if d == fused_dim:
@@ -543,13 +543,15 @@ def _adapt_capacity(
 
 def _client_step(
     state: SimState, cohort: list[int], base: ModelParams, t: int
-) -> tuple[list[ModelParams], list[ModelParams]]:
-    """(client params after the round, one upload per cohort client).
+) -> tuple[list[ModelParams], list[ModelParams], list[tuple[float, float]] | None]:
+    """(client params after the round, one upload per cohort client, scores).
 
-    fedavg clients train the broadcast model and upload it. Messenger
-    clients train their own model, inject the messenger's knowledge under
-    the curriculum (uniform for static_messenger), and upload a distilled
-    messenger variant.
+    fedavg clients train the broadcast model and upload it; their scores
+    are None, as they are scored on the aggregate. Messenger clients train
+    their own model, inject the messenger's knowledge under the curriculum
+    (uniform for static_messenger), and upload a distilled messenger
+    variant. The client forward that distillation needs also gives each
+    client's (loss, accuracy) on its own shard, scored on true labels.
     """
     p = state.config.protocol
     if p.algorithm == "fedavg":
@@ -557,30 +559,33 @@ def _client_step(
             lambda i: models.train_local(base, state.train_shards[i], p.local_steps, p.local_lr),
             cohort,
         )
-        return state.client_params, uploads
+        return state.client_params, uploads, None
 
     if p.algorithm == "static_messenger":
         pi = np.full(state.schedule.num_tiers, 1.0 / state.schedule.num_tiers)
     else:
         pi = msg.curriculum_weights(t, state.schedule)
 
-    def client_work(i: int) -> tuple[ModelParams, ModelParams]:
+    def client_work(i: int) -> tuple[ModelParams, ModelParams, tuple[float, float]]:
         train_shard = state.train_shards[i]
         params = models.train_local(state.client_params[i], train_shard, p.local_steps, p.local_lr)
         fwd = msg.messenger_forward(base, train_shard)
         params = msg.inject_knowledge(
             params, base, train_shard, pi, p.inject_steps, p.inject_lr, fwd
         )
+        # train_shard shares the features of shards[i]; label_flip changes only labels
+        z = models.logits(params, train_shard.features)
+        probs = models.softmax(z)
         variant = msg.distill_to_messenger(
-            base, params, train_shard, p.lambda_kl, p.distill_steps, p.distill_lr, fwd
+            base, params, train_shard, p.lambda_kl, p.distill_steps, p.distill_lr, fwd, probs
         )
-        return params, variant
+        return params, variant, models.score(z, probs, state.shards[i].labels)
 
-    results = _parallel_map(client_work, cohort)
+    trained, variants, scores = map(list, zip(*_parallel_map(client_work, cohort)))
     client_params = list(state.client_params)
-    for i, (params, _) in zip(cohort, results):
+    for i, params in zip(cohort, trained):
         client_params[i] = params
-    return client_params, [variant for _, variant in results]
+    return client_params, variants, scores
 
 
 def _privatize(
@@ -654,22 +659,25 @@ def run_round(state: SimState) -> tuple[SimState, RoundRecord]:
     client_params, model = state.client_params, state.messenger
     phi = weights = None
     eps_round = 0.0
+    scores = []
     if cohort:
         h_t = het.assess_cohort(
             [state.shards[i] for i in cohort], cohort_profiles, state.pooled_dist, state.het_config
         ).h_t
         decision, base = _adapt_capacity(state, cohort, h_t, t)
-        client_params, uploads = _client_step(state, cohort, base, t)
+        client_params, uploads, scores = _client_step(state, cohort, base, t)
         uploads, eps_round = _privatize(state, cohort, uploads, base, t)
         uploads = inject_attack(uploads, base, cohort_profiles, cfg.attack)
         phi, weights = _weights(state, cohort, uploads, base, t)
         model = _aggregate(state, uploads, weights)
         if fedavg:
             client_params = [model.copy() for _ in state.profiles]
+            scores = [models.evaluate(model, state.shards[i]) for i in cohort]
 
-    # evaluation: each cohort client's model on its own shard, the broadcast
-    # model on validation and pooled data; fairness escalation for messengers
-    per_client = [(i, *models.evaluate(client_params[i], state.shards[i])) for i in cohort]
+    # evaluation: each cohort client's model on its own shard (scored in the
+    # client step for messengers), the broadcast model on validation and
+    # pooled data; fairness escalation for messengers
+    per_client = [(i, *score) for i, score in zip(cohort, scores)]
     losses = {**state.last_client_losses, **{i: loss for i, loss, _ in per_client}}
     gap = fair.fairness_gap([acc for _, _, acc in per_client]) if cohort else 0.0
     lambda2 = state.lambda2

@@ -17,7 +17,17 @@ from typing import NamedTuple
 import numpy as np
 
 from .federation import DatasetShard
-from .models import Arch, ModelParams, _unpack, backprop, forward, logits, softmax
+from .models import (
+    Arch,
+    ModelParams,
+    Workspace,
+    _buffer,
+    _unpack,
+    backprop,
+    forward,
+    logits,
+    softmax,
+)
 from .rng import stream
 
 
@@ -135,10 +145,13 @@ def _distill_toward_teacher(
     """Train params to match fixed teacher probabilities; returns final KL."""
     current = params.copy()
     n = features.shape[0]
+    ws: Workspace = {}
     for _ in range(steps):
-        z, hidden = forward(current, features)
-        delta = (softmax(z) - teacher_probs) / n
-        grad = backprop(current, features, delta, hidden)
+        z, hidden = forward(current, features, ws)
+        delta = softmax(z, ws)
+        delta -= teacher_probs
+        delta /= n
+        grad = backprop(current, features, delta, hidden, ws)
         grad *= lr
         current.theta -= grad
     p = softmax(logits(current, features))
@@ -209,10 +222,16 @@ class MessengerForward(NamedTuple):
     probs: np.ndarray
 
 
-def messenger_forward(messenger: ModelParams, shard: DatasetShard) -> MessengerForward:
-    """The frozen messenger's forward pass on a shard, computed once per client."""
-    z, hidden = forward(messenger, shard.features)
-    return MessengerForward(z, hidden, softmax(z))
+def messenger_forward(
+    messenger: ModelParams, shard: DatasetShard, ws: Workspace | None = None
+) -> MessengerForward:
+    """A messenger's forward pass and softmax on a shard.
+
+    Without a workspace the arrays are new, so the result can be shared:
+    the frozen messenger's forward is computed once per client.
+    """
+    z, hidden = forward(messenger, shard.features, ws)
+    return MessengerForward(z, hidden, softmax(z, ws))
 
 
 def _tier_sample_weights(shard: DatasetShard, pi: np.ndarray) -> np.ndarray:
@@ -231,17 +250,6 @@ def _tier_sample_weights(shard: DatasetShard, pi: np.ndarray) -> np.ndarray:
     per_tier[occupied] = np.asarray(pi)[occupied] / counts[occupied]
     weights = per_tier[tiers]
     return weights
-
-
-def injection_loss(
-    client: ModelParams, messenger: ModelParams, shard: DatasetShard, pi: np.ndarray
-) -> float:
-    """Sum over stages of pi_k * mean KL(messenger || client) on tier k."""
-    w = _tier_sample_weights(shard, pi)
-    p_m = softmax(logits(messenger, shard.features))
-    p_c = softmax(logits(client, shard.features))
-    per_sample = np.sum(p_m * (_safe_log(p_m) - _safe_log(p_c)), axis=1)
-    return float(np.sum(w * per_sample))
 
 
 def inject_knowledge(
@@ -263,38 +271,16 @@ def inject_knowledge(
         messenger_fwd = messenger_forward(messenger, shard)
     p_m = messenger_fwd.probs
     current = client.copy()
+    ws: Workspace = {}
     for _ in range(steps):
-        z, hidden = forward(current, shard.features)
-        delta = w[:, None] * (softmax(z) - p_m)
-        grad = backprop(current, shard.features, delta, hidden)
+        z, hidden = forward(current, shard.features, ws)
+        delta = softmax(z, ws)
+        delta -= p_m
+        delta *= w[:, None]
+        grad = backprop(current, shard.features, delta, hidden, ws)
         grad *= lr
         current.theta -= grad
     return current
-
-
-def distillation_loss(
-    messenger: ModelParams, client: ModelParams, shard: DatasetShard, lambda_kl: float
-) -> float:
-    """CE(messenger, labels) + lambda_kl * mean KL(client || messenger)."""
-    n = shard.sample_count
-    p_m = softmax(logits(messenger, shard.features))
-    p_c = softmax(logits(client, shard.features))
-    ce = float(-np.mean(_safe_log(p_m[np.arange(n), shard.labels])))
-    kl = float(np.mean(np.sum(p_c * (_safe_log(p_c) - _safe_log(p_m)), axis=1)))
-    return ce + lambda_kl * kl
-
-
-def distillation_grad(
-    messenger: ModelParams, client: ModelParams, shard: DatasetShard, lambda_kl: float
-) -> np.ndarray:
-    """Gradient of distillation_loss w.r.t. the messenger parameters."""
-    n = shard.sample_count
-    p_m = softmax(logits(messenger, shard.features))
-    p_c = softmax(logits(client, shard.features))
-    onehot = np.zeros((n, shard.num_classes))
-    onehot[np.arange(n), shard.labels] = 1.0
-    delta = ((p_m - onehot) + lambda_kl * (p_m - p_c)) / n
-    return backprop(messenger, shard.features, delta)
 
 
 def distill_to_messenger(
@@ -305,26 +291,35 @@ def distill_to_messenger(
     steps: int,
     lr: float,
     messenger_fwd: MessengerForward | None = None,
+    client_probs: np.ndarray | None = None,
 ) -> ModelParams:
     """Train a per-client messenger variant; the client tower is frozen.
 
     messenger_fwd, if given, must be messenger_forward(messenger, shard);
-    it stands in for the first step's forward pass.
+    it stands in for the first step's forward pass. client_probs, if
+    given, must be softmax(logits(client, shard.features)). Neither is
+    written.
     """
     n = shard.sample_count
-    p_c = softmax(logits(client, shard.features))
+    p_c = softmax(logits(client, shard.features)) if client_probs is None else client_probs
     onehot = np.zeros((n, shard.num_classes))
     onehot[np.arange(n), shard.labels] = 1.0
     current = messenger.copy()
+    ws: Workspace = {}
     for step in range(steps):
         if step == 0 and messenger_fwd is not None:
             z, hidden, p_m = messenger_fwd
         else:
-            z, hidden, p_m = messenger_forward(current, shard)
+            z, hidden, p_m = messenger_forward(current, shard, ws)
         if not np.all(np.isfinite(z)):
             raise FloatingPointError("non-finite distillation loss")
-        delta = ((p_m - onehot) + lambda_kl * (p_m - p_c)) / n
-        grad = backprop(current, shard.features, delta, hidden)
+        # ((p_m - onehot) + lambda_kl * (p_m - p_c)) / n
+        delta = np.subtract(p_m, onehot, out=_buffer(ws, "delta", onehot.shape))
+        kl_delta = np.subtract(p_m, p_c, out=_buffer(ws, "kl_delta", onehot.shape))
+        kl_delta *= lambda_kl
+        delta += kl_delta
+        delta /= n
+        grad = backprop(current, shard.features, delta, hidden, ws)
         grad *= lr
         current.theta -= grad
     return current

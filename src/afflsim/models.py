@@ -7,6 +7,13 @@ clipped, noised, averaged and trimmed coordinate-wise.
 
 All training is full batch, so a (params, shard, steps, lr) call is a pure
 deterministic function of its inputs.
+
+The kernels take an optional workspace, a dict of named scratch arrays.
+A training call creates one, passes it to every step and drops it on
+return, so the shard-sized temporaries of a step are allocated once per
+call instead of once per step. Arrays a kernel returns then live in the
+workspace and are overwritten by the next step; without a workspace each
+kernel takes fresh arrays from np.empty.
 """
 
 from __future__ import annotations
@@ -103,12 +110,25 @@ def _unpack(arch: Arch, theta: np.ndarray):
     return w1, b1, w2, b2
 
 
+Workspace = dict[str, np.ndarray]
+
+
+def _buffer(ws: Workspace | None, name: str, shape: tuple[int, ...]) -> np.ndarray:
+    """Uninitialized float64 scratch: ws[name] if it has this shape, else new."""
+    if ws is None:
+        return np.empty(shape)
+    buf = ws.get(name)
+    if buf is None or buf.shape != shape:
+        buf = ws[name] = np.empty(shape)
+    return buf
+
+
 # Below this many classes numpy's row sum adds left to right, which a
 # running column sum reproduces bit for bit; from 8 up it sums pairwise.
 _COLUMN_MAX_CLASSES = 8
 
 
-def softmax(z: np.ndarray) -> np.ndarray:
+def softmax(z: np.ndarray, ws: Workspace | None = None) -> np.ndarray:
     """Row-wise stable softmax (1-D input treated as a single row).
 
     2-D inputs with few classes reduce column by column: a row-wise max
@@ -116,40 +136,51 @@ def softmax(z: np.ndarray) -> np.ndarray:
     elementwise passes over whole columns, and gives the same bits.
     """
     z = np.asarray(z, dtype=np.float64)
+    out = _buffer(ws, "probs", z.shape)
     if z.ndim == 2 and 2 <= z.shape[1] < _COLUMN_MAX_CLASSES:
         cols = z.shape[1]
-        m = np.maximum(z[:, 0], z[:, 1])
+        m = np.maximum(z[:, 0], z[:, 1], out=_buffer(ws, "row_max", z.shape[:1]))
         for j in range(2, cols):
             np.maximum(m, z[:, j], out=m)
-        e = z - m[:, None]
-        np.exp(e, out=e)
-        s = e[:, 0] + e[:, 1]
+        np.subtract(z, m[:, None], out=out)
+        np.exp(out, out=out)
+        s = np.add(out[:, 0], out[:, 1], out=_buffer(ws, "row_sum", z.shape[:1]))
         for j in range(2, cols):
-            s += e[:, j]
-        e /= s[:, None]
-        return e
-    one_dim = z.ndim == 1
-    if one_dim:
-        z = z[None, :]
-    z = z - z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    p = e / e.sum(axis=1, keepdims=True)
-    return p[0] if one_dim else p
+            s += out[:, j]
+        out /= s[:, None]
+        return out
+    rows, rows_out = (z[None, :], out[None, :]) if z.ndim == 1 else (z, out)
+    np.subtract(rows, rows.max(axis=1, keepdims=True), out=rows_out)
+    np.exp(rows_out, out=rows_out)
+    rows_out /= rows_out.sum(axis=1, keepdims=True)
+    return out
 
 
-def forward(params: ModelParams, features: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+def forward(
+    params: ModelParams, features: np.ndarray, ws: Workspace | None = None
+) -> tuple[np.ndarray, np.ndarray | None]:
     """(logits, hidden activations or None); hidden feeds backprop."""
     features = np.asarray(features, dtype=np.float64)
-    if features.ndim != 2 or features.shape[1] != params.arch.in_dim:
+    arch = params.arch
+    if features.ndim != 2 or features.shape[1] != arch.in_dim:
         raise ValueError(
-            f"features shape {features.shape} incompatible with in_dim {params.arch.in_dim}"
+            f"features shape {features.shape} incompatible with in_dim {arch.in_dim}"
         )
-    if params.arch.hidden == 0:
-        w, b = _unpack(params.arch, params.theta)
-        return features @ w + b, None
-    w1, b1, w2, b2 = _unpack(params.arch, params.theta)
-    hidden = np.tanh(features @ w1 + b1)
-    return hidden @ w2 + b2, hidden
+    n = features.shape[0]
+    z = _buffer(ws, "logits", (n, arch.num_classes))
+    if arch.hidden == 0:
+        w, b = _unpack(arch, params.theta)
+        np.matmul(features, w, out=z)
+        z += b
+        return z, None
+    w1, b1, w2, b2 = _unpack(arch, params.theta)
+    hidden = _buffer(ws, "hidden", (n, arch.hidden))
+    np.matmul(features, w1, out=hidden)
+    hidden += b1
+    np.tanh(hidden, out=hidden)
+    np.matmul(hidden, w2, out=z)
+    z += b2
+    return z, hidden
 
 
 def logits(params: ModelParams, features: np.ndarray) -> np.ndarray:
@@ -161,16 +192,16 @@ def backprop(
     features: np.ndarray,
     out_delta: np.ndarray,
     hidden: np.ndarray | None = None,
+    ws: Workspace | None = None,
 ) -> np.ndarray:
     """Gradient of any loss w.r.t. theta given dLoss/dlogits (n x C).
 
     Shared by cross-entropy and distillation losses: they differ only in
     the output delta. Pass the hidden activations from forward() to skip
-    recomputing them.
+    recomputing them. Reads out_delta and hidden, never writes them.
     """
-    grad = np.empty_like(params.theta)
+    grad = _buffer(ws, "grad", params.theta.shape)
     if params.arch.hidden == 0:
-        w, b = _unpack(params.arch, params.theta)
         gw, gb = _unpack(params.arch, grad)
         gw[:] = features.T @ out_delta
         gb[:] = out_delta.sum(axis=0)
@@ -181,24 +212,29 @@ def backprop(
         hidden = np.tanh(features @ w1 + b1)
     gw2[:] = hidden.T @ out_delta
     gb2[:] = out_delta.sum(axis=0)
-    hid_delta = (out_delta @ w2.T) * (1.0 - hidden**2)
+    hid_delta = np.matmul(out_delta, w2.T, out=_buffer(ws, "hid_delta", hidden.shape))
+    # tanh' = 1 - hidden**2
+    sq = np.multiply(hidden, hidden, out=_buffer(ws, "tanh_grad", hidden.shape))
+    np.subtract(1.0, sq, out=sq)
+    hid_delta *= sq
     gw1[:] = features.T @ hid_delta
     gb1[:] = hid_delta.sum(axis=0)
     return grad
 
 
 def ce_loss_and_grad(
-    params: ModelParams, features: np.ndarray, labels: np.ndarray
+    params: ModelParams, features: np.ndarray, labels: np.ndarray, ws: Workspace | None = None
 ) -> tuple[float, np.ndarray]:
     """Mean cross-entropy and its gradient w.r.t. theta."""
     n = features.shape[0]
-    z, hidden = forward(params, features)
-    p = softmax(z)
+    z, hidden = forward(params, features, ws)
+    p = softmax(z, ws)
     idx = np.arange(n)
     loss = float(-np.mean(np.log(np.maximum(p[idx, labels], 1e-300))))
     delta = p
     delta[idx, labels] -= 1.0
-    return loss, backprop(params, features, delta / n, hidden)
+    delta /= n
+    return loss, backprop(params, features, delta, hidden, ws)
 
 
 def train_local(params: ModelParams, shard, steps: int, lr: float) -> ModelParams:
@@ -208,8 +244,9 @@ def train_local(params: ModelParams, shard, steps: int, lr: float) -> ModelParam
     if lr <= 0:
         raise ValueError("lr must be positive")
     current = params.copy()
+    ws: Workspace = {}
     for _ in range(steps):
-        loss, grad = ce_loss_and_grad(current, shard.features, shard.labels)
+        loss, grad = ce_loss_and_grad(current, shard.features, shard.labels, ws)
         if not np.isfinite(loss):
             raise FloatingPointError(f"non-finite training loss {loss}")
         grad *= lr
@@ -222,15 +259,19 @@ def accuracy(z: np.ndarray, labels: np.ndarray) -> float:
     return float(np.mean(np.argmax(z, axis=1) == labels))
 
 
+def score(z: np.ndarray, p: np.ndarray, labels: np.ndarray) -> tuple[float, float]:
+    """(mean cross-entropy, argmax accuracy) of logits z, given p = softmax(z)."""
+    n = labels.shape[0]
+    loss = float(-np.mean(np.log(np.maximum(p[np.arange(n), labels], 1e-300))))
+    return loss, accuracy(z, labels)
+
+
 def evaluate(params: ModelParams, shard) -> tuple[float, float]:
     """(mean cross-entropy, argmax accuracy) on a shard."""
     if shard.features.shape[0] == 0:
         raise ValueError("cannot evaluate on an empty shard")
     z = logits(params, shard.features)
-    p = softmax(z)
-    n = shard.features.shape[0]
-    loss = float(-np.mean(np.log(np.maximum(p[np.arange(n), shard.labels], 1e-300))))
-    return loss, accuracy(z, shard.labels)
+    return score(z, softmax(z), shard.labels)
 
 
 def assign_difficulty_tiers(shard, warmup: ModelParams, num_tiers: int):

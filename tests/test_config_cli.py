@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import re
 import time
 
 import pytest
@@ -111,6 +112,12 @@ def smoke_trimmed_mean(seed):
     return d
 
 
+def smoke_fedavg(seed):
+    d = preset_smoke(seed)
+    d["protocol"]["algorithm"] = "fedavg"
+    return d
+
+
 @pytest.mark.parametrize(
     "preset, path, value",
     [
@@ -124,6 +131,22 @@ def smoke_trimmed_mean(seed):
         (preset_smoke, "privacy.clip_norm", 0.0),
         (preset_smoke, "privacy.delta", 1.0),
         (preset_smoke, "privacy.noise_multiplier", -1.0),
+        (preset_smoke, "federation.num_classes", 1),
+        (preset_smoke, "federation.concentration", 0.0),
+        (preset_smoke, "federation.radial_scale", 1.0),
+        (preset_smoke, "federation.num_modalities", 0),
+        (preset_smoke, "federation.feature_dim", 0),
+        (preset_smoke, "federation.radial_pairs", -1),
+        (preset_smoke, "federation.radial_pairs", 2),  # two pairs need four classes
+        (preset_smoke, "federation.rural_hidden", -2),
+        (preset_smoke, "protocol.warmup_steps", -1),
+        (preset_smoke, "protocol.local_steps", -1),
+        (preset_smoke, "protocol.lambda1", -0.1),
+        (preset_smoke, "protocol.lambda2", 0.0),
+        (preset_smoke, "protocol.eps_smooth", -0.1),
+        (preset_smoke, "protocol.delta_size", -0.1),
+        (preset_smoke, "protocol.fused_dim", 2.5),
+        (smoke_fedavg, "protocol.fedavg_hidden", -1),
     ],
 )
 def test_config_that_would_fail_in_run_experiment_is_rejected(preset, path, value):
@@ -132,6 +155,46 @@ def test_config_that_would_fail_in_run_experiment_is_rejected(preset, path, valu
         d["privacy"]["enabled"] = True
     with pytest.raises(ConfigError, match=path.split(".")[-1]):
         config_from_dict(d)
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        # each of these ran on preset_smoke, as a no-op or with a silent
+        # substitute; negative energy_coefficient logged negative energy
+        ("federation.academic", -1),
+        ("federation.academic_hidden", -1),  # smoke has no academic clients
+        ("federation.regional_hidden", -1),
+        ("protocol.inject_steps", -1),
+        ("protocol.distill_steps", -1),
+        ("protocol.probe_steps", -1),
+        ("protocol.fused_dim", 0),  # was replaced by the widest modality block
+        ("energy_coefficient", -1.0),
+    ],
+)
+def test_out_of_range_value_is_rejected_naming_its_path(path, value):
+    d = with_value(preset_smoke(7), path, value)
+    with pytest.raises(ConfigError, match=re.escape(path)):
+        config_from_dict(d)
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        ("protocol.warmup_steps", 0),
+        ("protocol.local_steps", 0),
+        ("protocol.lambda1", 0.0),
+        ("protocol.fused_dim", 4),
+        ("energy_coefficient", 0.0),
+    ],
+)
+def test_values_at_the_range_limits_run(path, value):
+    d = with_value(preset_smoke(7), path, value)
+    d["max_rounds"] = 1
+    log = run_experiment(config_from_dict(d))
+    assert len(log.records) == 1
+    if path == "energy_coefficient":
+        assert log.records[0].energy_kwh == 0.0
 
 
 def test_active_modalities_leaving_a_class_no_modality_is_rejected():

@@ -251,6 +251,21 @@ def test_round_matches_scripted_composition_of_public_ops():
     assert new_state.lambda2 == pytest.approx(monitor_and_adjust(gap, p.theta_fair, p.lambda2))
 
 
+@pytest.mark.parametrize("algorithm", ["affl", "static_messenger", "fedavg"])
+def test_client_scores_equal_evaluate_on_true_labels(algorithm):
+    """Clients are scored from the client step's forward, exactly as evaluate would."""
+    d = preset_smoke(7)
+    d["protocol"]["algorithm"] = algorithm
+    d["attack"] = {"kind": "label_flip", "attacker_fraction": 0.25}
+    cfg = config_from_dict(d)
+    state = init_state(cfg)
+    assert any(p.honesty == "label_flip" for p in state.profiles)
+    new_state, record = run_round(state)
+    assert [i for i, _, _ in record.per_client] == record.cohort
+    for i, loss, acc in record.per_client:
+        assert (loss, acc) == evaluate(new_state.client_params[i], state.shards[i])
+
+
 def test_run_identical_at_different_thread_counts(monkeypatch, tmp_path):
     cfg = smoke_cfg()
     outputs = {}

@@ -8,18 +8,26 @@ from afflsim.messenger import (
     CapacityGrid,
     CurriculumSchedule,
     FusionConfig,
+    _safe_log,
+    _tier_sample_weights,
     curriculum_weights,
     distill_to_messenger,
-    distillation_grad,
-    distillation_loss,
     fuse_modalities,
     inject_knowledge,
-    injection_loss,
     messenger_forward,
     resize_params,
     select_capacity,
 )
-from afflsim.models import Arch, ModelParams, evaluate, init_params, logits, train_local
+from afflsim.models import (
+    Arch,
+    ModelParams,
+    backprop,
+    evaluate,
+    init_params,
+    logits,
+    softmax,
+    train_local,
+)
 from afflsim.rng import stream
 
 
@@ -207,6 +215,17 @@ def test_resize_shrink_truncates():
 # -- injection ---------------------------------------------------------------
 
 
+def injection_loss(
+    client: ModelParams, messenger: ModelParams, shard: DatasetShard, pi: np.ndarray
+) -> float:
+    """Sum over stages of pi_k * mean KL(messenger || client) on tier k."""
+    w = _tier_sample_weights(shard, pi)
+    p_m = softmax(logits(messenger, shard.features))
+    p_c = softmax(logits(client, shard.features))
+    per_sample = np.sum(p_m * (_safe_log(p_m) - _safe_log(p_c)), axis=1)
+    return float(np.sum(w * per_sample))
+
+
 def test_injection_noop_when_towers_agree():
     shard = make_shard(tiers=2)
     arch = Arch(5, 3, 4)
@@ -275,6 +294,31 @@ def test_injection_empty_tier_contributes_nothing():
 
 
 # -- distillation ------------------------------------------------------------
+
+
+def distillation_loss(
+    messenger: ModelParams, client: ModelParams, shard: DatasetShard, lambda_kl: float
+) -> float:
+    """CE(messenger, labels) + lambda_kl * mean KL(client || messenger)."""
+    n = shard.sample_count
+    p_m = softmax(logits(messenger, shard.features))
+    p_c = softmax(logits(client, shard.features))
+    ce = float(-np.mean(_safe_log(p_m[np.arange(n), shard.labels])))
+    kl = float(np.mean(np.sum(p_c * (_safe_log(p_c) - _safe_log(p_m)), axis=1)))
+    return ce + lambda_kl * kl
+
+
+def distillation_grad(
+    messenger: ModelParams, client: ModelParams, shard: DatasetShard, lambda_kl: float
+) -> np.ndarray:
+    """Gradient of distillation_loss w.r.t. the messenger parameters."""
+    n = shard.sample_count
+    p_m = softmax(logits(messenger, shard.features))
+    p_c = softmax(logits(client, shard.features))
+    onehot = np.zeros((n, shard.num_classes))
+    onehot[np.arange(n), shard.labels] = 1.0
+    delta = ((p_m - onehot) + lambda_kl * (p_m - p_c)) / n
+    return backprop(messenger, shard.features, delta)
 
 
 def test_distill_lambda_zero_equals_plain_ce_training():
