@@ -32,12 +32,18 @@ for i in range(6):
 _, v_empty = evaluate(state.messenger, state.validation)
 
 
-def value_fn(subset):
+def value(subset):
+    """Validation accuracy of the uniform average of a coalition's variants."""
     if not subset:
         return v_empty
     uniform = np.full(len(subset), 1.0 / len(subset))
     agg = aggregate_messengers([variants[i] for i in subset], uniform)
     return evaluate(agg, state.validation)[1]
+
+
+def value_fn(subsets):
+    """shapley_estimate collects every coalition it needs and values them in one call."""
+    return [value(subset) for subset in subsets]
 
 
 ids = list(range(6))
@@ -48,12 +54,12 @@ fw = fair_weights(phi_exact, counts, eps_smooth=0.01, delta_size=0.2)
 size_w = counts / counts.sum()
 
 print("=== Client valuation, exact vs Monte Carlo (2000 permutations) ===")
-print(f"v(empty)={v_empty:.3f}  v(grand)={value_fn(tuple(ids)):.3f}")
+print(f"v(empty)={v_empty:.3f}  v(grand)={value(tuple(ids)):.3f}")
 for i in ids:
     print(f"client {i} (n={counts[i]:5d}): phi_exact={phi_exact[i]:+.4f} "
           f"phi_mc={phi_mc[i]:+.4f} fair_w={fw.w[i]:.3f} size_w={size_w[i]:.3f}")
 print(f"efficiency check: sum(phi) - (v_grand - v_empty) = "
-      f"{phi_exact.sum() - (value_fn(tuple(ids)) - v_empty):+.2e}")
+      f"{phi_exact.sum() - (value(tuple(ids)) - v_empty):+.2e}")
 
 print("\n=== Weight inequality ===")
 print(f"gini(size weights) = {gini(size_w):.3f}")

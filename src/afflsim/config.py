@@ -61,6 +61,9 @@ class FederationBlock:
             raise ConfigError("federation.radial_pairs must lie in [0, num_classes / 2]")
         if not self.radial_scale > 1:
             raise ConfigError("federation.radial_scale must exceed 1")
+        for name in ("class_separation", "feature_noise"):
+            if not getattr(self, name) >= 0:
+                raise ConfigError(f"federation.{name} must be nonnegative")
 
     def counts(self) -> dict:
         return {"academic": self.academic, "regional": self.regional, "rural": self.rural}
@@ -138,9 +141,16 @@ class ProtocolBlock:
         for name in ("local_lr", "inject_lr", "distill_lr", "probe_lr", "lambda2"):
             if not getattr(self, name) > 0:
                 raise ConfigError(f"protocol.{name} must be positive")
-        for name in ("lambda1", "eps_smooth", "delta_size"):
+        for name in ("lambda1", "lambda_kl", "theta_fair", "eps_smooth", "delta_size",
+                     "het_alpha", "het_beta", "het_gamma"):
             if not getattr(self, name) >= 0:
                 raise ConfigError(f"protocol.{name} must be nonnegative")
+        het_sum = self.het_alpha + self.het_beta + self.het_gamma
+        if abs(het_sum - 1.0) > 1e-9:
+            raise ConfigError(
+                "protocol.het_alpha + protocol.het_beta + protocol.het_gamma must sum to 1, "
+                f"got {het_sum}"
+            )
         if self.fused_dim is not None and (type(self.fused_dim) is not int or self.fused_dim < 1):
             raise ConfigError(
                 f"protocol.fused_dim must be a positive integer or null, got {self.fused_dim!r}"

@@ -7,6 +7,7 @@ and Gini coefficient monitor equity round over round.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -60,57 +61,82 @@ def shapley_estimate(
     exact mode enumerates all 2^n coalitions (n <= EXACT_MAX_CLIENTS);
     monte_carlo averages marginal contributions over num_perms permutations
     drawn from counter-based streams, so estimates are identical at any
-    parallelism. value_fn receives a tuple of client ids in ascending order
-    (possibly empty) and must return a finite float. Coalition values are
-    memoized, so value_fn runs once per distinct coalition; a caller whose
-    coalitions all draw on one fixed set of models should prepare that set
-    once, outside value_fn (the harness stacks a round's variants into one
-    matrix and selects rows per coalition).
+    parallelism. Every coalition the estimate needs is collected first,
+    each distinct one once, and value_fn is called once with the list of
+    them: each a tuple of client ids in ascending order, the empty tuple
+    included. It must return one finite value per coalition, in order, so
+    a caller can value them all in one batch (the harness stacks a round's
+    variants into one matrix and evaluates blocks of coalition means in one
+    stacked forward).
     """
     ids = list(cohort_ids)
     n = len(ids)
     if n == 0:
         raise ValueError("empty cohort")
-    cache: dict[frozenset, float] = {}
-
-    def value(subset: tuple[int, ...]) -> float:
-        key = frozenset(subset)
-        if key not in cache:
-            v = float(value_fn(tuple(sorted(subset))))
-            if not math.isfinite(v):
-                raise FloatingPointError(f"value_fn returned non-finite {v}")
-            cache[key] = v
-        return cache[key]
-
-    phi = np.zeros(n)
     if mode == "exact":
         if n > EXACT_MAX_CLIENTS:
             raise ValueError(f"exact mode supports at most {EXACT_MAX_CLIENTS} clients")
+    elif mode != "monte_carlo":
+        raise ValueError(f"unknown mode {mode!r}")
+    elif num_perms < 1:
+        raise ValueError("num_perms must be >= 1")
+
+    # coalitions are keyed by a bitmask over cohort positions
+    coalitions: list[tuple[int, ...]] = [()]
+    phi = np.zeros(n)
+    if mode == "exact":
+        # coalition `mask` sits at index mask: the coalition without its
+        # lowest position, plus that position's id
+        for mask in range(1, 1 << n):
+            low = mask & -mask
+            members = list(coalitions[mask ^ low])
+            bisect.insort(members, ids[low.bit_length() - 1])
+            coalitions.append(tuple(members))
+        v = _values(value_fn, coalitions)
         fact = [math.factorial(k) for k in range(n + 1)]
         for mask in range(1 << n):
-            subset = tuple(ids[j] for j in range(n) if mask >> j & 1)
-            size = len(subset)
-            v_s = value(subset)
+            size = mask.bit_count()
+            v_s = v[mask]
             weight = fact[size] * fact[n - size - 1] / fact[n]
             for j in range(n):
                 if not mask >> j & 1:
-                    v_with = value(subset + (ids[j],))
-                    phi[j] += weight * (v_with - v_s)
+                    phi[j] += weight * (v[mask | 1 << j] - v_s)
         return phi
-    if mode != "monte_carlo":
-        raise ValueError(f"unknown mode {mode!r}")
-    if num_perms < 1:
-        raise ValueError("num_perms must be >= 1")
+
+    slot = {0: 0}
+    walks = []
     for p in range(num_perms):
         order = stream(seed, "shapley-perm", p).permutation(n)
-        prefix: tuple[int, ...] = ()
-        v_prev = value(prefix)
+        mask = 0
+        members: list[int] = []
+        slots = [0]
         for j in order:
-            prefix = prefix + (ids[j],)
-            v_new = value(prefix)
+            mask |= 1 << int(j)
+            bisect.insort(members, ids[j])
+            if mask not in slot:
+                slot[mask] = len(coalitions)
+                coalitions.append(tuple(members))
+            slots.append(slot[mask])
+        walks.append((order, slots))
+    v = _values(value_fn, coalitions)
+    for order, slots in walks:
+        v_prev = v[slots[0]]
+        for j, s in zip(order, slots[1:]):
+            v_new = v[s]
             phi[j] += v_new - v_prev
             v_prev = v_new
     return phi / num_perms
+
+
+def _values(value_fn: Callable, coalitions: list[tuple[int, ...]]) -> list[float]:
+    """value_fn's values of the coalitions, checked for count and finiteness."""
+    values = [float(v) for v in value_fn(coalitions)]
+    if len(values) != len(coalitions):
+        raise ValueError(f"value_fn returned {len(values)} values for {len(coalitions)} coalitions")
+    for v in values:
+        if not math.isfinite(v):
+            raise FloatingPointError(f"value_fn returned non-finite {v}")
+    return values
 
 
 def fair_weights(

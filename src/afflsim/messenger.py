@@ -227,8 +227,10 @@ def messenger_forward(
 ) -> MessengerForward:
     """A messenger's forward pass and softmax on a shard.
 
-    Without a workspace the arrays are new, so the result can be shared:
-    the frozen messenger's forward is computed once per client.
+    Without a workspace the arrays are new, so the result can be shared.
+    The frozen messenger's forward is computed once per client, into the
+    workspace of that client's distillation, which overwrites it only
+    after its first step has used it.
     """
     z, hidden = forward(messenger, shard.features, ws)
     return MessengerForward(z, hidden, softmax(z, ws))
@@ -260,18 +262,21 @@ def inject_knowledge(
     steps: int,
     lr: float,
     messenger_fwd: MessengerForward | None = None,
+    ws: Workspace | None = None,
 ) -> ModelParams:
     """Gradient steps on the curriculum-weighted distillation loss.
 
     Only the client tower moves; the messenger is frozen. messenger_fwd,
-    if given, must be messenger_forward(messenger, shard).
+    if given, must be messenger_forward(messenger, shard) and must not
+    live in ws. ws, if given, is the client-tower workspace the steps use;
+    train_local on the same shard can share it.
     """
     w = _tier_sample_weights(shard, pi)
     if messenger_fwd is None:
         messenger_fwd = messenger_forward(messenger, shard)
     p_m = messenger_fwd.probs
     current = client.copy()
-    ws: Workspace = {}
+    ws = {} if ws is None else ws
     for _ in range(steps):
         z, hidden = forward(current, shard.features, ws)
         delta = softmax(z, ws)
@@ -292,20 +297,25 @@ def distill_to_messenger(
     lr: float,
     messenger_fwd: MessengerForward | None = None,
     client_probs: np.ndarray | None = None,
+    ws: Workspace | None = None,
 ) -> ModelParams:
     """Train a per-client messenger variant; the client tower is frozen.
 
     messenger_fwd, if given, must be messenger_forward(messenger, shard);
     it stands in for the first step's forward pass. client_probs, if
     given, must be softmax(logits(client, shard.features)). Neither is
-    written.
+    written. ws, if given, is the messenger workspace the steps use.
+    messenger_fwd may live in it, as the first step reads it before any
+    step writes a forward into ws; client_probs may not.
     """
     n = shard.sample_count
     p_c = softmax(logits(client, shard.features)) if client_probs is None else client_probs
+    ws = {} if ws is None else ws
+    if any(np.may_share_memory(p_c, buf) for buf in ws.values()):
+        raise ValueError("client_probs lives in the workspace distillation overwrites")
     onehot = np.zeros((n, shard.num_classes))
     onehot[np.arange(n), shard.labels] = 1.0
     current = messenger.copy()
-    ws: Workspace = {}
     for step in range(steps):
         if step == 0 and messenger_fwd is not None:
             z, hidden, p_m = messenger_fwd

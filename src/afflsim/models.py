@@ -9,9 +9,10 @@ All training is full batch, so a (params, shard, steps, lr) call is a pure
 deterministic function of its inputs.
 
 The kernels take an optional workspace, a dict of named scratch arrays.
-A training call creates one, passes it to every step and drops it on
-return, so the shard-sized temporaries of a step are allocated once per
-call instead of once per step. Arrays a kernel returns then live in the
+A training call passes one to every step (its caller's, or one it creates
+and drops on return), so the shard-sized temporaries of a step are
+allocated once per call, or once per sequence of calls on one shard,
+instead of once per step. Arrays a kernel returns then live in the
 workspace and are overwritten by the next step; without a workspace each
 kernel takes fresh arrays from np.empty.
 """
@@ -95,18 +96,23 @@ def init_params(arch: Arch, seed: int) -> ModelParams:
 
 
 def _unpack(arch: Arch, theta: np.ndarray):
-    """Views into the flat vector: (W, b) or (W1, b1, W2, b2)."""
+    """Views into the flat vector: (W, b) or (W1, b1, W2, b2).
+
+    theta may also be a stack of vectors, one model per row; the views
+    then carry the same leading axes.
+    """
     d, c, h = arch.in_dim, arch.num_classes, arch.hidden
+    lead = theta.shape[:-1]
     if h == 0:
-        w = theta[: d * c].reshape(d, c)
-        b = theta[d * c :]
+        w = theta[..., : d * c].reshape(*lead, d, c)
+        b = theta[..., d * c :]
         return w, b
     n1 = d * h
-    w1 = theta[:n1].reshape(d, h)
-    b1 = theta[n1 : n1 + h]
+    w1 = theta[..., :n1].reshape(*lead, d, h)
+    b1 = theta[..., n1 : n1 + h]
     n2 = n1 + h
-    w2 = theta[n2 : n2 + h * c].reshape(h, c)
-    b2 = theta[n2 + h * c :]
+    w2 = theta[..., n2 : n2 + h * c].reshape(*lead, h, c)
+    b2 = theta[..., n2 + h * c :]
     return w1, b1, w2, b2
 
 
@@ -187,6 +193,32 @@ def logits(params: ModelParams, features: np.ndarray) -> np.ndarray:
     return forward(params, features)[0]
 
 
+def forward_stacked(
+    arch: Arch, thetas: np.ndarray, features: np.ndarray, ws: Workspace | None = None
+) -> np.ndarray:
+    """Logits (k, n, C) of k models of one architecture, their thetas the rows of (k, P).
+
+    One np.matmul per layer over the whole stack. A stacked matmul runs
+    the same 2-D product per slice, so slice i equals
+    logits(ModelParams(arch, thetas[i]), features) bit for bit.
+    """
+    k, n = thetas.shape[0], features.shape[0]
+    z = _buffer(ws, "stacked_logits", (k, n, arch.num_classes))
+    if arch.hidden == 0:
+        w, b = _unpack(arch, thetas)
+        np.matmul(features, w, out=z)
+        z += b[:, None, :]
+        return z
+    w1, b1, w2, b2 = _unpack(arch, thetas)
+    hidden = _buffer(ws, "stacked_hidden", (k, n, arch.hidden))
+    np.matmul(features, w1, out=hidden)
+    hidden += b1[:, None, :]
+    np.tanh(hidden, out=hidden)
+    np.matmul(hidden, w2, out=z)
+    z += b2[:, None, :]
+    return z
+
+
 def backprop(
     params: ModelParams,
     features: np.ndarray,
@@ -237,14 +269,19 @@ def ce_loss_and_grad(
     return loss, backprop(params, features, delta, hidden, ws)
 
 
-def train_local(params: ModelParams, shard, steps: int, lr: float) -> ModelParams:
-    """Full-batch cross-entropy gradient descent; input params untouched."""
+def train_local(
+    params: ModelParams, shard, steps: int, lr: float, ws: Workspace | None = None
+) -> ModelParams:
+    """Full-batch cross-entropy gradient descent; input params untouched.
+
+    ws, if given, is the workspace the steps use (one is made otherwise).
+    """
     if steps < 0:
         raise ValueError("steps must be >= 0")
     if lr <= 0:
         raise ValueError("lr must be positive")
     current = params.copy()
-    ws: Workspace = {}
+    ws = {} if ws is None else ws
     for _ in range(steps):
         loss, grad = ce_loss_and_grad(current, shard.features, shard.labels, ws)
         if not np.isfinite(loss):
@@ -257,6 +294,14 @@ def train_local(params: ModelParams, shard, steps: int, lr: float) -> ModelParam
 def accuracy(z: np.ndarray, labels: np.ndarray) -> float:
     """Share of rows whose argmax logit is the label."""
     return float(np.mean(np.argmax(z, axis=1) == labels))
+
+
+def stacked_accuracy(
+    arch: Arch, thetas: np.ndarray, shard, ws: Workspace | None = None
+) -> np.ndarray:
+    """accuracy() on a shard of each of the k models whose thetas are the rows of (k, P)."""
+    z = forward_stacked(arch, thetas, shard.features, ws)
+    return np.mean(np.argmax(z, axis=-1) == shard.labels, axis=-1)
 
 
 def score(z: np.ndarray, p: np.ndarray, labels: np.ndarray) -> tuple[float, float]:

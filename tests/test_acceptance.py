@@ -156,16 +156,19 @@ def test_criterion_3_shapley_oracle():
         )
     _, v_empty = evaluate(state.messenger, state.validation)
 
-    def value_fn(subset):
+    def value(subset):
         if not subset:
             return v_empty
         uniform = np.full(len(subset), 1.0 / len(subset))
         agg = aggregate_messengers([variants[i] for i in subset], uniform)
         return evaluate(agg, state.validation)[1]
 
+    def value_fn(subsets):
+        return [value(subset) for subset in subsets]
+
     ids = list(range(6))
     exact = shapley_estimate(ids, value_fn, mode="exact")
-    spread = value_fn(tuple(ids)) - v_empty
+    spread = value(tuple(ids)) - v_empty
     efficiency_gap = abs(exact.sum() - spread)
     mc = shapley_estimate(ids, value_fn, mode="monte_carlo", num_perms=3000, seed=11)
     err = float(np.abs(mc - exact).max())

@@ -147,6 +147,9 @@ def smoke_fedavg(seed):
         (preset_smoke, "protocol.delta_size", -0.1),
         (preset_smoke, "protocol.fused_dim", 2.5),
         (smoke_fedavg, "protocol.fedavg_hidden", -1),
+        (preset_smoke, "protocol.het_alpha", 2.0),  # weights sum to 2 2/3
+        (preset_smoke, "protocol.het_beta", -0.1),
+        (preset_smoke, "protocol.het_gamma", 0.5),
     ],
 )
 def test_config_that_would_fail_in_run_experiment_is_rejected(preset, path, value):
@@ -170,6 +173,12 @@ def test_config_that_would_fail_in_run_experiment_is_rejected(preset, path, valu
         ("protocol.probe_steps", -1),
         ("protocol.fused_dim", 0),  # was replaced by the widest modality block
         ("energy_coefficient", -1.0),
+        # a negative lambda_kl pushed distillation away from the client, and a
+        # negative theta_fair made every round a breach that grew lambda2
+        ("protocol.lambda_kl", -1.0),
+        ("protocol.theta_fair", -1.0),
+        ("federation.class_separation", -1.0),
+        ("federation.feature_noise", -1.0),
     ],
 )
 def test_out_of_range_value_is_rejected_naming_its_path(path, value):
@@ -186,6 +195,8 @@ def test_out_of_range_value_is_rejected_naming_its_path(path, value):
         ("protocol.lambda1", 0.0),
         ("protocol.fused_dim", 4),
         ("energy_coefficient", 0.0),
+        ("protocol.lambda_kl", 0.0),
+        ("protocol.theta_fair", 0.0),
     ],
 )
 def test_values_at_the_range_limits_run(path, value):
@@ -195,6 +206,13 @@ def test_values_at_the_range_limits_run(path, value):
     assert len(log.records) == 1
     if path == "energy_coefficient":
         assert log.records[0].energy_kwh == 0.0
+
+
+def test_heterogeneity_weights_on_one_component_run():
+    d = preset_smoke(7)
+    d["protocol"].update(het_alpha=0.0, het_beta=1.0, het_gamma=0.0)
+    d["max_rounds"] = 1
+    assert run_experiment(config_from_dict(d)).rounds_run == 1
 
 
 def test_active_modalities_leaving_a_class_no_modality_is_rejected():

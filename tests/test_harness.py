@@ -205,16 +205,16 @@ def test_coalition_value_equals_aggregate_then_evaluate():
     cohort, variants = first_round_variants(cfg, state)
     value_fn = coalition_value_fn(cohort, variants, state.messenger, state.validation)
     by_id = dict(zip(cohort, variants))
-    assert value_fn(()) == evaluate(state.messenger, state.validation)[1]
+    assert value_fn([()])[0] == evaluate(state.messenger, state.validation)[1]
     rng = stream(0, "coalitions")
     subsets = [tuple(cohort)] + [(i,) for i in cohort]
     for _ in range(30):
         size = int(rng.integers(1, len(cohort) + 1))
         subsets.append(tuple(sorted(int(i) for i in rng.choice(cohort, size, replace=False))))
-    for subset in subsets:
+    for subset, value in zip(subsets, value_fn(subsets)):
         uniform = np.full(len(subset), 1.0 / len(subset))
         agg = aggregate_messengers([by_id[i] for i in subset], uniform)
-        assert value_fn(subset) == evaluate(agg, state.validation)[1]
+        assert value == evaluate(agg, state.validation)[1]
 
 
 def test_round_matches_scripted_composition_of_public_ops():
@@ -231,11 +231,14 @@ def test_round_matches_scripted_composition_of_public_ops():
     _, v_empty = evaluate(state.messenger, state.validation)
     by_id = dict(zip(cohort, variants))
 
-    def value_fn(subset):
+    def value(subset):
         if not subset:
             return v_empty
         u = np.full(len(subset), 1.0 / len(subset))
         return evaluate(aggregate_messengers([by_id[i] for i in subset], u), state.validation)[1]
+
+    def value_fn(subsets):
+        return [value(subset) for subset in subsets]
 
     phi = shapley_estimate(
         cohort, value_fn, mode=p.shapley_mode, num_perms=p.shapley_perms,

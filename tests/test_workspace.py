@@ -283,3 +283,49 @@ def test_shared_inputs_are_never_written(messenger_hidden):
         assert np.array_equal(array, snapshot)
     for out in outputs:
         assert not any(np.shares_memory(out.theta, a) for a in shared)
+
+
+@pytest.mark.parametrize("client_hidden,messenger_hidden", [(12, 0), (8, 8), (0, 0)])
+def test_client_step_workspaces_bit_identical_and_unaliased(client_hidden, messenger_hidden):
+    """One client step: train_local and inject_knowledge share a client-tower
+    workspace, which also holds the client's final logits and probs; the
+    frozen messenger's forward and the distillation steps share a messenger
+    workspace. Results equal the allocating path, the client's logits and
+    probs survive distillation, and no output aliases a workspace buffer."""
+    shard = make_shard(300)
+    client = init_params(Arch(10, 4, client_hidden), 14)
+    mess = init_params(Arch(10, 4, messenger_hidden), 15)
+    pi = np.array([0.5, 0.3, 0.2])
+    trained_ref = reference_train_local(client, shard, 3, 0.5)
+    injected_ref = reference_inject_knowledge(trained_ref, mess, shard, pi, 3, 0.4)
+    z_ref = reference_forward(injected_ref, shard.features)[0]
+    variant_ref = reference_distill_to_messenger(mess, injected_ref, shard, 0.7, 3, 0.5)
+
+    client_ws, messenger_ws = {}, {}
+    trained = train_local(client, shard, 3, 0.5, client_ws)
+    fwd = messenger_forward(mess, shard, messenger_ws)
+    injected = inject_knowledge(trained, mess, shard, pi, 3, 0.4, fwd, client_ws)
+    z, _ = forward(injected, shard.features, client_ws)
+    probs = softmax(z, client_ws)
+    assert z is client_ws["logits"] and probs is client_ws["probs"]
+    variant = distill_to_messenger(mess, injected, shard, 0.7, 3, 0.5, fwd, probs, messenger_ws)
+
+    assert np.array_equal(trained.theta, trained_ref.theta)
+    assert np.array_equal(injected.theta, injected_ref.theta)
+    assert np.array_equal(variant.theta, variant_ref.theta)
+    assert np.array_equal(z, z_ref)
+    assert np.array_equal(probs, reference_softmax(z_ref))
+    client_bufs, messenger_bufs = list(client_ws.values()), list(messenger_ws.values())
+    for out in (trained, injected, variant):
+        assert not any(np.shares_memory(out.theta, b) for b in client_bufs + messenger_bufs)
+    assert not any(np.shares_memory(a, b) for a in client_bufs for b in messenger_bufs)
+
+
+def test_client_probs_in_the_distillation_workspace_is_rejected():
+    shard = make_shard(50)
+    client = init_params(Arch(10, 4, 8), 16)
+    mess = init_params(Arch(10, 4, 0), 17)
+    ws = {}
+    probs = softmax(logits(client, shard.features), ws)
+    with pytest.raises(ValueError, match="client_probs"):
+        distill_to_messenger(mess, client, shard, 0.7, 2, 0.5, None, probs, ws)
