@@ -96,24 +96,33 @@ def init_params(arch: Arch, seed: int) -> ModelParams:
 
 
 def _unpack(arch: Arch, theta: np.ndarray):
-    """Views into the flat vector: (W, b) or (W1, b1, W2, b2).
-
-    theta may also be a stack of vectors, one model per row; the views
-    then carry the same leading axes.
-    """
+    """Views into the flat vector: (W, b) or (W1, b1, W2, b2)."""
     d, c, h = arch.in_dim, arch.num_classes, arch.hidden
-    lead = theta.shape[:-1]
     if h == 0:
-        w = theta[..., : d * c].reshape(*lead, d, c)
-        b = theta[..., d * c :]
+        w = theta[: d * c].reshape(d, c)
+        b = theta[d * c :]
         return w, b
     n1 = d * h
-    w1 = theta[..., :n1].reshape(*lead, d, h)
-    b1 = theta[..., n1 : n1 + h]
+    w1 = theta[:n1].reshape(d, h)
+    b1 = theta[n1 : n1 + h]
     n2 = n1 + h
-    w2 = theta[..., n2 : n2 + h * c].reshape(*lead, h, c)
-    b2 = theta[..., n2 + h * c :]
+    w2 = theta[n2 : n2 + h * c].reshape(h, c)
+    b2 = theta[n2 + h * c :]
     return w1, b1, w2, b2
+
+
+def _unpack_stacked(arch: Arch, thetas: np.ndarray):
+    """_unpack of every row of a (k, P) stack: views with a leading k axis.
+
+    The layout is _unpack's own, read off its views of the positions
+    0..P-1, so _unpack, which every kernel call runs, keeps its plain
+    1-D slicing.
+    """
+    k = thetas.shape[0]
+    return tuple(
+        thetas[:, v.flat[0] : v.flat[0] + v.size].reshape(k, *v.shape)
+        for v in _unpack(arch, np.arange(arch.param_count))
+    )
 
 
 Workspace = dict[str, np.ndarray]
@@ -205,11 +214,11 @@ def forward_stacked(
     k, n = thetas.shape[0], features.shape[0]
     z = _buffer(ws, "stacked_logits", (k, n, arch.num_classes))
     if arch.hidden == 0:
-        w, b = _unpack(arch, thetas)
+        w, b = _unpack_stacked(arch, thetas)
         np.matmul(features, w, out=z)
         z += b[:, None, :]
         return z
-    w1, b1, w2, b2 = _unpack(arch, thetas)
+    w1, b1, w2, b2 = _unpack_stacked(arch, thetas)
     hidden = _buffer(ws, "stacked_hidden", (k, n, arch.hidden))
     np.matmul(features, w1, out=hidden)
     hidden += b1[:, None, :]

@@ -20,6 +20,7 @@ from afflsim.models import (
     Arch,
     ModelParams,
     _unpack,
+    _unpack_stacked,
     evaluate,
     forward_stacked,
     init_params,
@@ -150,7 +151,10 @@ def test_stacked_matmul_equals_2d_product_slice_by_slice(hidden, k):
     arch = Arch(6, 3, hidden)
     thetas = rng.normal(0.0, 1.0, (k, arch.param_count))
     x = rng.normal(0.0, 1.0, (257, 6))
-    layers = _unpack(arch, thetas)
+    layers = _unpack_stacked(arch, thetas)
+    for i in range(k):
+        for stacked, single in zip(layers, _unpack(arch, thetas[i])):
+            assert np.shares_memory(stacked[i], thetas) and np.array_equal(stacked[i], single)
     w_first = layers[0]
     out = np.matmul(x, w_first)
     for i in range(k):
