@@ -592,9 +592,8 @@ def _client_step(
 
     def client_work(i: int) -> tuple[ModelParams, ModelParams, tuple[float, float]]:
         train_shard = state.train_shards[i]
-        # the client tower's calls share one workspace and the messenger's
-        # another, so the frozen messenger's forward survives injection and
-        # the client's logits and probs survive distillation
+        # the client tower's training calls share one workspace, and the
+        # frozen messenger's forward and the distillation steps another
         client_ws: models.Workspace = {}
         messenger_ws: models.Workspace = {}
         params = models.train_local(
@@ -604,10 +603,12 @@ def _client_step(
         params = msg.inject_knowledge(
             params, base, train_shard, pi, p.inject_steps, p.inject_lr, fwd, client_ws
         )
+        # free the tower's buffers before the client's final forward and
+        # distillation allocate, so that they reuse that memory
+        del client_ws
         # train_shard shares the features of shards[i]; label_flip changes only labels
-        z, _ = models.forward(params, train_shard.features, client_ws)
-        probs = models.softmax(z, client_ws)
-        del client_ws  # the tower's other buffers go before distillation's arrive
+        z = models.logits(params, train_shard.features)
+        probs = models.softmax(z)
         variant = msg.distill_to_messenger(
             base, params, train_shard, p.lambda_kl, p.distill_steps, p.distill_lr, fwd, probs,
             messenger_ws,

@@ -288,10 +288,11 @@ def test_shared_inputs_are_never_written(messenger_hidden):
 @pytest.mark.parametrize("client_hidden,messenger_hidden", [(12, 0), (8, 8), (0, 0)])
 def test_client_step_workspaces_bit_identical_and_unaliased(client_hidden, messenger_hidden):
     """One client step: train_local and inject_knowledge share a client-tower
-    workspace, which also holds the client's final logits and probs; the
-    frozen messenger's forward and the distillation steps share a messenger
-    workspace. Results equal the allocating path, the client's logits and
-    probs survive distillation, and no output aliases a workspace buffer."""
+    workspace, which here also takes the client's final logits and probs;
+    the frozen messenger's forward and the distillation steps share a
+    messenger workspace. Results equal the allocating path, the client's
+    logits and probs survive distillation, and no output aliases a
+    workspace buffer."""
     shard = make_shard(300)
     client = init_params(Arch(10, 4, client_hidden), 14)
     mess = init_params(Arch(10, 4, messenger_hidden), 15)
