@@ -481,9 +481,8 @@ def _loss_spread(state: SimState, cohort: list[int]) -> float:
     return float(np.std(losses) / mean)
 
 
-# Coalitions per stacked forward. The block bounds the (block, rows,
-# hidden) activations: blocks of 256 ran faster on private25 but raised
-# its peak RSS by 5%.
+# Coalitions per stacked forward. It bounds the (block, rows, hidden)
+# activations and logits one block allocates, which grow with the block.
 COALITION_BLOCK = 64
 
 

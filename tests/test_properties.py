@@ -13,7 +13,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from afflsim.fairness import fair_weights, shapley_estimate  # noqa: E402
 
-PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
 unit = st.floats(0.0, 1.0, allow_nan=False)
 
