@@ -7,17 +7,21 @@ three divergence components that combine into the round-level index H_t.
 
 import numpy as np
 
-from afflsim.federation import FederationConfig, gen_federation, pooled_label_distribution
+from afflsim.config import FederationBlock
+from afflsim.federation import gen_federation, pooled_label_distribution
 from afflsim.heterogeneity import (
-    HeterogeneityConfig,
     arch_divergence,
     heterogeneity_index,
     res_divergence,
     stat_divergence,
 )
 
-config = FederationConfig(
-    counts={"academic": 2, "regional": 4, "rural": 6},
+EQUAL_WEIGHTS = (1 / 3, 1 / 3, 1 / 3)  # het_alpha, het_beta, het_gamma
+
+config = FederationBlock(
+    academic=2,
+    regional=4,
+    rural=6,
     num_classes=4,
     feature_dim=10,
     concentration=0.3,  # strong label skew across institutions
@@ -47,12 +51,14 @@ for profile, shard in zip(profiles, shards):
         f"client {profile.id:2d}: D_stat={d_stat:.3f} D_arch={d_arch:.3f} D_res={d_res:.3f}"
     )
 
-report = heterogeneity_index(components, HeterogeneityConfig())
+report = heterogeneity_index(components, EQUAL_WEIGHTS)
 print(f"\nnetwork heterogeneity index H = {report.h_t:.4f} (equal component weights)")
 
 # the index responds to skew: regenerate with near-uniform labels
-uniform_cfg = FederationConfig(
-    counts={"academic": 2, "regional": 4, "rural": 6},
+uniform_cfg = FederationBlock(
+    academic=2,
+    regional=4,
+    rural=6,
     num_classes=4,
     feature_dim=10,
     concentration=100.0,
@@ -63,5 +69,5 @@ u_components = [
     (stat_divergence(s, u_pooled), arch_divergence(p, u_profiles), res_divergence(p, u_profiles))
     for p, s in zip(u_profiles, u_shards)
 ]
-u_report = heterogeneity_index(u_components, HeterogeneityConfig())
+u_report = heterogeneity_index(u_components, EQUAL_WEIGHTS)
 print(f"same federation with near-IID labels: H = {u_report.h_t:.4f} (lower, as expected)")

@@ -8,9 +8,9 @@ and shows the probe-based capacity objective picking accordingly.
 
 import numpy as np
 
-from afflsim.federation import FederationConfig, gen_federation, gen_reference_shard
+from afflsim.config import FederationBlock, ProtocolBlock
+from afflsim.federation import gen_federation, gen_reference_shard
 from afflsim.messenger import (
-    CapacityGrid,
     CurriculumSchedule,
     curriculum_weights,
     distill_to_messenger,
@@ -26,8 +26,10 @@ from afflsim.models import (
     train_local,
 )
 
-config = FederationConfig(
-    counts={"rural": 4},
+config = FederationBlock(
+    academic=0,
+    regional=0,
+    rural=4,
     num_classes=4,
     feature_dim=10,
     concentration=1.0,
@@ -44,18 +46,16 @@ clients = [
 ]
 teacher = np.mean([logits(c, probe.features) for c in clients], axis=0)
 
-grid = CapacityGrid(
-    templates=(Arch(10, 4, 2), Arch(10, 4, 8), Arch(10, 4, 18)),
-    lambda1=0.01,
-    probe_steps=60,
-    probe_lr=0.8,
+templates = (Arch(10, 4, 2), Arch(10, 4, 8), Arch(10, 4, 18))
+protocol = ProtocolBlock(grid_hidden=(2, 8, 18), lambda1=0.01, probe_steps=60, probe_lr=0.8)
+current = init_params(templates[0], 0)
+decision = select_capacity(
+    templates, protocol, 0.4, probe, teacher, 0.0, 0, None, current, seed=1, lambda2=0.1
 )
-current = init_params(grid.templates[0], 0)
-decision = select_capacity(grid, 0.4, probe, teacher, 0.0, 0, None, current, seed=1)
 print("=== Capacity probe (radial pair in the data) ===")
 for i, (kl, comm, fpen, total) in enumerate(decision.composite_scores):
     marker = " <- chosen" if i == decision.chosen_index else ""
-    print(f"template h={grid.templates[i].hidden:2d}: probe KL={kl:.4f} "
+    print(f"template h={templates[i].hidden:2d}: probe KL={kl:.4f} "
           f"comm={comm:.3f} total={total:.4f}{marker}")
 
 print("\n=== Curriculum weights over rounds (3 stages) ===")
@@ -66,7 +66,7 @@ for t in (1, 5, 10, 15, 20):
 
 print("\n=== Injection and distillation on one client ===")
 shard = assign_difficulty_tiers(shards[0], clients[0], 3)
-messenger = init_params(grid.templates[decision.chosen_index], 5)
+messenger = init_params(templates[decision.chosen_index], 5)
 messenger = distill_to_messenger(messenger, clients[0], shard, 1.0, steps=40, lr=0.5)
 loss_before, acc_before = evaluate(clients[0], shard)
 injected = inject_knowledge(

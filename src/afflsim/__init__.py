@@ -6,7 +6,15 @@ consensus, and a healthcare-style benchmark metric suite — all deterministic
 given (config, seed).
 """
 
-from .config import AttackBlock, ConfigError, RunConfig, config_from_dict, load_config
+from .config import (
+    AttackBlock,
+    ConfigError,
+    FederationBlock,
+    ProtocolBlock,
+    RunConfig,
+    config_from_dict,
+    load_config,
+)
 from .fairness import (
     FairWeights,
     RobustAggConfig,
@@ -21,7 +29,6 @@ from .fairness import (
 from .federation import (
     ClientProfile,
     DatasetShard,
-    FederationConfig,
     gen_federation,
     gen_reference_shard,
     pooled_label_distribution,
@@ -37,7 +44,6 @@ from .harness import (
     sample_clients,
 )
 from .heterogeneity import (
-    HeterogeneityConfig,
     HeterogeneityReport,
     arch_divergence,
     heterogeneity_index,
@@ -46,7 +52,6 @@ from .heterogeneity import (
 )
 from .messenger import (
     CapacityDecision,
-    CapacityGrid,
     CurriculumSchedule,
     FusionConfig,
     curriculum_weights,

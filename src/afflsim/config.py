@@ -14,8 +14,12 @@ import json
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .fairness import EXACT_MAX_CLIENTS
 from .federation import SAMPLE_RANGES
+from .messenger import CurriculumSchedule
+from .models import Arch
 from .privacy import PrivacyParams
 
 SCHEMA_VERSION = 1
@@ -64,16 +68,40 @@ class FederationBlock:
         for name in ("class_separation", "feature_noise"):
             if not getattr(self, name) >= 0:
                 raise ConfigError(f"federation.{name} must be nonnegative")
+        if sum(self.counts().values()) < 1:
+            raise ConfigError("federation.academic + regional + rural must be at least 1")
+        by_class = self.modalities_by_class
+        if by_class is not None and not (
+            isinstance(by_class, dict) and set(by_class) <= set(SAMPLE_RANGES)
+        ):
+            raise ConfigError(
+                "federation.modalities_by_class must be null or an object keyed by "
+                f"academic/regional/rural, got {by_class!r}"
+            )
+        for cls, held in (by_class or {}).items():
+            if held is not None and not (
+                isinstance(held, (list, tuple))
+                and held
+                and all(type(m) is int and 0 <= m < self.num_modalities for m in held)
+                and len(set(held)) == len(held)
+            ):
+                raise ConfigError(
+                    f"federation.modalities_by_class.{cls} must be null or a nonempty list of "
+                    f"distinct modality ids in [0, {self.num_modalities}), got {held!r}"
+                )
 
     def counts(self) -> dict:
         return {"academic": self.academic, "regional": self.regional, "rural": self.rural}
 
-    def hidden_by_class(self) -> dict:
-        return {
-            "academic": self.academic_hidden,
-            "regional": self.regional_hidden,
-            "rural": self.rural_hidden,
-        }
+    def modality_blocks(self) -> tuple[tuple[int, tuple[int, int]], ...]:
+        """Contiguous, near-equal feature column blocks, one per modality."""
+        edges = np.linspace(0, self.feature_dim, self.num_modalities + 1).astype(int)
+        return tuple((m, (int(edges[m]), int(edges[m + 1]))) for m in range(self.num_modalities))
+
+    def class_modalities(self, institution_class: str) -> tuple[int, ...]:
+        """The modalities an institution class holds; null means all of them."""
+        held = (self.modalities_by_class or {}).get(institution_class)
+        return tuple(range(self.num_modalities)) if held is None else tuple(held)
 
 
 @dataclass(frozen=True)
@@ -165,6 +193,18 @@ class ProtocolBlock:
             raise ConfigError(
                 f"protocol.initial_capacity_index must index protocol.grid_hidden {widths}"
             )
+        if (self.curriculum_tau is None) != (self.curriculum_sigma is None):
+            raise ConfigError(
+                "protocol.curriculum_tau and protocol.curriculum_sigma must be both null "
+                "or both set"
+            )
+        if self.curriculum_tau is not None:
+            try:
+                CurriculumSchedule(
+                    self.curriculum_tiers, self.curriculum_tau, self.curriculum_sigma
+                )
+            except ValueError as exc:
+                raise ConfigError(f"protocol.curriculum_tau / curriculum_sigma: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -221,8 +261,6 @@ class RunConfig:
         p, fed = self.protocol, self.federation
         counts = fed.counts()
         clients = sum(counts.values())
-        if clients < 1:
-            raise ConfigError("federation.academic + regional + rural must be at least 1")
         rate = p.sample_rate
         if rate * clients < 1:
             raise ConfigError(
@@ -237,16 +275,20 @@ class RunConfig:
                 f"{EXACT_MAX_CLIENTS} clients, but sample_rate {rate} "
                 f"of {clients} clients allows {largest_cohort}"
             )
-        # without dropout the smallest cohort is what the sampler returns:
-        # round(rate * N) uniform, floor(rate * N) load-aware
-        if p.robust_method == "trimmed_mean" and p.robust_f != "auto" and p.dropout_rate == 0:
-            smallest_cohort = (
-                math.floor(rate * clients) if p.load_aware_sampling else int(round(rate * clients))
-            )
+        if p.robust_method == "trimmed_mean" and p.robust_f != "auto":
+            # dropout can leave a single live client; without it the smallest
+            # cohort is what the sampler returns: round(rate * N) uniform,
+            # floor(rate * N) load-aware
+            if p.dropout_rate > 0:
+                smallest_cohort = 1
+            elif p.load_aware_sampling:
+                smallest_cohort = math.floor(rate * clients)
+            else:
+                smallest_cohort = int(round(rate * clients))
             if smallest_cohort <= 2 * p.robust_f:
                 raise ConfigError(
                     f"protocol.robust_f {p.robust_f} trims 2f >= {smallest_cohort} clients, "
-                    "the smallest cohort the sampler returns"
+                    "the smallest cohort a round can have; 'auto' fits f to each cohort"
                 )
         smallest_shard = min(SAMPLE_RANGES[cls][0] for cls, n in counts.items() if n > 0)
         if p.curriculum_tiers > smallest_shard:
@@ -260,17 +302,28 @@ class RunConfig:
                 f"protocol.fusion_weights needs one entry per modality ({len(modalities)})"
             )
         if p.active_modalities is not None:
-            by_class = fed.modalities_by_class or {}
             if not p.active_modalities or any(m not in modalities for m in p.active_modalities):
                 raise ConfigError(
                     f"protocol.active_modalities must be a nonempty subset of {list(modalities)}"
                 )
             for cls, n in counts.items():
-                held = by_class.get(cls)
-                if n > 0 and held is not None and not set(held) & set(p.active_modalities):
+                if n > 0 and not set(fed.class_modalities(cls)) & set(p.active_modalities):
                     raise ConfigError(
                         f"protocol.active_modalities leaves {cls} clients no modality"
                     )
+        in_dim = self.input_width()
+        params = [Arch(in_dim, fed.num_classes, h).param_count for h in p.grid_hidden]
+        if any(b <= a for a, b in zip(params, params[1:])):
+            raise ConfigError(
+                f"protocol.grid_hidden {p.grid_hidden} gives templates of {params} parameters "
+                f"at input width {in_dim}; they must be strictly ascending"
+            )
+
+    def input_width(self) -> int:
+        """The models' input width: fused_dim if set, else the widest modality block."""
+        if self.protocol.fused_dim is not None:
+            return self.protocol.fused_dim
+        return max(stop - start for _, (start, stop) in self.federation.modality_blocks())
 
     def to_dict(self) -> dict:
         out = dataclasses.asdict(self)
@@ -296,21 +349,49 @@ _BLOCKS = {
     "metrics": MetricsBlock,
 }
 
+# list-valued fields and the type of their entries
 _TUPLE_FIELDS = {
-    "grid_hidden",
-    "curriculum_tau",
-    "curriculum_sigma",
-    "active_modalities",
-    "fusion_weights",
+    "grid_hidden": int,
+    "active_modalities": int,
+    "curriculum_tau": float,
+    "curriculum_sigma": float,
+    "fusion_weights": float,
 }
 
 
-def _check_integers(cls, kwargs: dict, prefix: str) -> None:
-    """Every field whose default is a plain int takes only ints (not bools)."""
+_SCALAR_NOUNS = {int: "an integer", bool: "true or false", float: "a number"}
+
+
+def _check_scalars(cls, kwargs: dict, prefix: str) -> None:
+    """A field whose default is an int or a bool takes only that type, and
+    one whose default is a float takes any int or float but not a bool."""
     for f in dataclasses.fields(cls):
-        value = kwargs.get(f.name)
-        if type(f.default) is int and f.name in kwargs and type(value) is not int:
-            raise ConfigError(f"{prefix}{f.name} must be an integer, got {value!r}")
+        kind, value = type(f.default), kwargs.get(f.name)
+        if kind not in _SCALAR_NOUNS or f.name not in kwargs:
+            continue
+        if kind is float:
+            ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+        else:
+            ok = type(value) is kind
+        if not ok:
+            raise ConfigError(f"{prefix}{f.name} must be {_SCALAR_NOUNS[kind]}, got {value!r}")
+
+
+def _check_lists(kwargs: dict, prefix: str) -> None:
+    """List-valued fields hold ints, or finite real numbers (not bools)."""
+    for name, kind in _TUPLE_FIELDS.items():
+        value = kwargs.get(name)
+        if value is not None and not (
+            isinstance(value, tuple) and all(_entry_ok(kind, v) for v in value)
+        ):
+            noun = "integers" if kind is int else "real numbers"
+            raise ConfigError(f"{prefix}{name} must be a list of {noun}, got {value!r}")
+
+
+def _entry_ok(kind: type, value) -> bool:
+    if kind is int:
+        return type(value) is int
+    return type(value) in (int, float) and math.isfinite(value)
 
 
 def _build_block(cls, data: dict, path: str):
@@ -325,7 +406,8 @@ def _build_block(cls, data: dict, path: str):
         if key in _TUPLE_FIELDS and isinstance(value, list):
             value = tuple(value)
         kwargs[key] = value
-    _check_integers(cls, kwargs, f"{path}.")
+    _check_scalars(cls, kwargs, f"{path}.")
+    _check_lists(kwargs, f"{path}.")
     try:
         return cls(**kwargs)
     except ConfigError:
@@ -348,7 +430,7 @@ def config_from_dict(data: dict) -> RunConfig:
             kwargs[key] = _build_block(_BLOCKS[key], value, key)
         else:
             kwargs[key] = value
-    _check_integers(RunConfig, kwargs, "")
+    _check_scalars(RunConfig, kwargs, "")
     try:
         return RunConfig(**kwargs)
     except ConfigError:

@@ -9,12 +9,16 @@ Gaussians, optionally laid out in per-modality column blocks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .models import Arch
 from .rng import stream
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .config import FederationBlock
 
 SAMPLE_RANGES = {
     "academic": (10_000, 12_000),
@@ -29,8 +33,6 @@ RESOURCE_RANGES = {
     "regional": ((10.0, 30.0), (1.2, 2.0)),
     "rural": ((1.0, 5.0), (2.0, 4.0)),
 }
-
-DEFAULT_HIDDEN = {"academic": 32, "regional": 16, "rural": 8}
 
 HONEST = "honest"
 
@@ -137,115 +139,61 @@ class ClientProfile:
         return self.honesty != HONEST
 
 
-@dataclass(frozen=True)
-class FederationConfig:
-    """Knobs for synthetic federation generation."""
-
-    counts: dict
-    num_classes: int = 4
-    feature_dim: int = 20
-    concentration: float = 0.5
-    num_modalities: int = 1
-    modalities_by_class: dict = field(
-        default_factory=lambda: {"academic": None, "regional": None, "rural": None}
-    )
-    class_separation: float = 2.0
-    feature_noise: float = 1.0
-    hidden_by_class: dict = field(default_factory=lambda: dict(DEFAULT_HIDDEN))
-    # fraction of feature columns that carry class signal, per modality block
-    informative_fraction: float = 1.0
-    # pairs of classes (2p, 2p+1) that share a mean and differ only in spread;
-    # such pairs are not linearly separable, so model capacity matters
-    radial_pairs: int = 0
-    radial_scale: float = 2.4
-
-    def __post_init__(self):
-        for cls in self.counts:
-            if cls not in SAMPLE_RANGES:
-                raise ValueError(f"unknown institution class {cls!r}")
-        if sum(self.counts.values()) < 1:
-            raise ValueError("federation needs at least one client")
-        if self.concentration <= 0:
-            raise ValueError("concentration must be positive")
-        if self.num_classes < 2:
-            raise ValueError("need at least two classes")
-        if self.num_modalities < 1:
-            raise ValueError("need at least one modality")
-        if self.feature_dim < self.num_modalities:
-            raise ValueError("feature_dim must cover every modality block")
-        if self.radial_pairs < 0 or 2 * self.radial_pairs > self.num_classes:
-            raise ValueError("radial_pairs must fit inside num_classes")
-        if self.radial_scale <= 1.0:
-            raise ValueError("radial_scale must exceed 1")
-
-    def modality_blocks(self) -> tuple[tuple[int, tuple[int, int]], ...]:
-        """Contiguous, near-equal column blocks, one per modality."""
-        edges = np.linspace(0, self.feature_dim, self.num_modalities + 1).astype(int)
-        return tuple((m, (int(edges[m]), int(edges[m + 1]))) for m in range(self.num_modalities))
-
-    def class_modalities(self, institution_class: str) -> tuple[int, ...]:
-        configured = self.modalities_by_class.get(institution_class)
-        if configured is None:
-            return tuple(range(self.num_modalities))
-        return tuple(int(m) for m in configured)
-
-
-def _class_means(config: FederationConfig, seed: int) -> np.ndarray:
+def _class_means(fed: FederationBlock, seed: int) -> np.ndarray:
     rng = stream(seed, "class-means")
-    means = rng.normal(0.0, 1.0, (config.num_classes, config.feature_dim))
+    means = rng.normal(0.0, 1.0, (fed.num_classes, fed.feature_dim))
     norms = np.linalg.norm(means, axis=1, keepdims=True)
-    means = means / norms * config.class_separation
-    if config.informative_fraction < 1.0:
-        keep = max(1, int(round(config.informative_fraction * config.feature_dim)))
-        means[:, keep:] = 0.0
-    for p in range(config.radial_pairs):
+    means = means / norms * fed.class_separation
+    # pairs of classes (2p, 2p+1) share a mean and differ only in spread;
+    # such pairs are not linearly separable, so model capacity matters
+    for p in range(fed.radial_pairs):
         means[2 * p + 1] = means[2 * p]
     return means
 
 
-def _class_noise_scales(config: FederationConfig) -> np.ndarray:
-    scales = np.ones(config.num_classes)
-    for p in range(config.radial_pairs):
-        scales[2 * p + 1] = config.radial_scale
-    return scales * config.feature_noise
+def _class_noise_scales(fed: FederationBlock) -> np.ndarray:
+    scales = np.ones(fed.num_classes)
+    for p in range(fed.radial_pairs):
+        scales[2 * p + 1] = fed.radial_scale
+    return scales * fed.feature_noise
 
 
 def _sample_shard(
-    config: FederationConfig,
+    fed: FederationBlock,
     means: np.ndarray,
     label_probs: np.ndarray,
     n: int,
     rng: np.random.Generator,
     modalities: tuple[int, ...],
 ) -> DatasetShard:
-    labels = rng.choice(config.num_classes, size=n, p=label_probs)
-    scales = _class_noise_scales(config)[labels][:, None]
-    feats = means[labels] + scales * rng.normal(0.0, 1.0, (n, config.feature_dim))
-    blocks = config.modality_blocks()
-    missing = set(range(config.num_modalities)) - set(modalities)
+    labels = rng.choice(fed.num_classes, size=n, p=label_probs)
+    scales = _class_noise_scales(fed)[labels][:, None]
+    feats = means[labels] + scales * rng.normal(0.0, 1.0, (n, fed.feature_dim))
+    blocks = fed.modality_blocks()
+    missing = set(range(fed.num_modalities)) - set(modalities)
     for mid, (start, stop) in blocks:
         if mid in missing:
             feats[:, start:stop] = 0.0
-    return DatasetShard(feats, labels, config.num_classes, blocks)
+    return DatasetShard(feats, labels, fed.num_classes, blocks)
 
 
 def gen_federation(
-    config: FederationConfig, seed: int
+    fed: FederationBlock, seed: int
 ) -> tuple[list[ClientProfile], list[DatasetShard]]:
-    """Generate profiles and shards; bit-identical for equal (config, seed)."""
-    means = _class_means(config, seed)
+    """Generate profiles and shards; bit-identical for equal (block, seed)."""
+    means = _class_means(fed, seed)
     profiles: list[ClientProfile] = []
     shards: list[DatasetShard] = []
     client_id = 0
-    for cls in ("academic", "regional", "rural"):
-        for _ in range(config.counts.get(cls, 0)):
+    for cls, count in fed.counts().items():
+        for _ in range(count):
             rng = stream(seed, "client", client_id)
             lo, hi = SAMPLE_RANGES[cls]
             n = int(rng.integers(lo, hi + 1))
-            alpha = np.full(config.num_classes, config.concentration)
+            alpha = np.full(fed.num_classes, fed.concentration)
             label_probs = rng.dirichlet(alpha)
             (cap_lo, cap_hi), (del_lo, del_hi) = RESOURCE_RANGES[cls]
-            modalities = config.class_modalities(cls)
+            modalities = fed.class_modalities(cls)
             profile = ClientProfile(
                 id=client_id,
                 institution_class=cls,
@@ -254,11 +202,9 @@ def gen_federation(
                 network_delay=float(rng.uniform(del_lo, del_hi)),
                 modalities=modalities,
                 honesty=HONEST,
-                arch=Arch(
-                    config.feature_dim, config.num_classes, config.hidden_by_class[cls]
-                ),
+                arch=Arch(fed.feature_dim, fed.num_classes, getattr(fed, f"{cls}_hidden")),
             )
-            shard = _sample_shard(config, means, label_probs, n, rng, modalities)
+            shard = _sample_shard(fed, means, label_probs, n, rng, modalities)
             profiles.append(profile)
             shards.append(shard)
             client_id += 1
@@ -266,13 +212,13 @@ def gen_federation(
 
 
 def gen_reference_shard(
-    config: FederationConfig, seed: int, n: int, purpose: str = "validation"
+    fed: FederationBlock, seed: int, n: int, purpose: str = "validation"
 ) -> DatasetShard:
     """Server-side shard with a uniform label mixture (validation / probe)."""
-    means = _class_means(config, seed)
+    means = _class_means(fed, seed)
     rng = stream(seed, "reference", purpose)
-    uniform = np.full(config.num_classes, 1.0 / config.num_classes)
-    return _sample_shard(config, means, uniform, n, rng, tuple(range(config.num_modalities)))
+    uniform = np.full(fed.num_classes, 1.0 / fed.num_classes)
+    return _sample_shard(fed, means, uniform, n, rng, tuple(range(fed.num_modalities)))
 
 
 def pooled_label_distribution(shards: list[DatasetShard]) -> np.ndarray:

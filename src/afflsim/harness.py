@@ -28,7 +28,6 @@ from .config import AttackBlock, RunConfig
 from .federation import (
     ClientProfile,
     DatasetShard,
-    FederationConfig,
     gen_federation,
     gen_reference_shard,
     pooled_label_distribution,
@@ -36,7 +35,8 @@ from .federation import (
 from .models import Arch, ModelParams
 from .rng import stream, subseed
 
-SCHEMA_VERSION = 1
+# version of summary.json; config.SCHEMA_VERSION versions the config dict
+SUMMARY_SCHEMA_VERSION = 1
 
 THREADS_ENV = "AFFLSIM_THREADS"
 OUTPUT_DIR_ENV = "AFFLSIM_OUTPUT_DIR"
@@ -108,7 +108,7 @@ class RunLog:
     def summary_dict(self) -> dict:
         accs = list(self.final_client_accuracy.values())
         return {
-            "schema_version": SCHEMA_VERSION,
+            "schema_version": SUMMARY_SCHEMA_VERSION,
             "algorithm": self.algorithm,
             "seed": self.seed,
             "config_digest": self.config_digest,
@@ -256,9 +256,8 @@ class SimState:
     pooled_dist: np.ndarray
     client_params: list[ModelParams]  # fedavg: copies of the broadcast model
     messenger: ModelParams  # the broadcast model; fedavg's global model
-    grid: msg.CapacityGrid
+    templates: tuple[Arch, ...]  # messenger templates, ascending in param count
     schedule: msg.CurriculumSchedule
-    het_config: het.HeterogeneityConfig
     capacity_decision: msg.CapacityDecision | None
     lambda2: float
     round_index: int
@@ -281,18 +280,18 @@ def _round_energy(cfg: RunConfig, cohort_profiles: list[ClientProfile]) -> float
     )
 
 
-def _build_fusion(cfg: RunConfig, fed: FederationConfig, seed: int) -> msg.FusionConfig | None:
-    if fed.num_modalities <= 1 and cfg.protocol.fused_dim is None:
+def _build_fusion(cfg: RunConfig) -> msg.FusionConfig | None:
+    if cfg.federation.num_modalities <= 1 and cfg.protocol.fused_dim is None:
         return None
-    blocks = fed.modality_blocks()
-    dims = [stop - start for _, (start, stop) in blocks]
-    fused_dim = max(dims) if cfg.protocol.fused_dim is None else cfg.protocol.fused_dim
+    blocks = cfg.federation.modality_blocks()
+    fused_dim = cfg.input_width()
     encoders = []
-    for (mid, _), d in zip(blocks, dims):
+    for mid, (start, stop) in blocks:
+        d = stop - start
         if d == fused_dim:
             encoders.append(np.eye(d))
         else:
-            rng = stream(seed, "fusion-encoder", mid)
+            rng = stream(cfg.seed, "fusion-encoder", mid)
             encoders.append(rng.normal(0.0, 1.0, (d, fused_dim)) / np.sqrt(d))
     ids = tuple(m for m, _ in blocks)
     raw = cfg.protocol.fusion_weights or tuple(0.0 for _ in ids)
@@ -314,26 +313,14 @@ def _fuse_shard(
 
 def init_state(cfg: RunConfig) -> SimState:
     """Generate the federation and initialize every protocol object."""
-    fed = FederationConfig(
-        counts=cfg.federation.counts(),
-        num_classes=cfg.federation.num_classes,
-        feature_dim=cfg.federation.feature_dim,
-        concentration=cfg.federation.concentration,
-        num_modalities=cfg.federation.num_modalities,
-        modalities_by_class=cfg.federation.modalities_by_class
-        or {"academic": None, "regional": None, "rural": None},
-        class_separation=cfg.federation.class_separation,
-        feature_noise=cfg.federation.feature_noise,
-        hidden_by_class=cfg.federation.hidden_by_class(),
-        radial_pairs=cfg.federation.radial_pairs,
-        radial_scale=cfg.federation.radial_scale,
-    )
+    fed = cfg.federation
     profiles, shards = gen_federation(fed, cfg.seed)
     validation = gen_reference_shard(fed, cfg.seed, cfg.validation_samples, "validation")
     probe = gen_reference_shard(fed, cfg.seed, cfg.probe_samples, "probe")
     pooled = pooled_label_distribution(shards)
 
-    fusion = _build_fusion(cfg, fed, cfg.seed)
+    fusion = _build_fusion(cfg)
+    in_dim = cfg.input_width()
     active = cfg.protocol.active_modalities
     if fusion is not None:
         shards = [
@@ -342,9 +329,7 @@ def init_state(cfg: RunConfig) -> SimState:
         all_mods = tuple(range(fed.num_modalities))
         validation = _fuse_shard(validation, fusion, all_mods, active)
         probe = _fuse_shard(probe, fusion, all_mods, active)
-        in_dim = fusion.fused_dim
         profiles = [replace(p, arch=Arch(in_dim, p.arch.num_classes, p.arch.hidden)) for p in profiles]
-    in_dim = shards[0].features.shape[1]
 
     profiles = apply_attack_flags(profiles, cfg.attack)
     train_shards = [
@@ -385,15 +370,7 @@ def init_state(cfg: RunConfig) -> SimState:
     # fedavg clients hold the broadcast model; the warm-up only set tiers
     client_params = [messenger.copy() for _ in profiles] if fedavg else warmed
 
-    grid = msg.CapacityGrid(
-        templates=templates,
-        lambda1=p.lambda1,
-        lambda2=p.lambda2,
-        probe_steps=p.probe_steps,
-        probe_lr=p.probe_lr,
-        adapt_interval=p.adapt_interval,
-    )
-    if p.curriculum_tau is not None and p.curriculum_sigma is not None:
+    if p.curriculum_tau is not None:  # parsing requires sigma with tau
         schedule = msg.CurriculumSchedule(num_tiers, tuple(p.curriculum_tau), tuple(p.curriculum_sigma))
     else:
         schedule = msg.CurriculumSchedule.spread(num_tiers, max(cfg.max_rounds, 1))
@@ -427,9 +404,8 @@ def init_state(cfg: RunConfig) -> SimState:
         pooled_dist=pooled,
         client_params=client_params,
         messenger=messenger,
-        grid=grid,
+        templates=templates,
         schedule=schedule,
-        het_config=het.HeterogeneityConfig(p.het_alpha, p.het_beta, p.het_gamma),
         capacity_decision=decision,
         lambda2=p.lambda2,
         round_index=0,
@@ -542,12 +518,14 @@ def _adapt_capacity(
     template resizes the messenger before it is broadcast.
     """
     prev = state.capacity_decision
-    adaptive = state.config.protocol.algorithm in ("affl", "uniform_weight_affl")
-    if not adaptive or t % state.grid.adapt_interval != 0:
+    p = state.config.protocol
+    adaptive = p.algorithm in ("affl", "uniform_weight_affl")
+    if not adaptive or t % p.adapt_interval != 0:
         return prev, state.messenger
     seed = state.config.seed
     decision = msg.select_capacity(
-        state.grid,
+        state.templates,
+        p,
         h_t,
         state.probe,
         probe_teacher_logits(state, cohort),
@@ -560,7 +538,7 @@ def _adapt_capacity(
     )
     if decision.chosen_index == prev.chosen_index:
         return decision, state.messenger
-    template = state.grid.templates[decision.chosen_index]
+    template = state.templates[decision.chosen_index]
     return decision, msg.resize_params(state.messenger, template, subseed(seed, "resize", t))
 
 
@@ -683,8 +661,8 @@ def run_round(state: SimState) -> tuple[SimState, RoundRecord]:
     A round whose whole cohort dropped out goes from sampling straight to
     evaluation, and the broadcast model stands.
     """
-    cfg = state.config
-    fedavg = cfg.protocol.algorithm == "fedavg"
+    cfg, p = state.config, state.config.protocol
+    fedavg = p.algorithm == "fedavg"
     t = state.round_index + 1
     cohort, dropped = _sample_cohort(state, t)
     cohort_profiles = [state.profiles[i] for i in cohort]
@@ -695,7 +673,10 @@ def run_round(state: SimState) -> tuple[SimState, RoundRecord]:
     scores = []
     if cohort:
         h_t = het.assess_cohort(
-            [state.shards[i] for i in cohort], cohort_profiles, state.pooled_dist, state.het_config
+            [state.shards[i] for i in cohort],
+            cohort_profiles,
+            state.pooled_dist,
+            (p.het_alpha, p.het_beta, p.het_gamma),
         ).h_t
         decision, base = _adapt_capacity(state, cohort, h_t, t)
         client_params, uploads, scores = _client_step(state, cohort, base, t)
@@ -715,7 +696,7 @@ def run_round(state: SimState) -> tuple[SimState, RoundRecord]:
     gap = fair.fairness_gap([acc for _, _, acc in per_client]) if cohort else 0.0
     lambda2 = state.lambda2
     if cohort and not fedavg:
-        lambda2 = fair.monitor_and_adjust(gap, cfg.protocol.theta_fair, lambda2)
+        lambda2 = fair.monitor_and_adjust(gap, p.theta_fair, lambda2)
     gv_loss, gv_acc = models.evaluate(model, state.validation)
     pool_loss, _ = models.evaluate(model, state.pooled_eval)
     bytes_each_way = len(cohort) * 4 * base.param_count
@@ -810,7 +791,7 @@ def centralized_reference_loss(cfg: RunConfig, steps: int = 3000, lr: float = 0.
     returns its pooled loss — the F* that convergence-trend fits subtract.
     """
     state = init_state(cfg)
-    arch = state.grid.templates[-1]
+    arch = state.templates[-1]
     model = models.init_params(arch, subseed(cfg.seed, "central-oracle"))
     trained = models.train_local(model, state.pooled_eval, steps, lr)
     return models.evaluate(trained, state.pooled_eval)[0]
@@ -843,8 +824,8 @@ def load_records(path: str) -> list[dict]:
 def load_summary(path: str) -> dict:
     with open(path, encoding="utf-8") as fh:
         summary = json.load(fh)
-    if summary.get("schema_version") != SCHEMA_VERSION:
+    if summary.get("schema_version") != SUMMARY_SCHEMA_VERSION:
         raise ValueError(
-            f"summary schema version {summary.get('schema_version')} != {SCHEMA_VERSION}"
+            f"summary schema version {summary.get('schema_version')} != {SUMMARY_SCHEMA_VERSION}"
         )
     return summary

@@ -2,7 +2,8 @@
 
 Three bounded divergence components per client — statistical (label
 distribution), architectural (model descriptor) and resource (compute and
-network) — combine into a weighted per-round scalar in [0, 1].
+network) — combine into a per-round scalar in [0, 1], weighted by the
+protocol's het_alpha, het_beta and het_gamma.
 """
 
 from __future__ import annotations
@@ -14,21 +15,6 @@ import numpy as np
 from .federation import ClientProfile, DatasetShard
 
 LN2 = float(np.log(2.0))
-
-
-@dataclass(frozen=True)
-class HeterogeneityConfig:
-    """Component weights; must sum to 1."""
-
-    alpha: float = 1.0 / 3.0
-    beta: float = 1.0 / 3.0
-    gamma: float = 1.0 / 3.0
-
-    def __post_init__(self):
-        if min(self.alpha, self.beta, self.gamma) < 0:
-            raise ValueError("component weights must be nonnegative")
-        if abs(self.alpha + self.beta + self.gamma - 1.0) > 1e-9:
-            raise ValueError("component weights must sum to 1")
 
 
 @dataclass(frozen=True)
@@ -113,16 +99,19 @@ def res_divergence(profile: ClientProfile, population: list[ClientProfile]) -> f
 
 
 def heterogeneity_index(
-    components: list[tuple[float, float, float]], config: HeterogeneityConfig
+    components: list[tuple[float, float, float]], weights: tuple[float, float, float]
 ) -> HeterogeneityReport:
-    """H_t = mean over clients of alpha*D_stat + beta*D_arch + gamma*D_res."""
+    """H_t = mean over clients of alpha*D_stat + beta*D_arch + gamma*D_res.
+
+    weights is (alpha, beta, gamma), the protocol's het_alpha, het_beta and
+    het_gamma, which config parsing checks.
+    """
     if not components:
         raise ValueError("no per-client components")
     arr = np.asarray(components, dtype=np.float64)
     if arr.min() < -1e-12 or arr.max() > 1.0 + 1e-12:
         raise ValueError("divergence components must lie in [0, 1]")
-    weights = np.array([config.alpha, config.beta, config.gamma])
-    h_t = float(np.mean(arr @ weights))
+    h_t = float(np.mean(arr @ np.array(weights, dtype=np.float64)))
     return HeterogeneityReport(
         per_client=tuple(tuple(float(v) for v in row) for row in arr), h_t=h_t
     )
@@ -132,7 +121,7 @@ def assess_cohort(
     shards: list[DatasetShard],
     cohort: list[ClientProfile],
     global_label_dist: np.ndarray,
-    config: HeterogeneityConfig,
+    weights: tuple[float, float, float],
 ) -> HeterogeneityReport:
     """Full per-cohort assessment; components computed in client-id order.
 
@@ -147,4 +136,4 @@ def assess_cohort(
         (stat_divergence(shard, global_label_dist), float(a), float(r))
         for shard, a, r in zip(shards, arch, res)
     ]
-    return heterogeneity_index(components, config)
+    return heterogeneity_index(components, weights)

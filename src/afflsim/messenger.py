@@ -12,7 +12,7 @@ multi-modal fusion.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -30,28 +30,8 @@ from .models import (
 )
 from .rng import stream
 
-
-@dataclass(frozen=True)
-class CapacityGrid:
-    """Ordered messenger templates plus selection penalties."""
-
-    templates: tuple[Arch, ...]
-    lambda1: float = 0.1
-    lambda2: float = 0.1
-    probe_steps: int = 10
-    probe_lr: float = 0.5
-    adapt_interval: int = 5
-
-    def __post_init__(self):
-        if not self.templates:
-            raise ValueError("capacity grid needs at least one template")
-        counts = [t.param_count for t in self.templates]
-        if any(b <= a for a, b in zip(counts, counts[1:])):
-            raise ValueError("templates must be strictly ascending in param count")
-        if self.lambda1 < 0 or self.lambda2 < 0:
-            raise ValueError("penalty weights must be nonnegative")
-        if self.adapt_interval < 1:
-            raise ValueError("adapt_interval must be >= 1")
+if TYPE_CHECKING:  # pragma: no cover
+    from .config import ProtocolBlock
 
 
 @dataclass(frozen=True)
@@ -167,7 +147,8 @@ def _safe_log(p: np.ndarray) -> np.ndarray:
 
 
 def select_capacity(
-    grid: CapacityGrid,
+    templates: tuple[Arch, ...],
+    protocol: ProtocolBlock,
     h_t: float,
     probe_shard: DatasetShard,
     teacher_logits: np.ndarray,
@@ -176,33 +157,34 @@ def select_capacity(
     prev: CapacityDecision | None,
     current: ModelParams,
     seed: int,
-    lambda2: float | None = None,
+    lambda2: float,
 ) -> CapacityDecision:
     """Pick the messenger template minimizing probe loss + penalties.
 
-    Off the adaptation interval the previous decision is returned
-    unchanged. Each template is probed by resizing the current messenger
-    and distilling probe_steps toward the averaged-logit teacher; its score
-    is probe KL + lambda1 * normalized param count + lambda2 * loss spread
-    scaled down linearly as capacity grows. Ties go to the smaller index.
+    templates ascend in param count. Off the protocol's adaptation interval
+    the previous decision is returned unchanged. Each template is probed by
+    resizing the current messenger and distilling probe_steps toward the
+    averaged-logit teacher; its score is probe KL + lambda1 * normalized
+    param count + lambda2 * loss spread scaled down linearly as capacity
+    grows. lambda2 is the run's current value, which fairness escalation
+    raises. Ties go to the smaller index.
     """
-    if round_index % grid.adapt_interval != 0 and prev is not None:
+    if round_index % protocol.adapt_interval != 0 and prev is not None:
         return prev
     if probe_shard.sample_count == 0:
         raise ValueError("probe shard is empty")
-    lam2 = grid.lambda2 if lambda2 is None else lambda2
     teacher_probs = softmax(np.asarray(teacher_logits, dtype=np.float64))
-    max_pc = grid.templates[-1].param_count
+    max_pc = templates[-1].param_count
     scores = []
-    for template in grid.templates:
+    for template in templates:
         candidate = resize_params(current, template, seed)
         _, kl = _distill_toward_teacher(
-            candidate, probe_shard.features, teacher_probs, grid.probe_steps, grid.probe_lr
+            candidate, probe_shard.features, teacher_probs, protocol.probe_steps, protocol.probe_lr
         )
         comm_cost = template.param_count / max_pc
         penalty_scale = 1.0 - template.param_count / max_pc
         fairness_penalty = client_loss_spread * penalty_scale
-        total = kl + grid.lambda1 * comm_cost + lam2 * fairness_penalty
+        total = kl + protocol.lambda1 * comm_cost + lambda2 * fairness_penalty
         scores.append((kl, comm_cost, fairness_penalty, total))
     totals = np.array([s[3] for s in scores])
     chosen = int(np.argmin(totals))  # argmin takes the first (smallest) index on ties
@@ -351,10 +333,6 @@ class FusionConfig:
         if not (len(self.modality_ids) == len(self.raw_weights) == len(self.encoders)):
             raise ValueError("modality ids, weights and encoders must align")
 
-    @property
-    def fused_dim(self) -> int:
-        return self.encoders[0].shape[1]
-
     def normalized_weights(self, present: tuple[int, ...] | None = None) -> dict[int, float]:
         """Softmax weights, renormalized over the present modalities."""
         ids = self.modality_ids if present is None else tuple(present)
@@ -362,16 +340,6 @@ class FusionConfig:
         z = np.array([raw[m] for m in ids])
         w = softmax(z)
         return {m: float(v) for m, v in zip(ids, w)}
-
-    @classmethod
-    def identity(cls, modality_ids: tuple[int, ...], dims: tuple[int, ...]) -> "FusionConfig":
-        width = max(dims)
-        encoders = []
-        for d in dims:
-            e = np.zeros((d, width))
-            e[:d, :d] = np.eye(d)
-            encoders.append(e)
-        return cls(modality_ids, tuple(0.0 for _ in modality_ids), tuple(encoders))
 
 
 def fuse_modalities(inputs: dict[int, np.ndarray], fusion: FusionConfig) -> np.ndarray:

@@ -153,11 +153,14 @@ def overfit_scenario(
     params given, the trained delta is clipped and noised before the
     attack, which collapses the separation.
     """
-    from .federation import FederationConfig, gen_reference_shard
+    from .config import FederationBlock
+    from .federation import gen_reference_shard
     from .models import Arch, init_params, train_local
 
-    config = FederationConfig(
-        counts={"rural": 1},
+    config = FederationBlock(
+        academic=0,
+        regional=0,
+        rural=1,
         num_classes=num_classes,
         feature_dim=feature_dim,
         concentration=1e6,

@@ -309,7 +309,7 @@ def test_criterion_8_numerical_suite():
 
     # hand-arithmetic spot checks at their stated tolerances
     from afflsim.fairness import fair_weights, robust_aggregate, RobustAggConfig
-    from afflsim.heterogeneity import heterogeneity_index, HeterogeneityConfig
+    from afflsim.heterogeneity import heterogeneity_index
     from afflsim.metrics import cei, hfi, put, transfer_effectiveness
 
     checks = [
@@ -317,7 +317,7 @@ def test_criterion_8_numerical_suite():
          [0.25, 0.75], 1e-12),
         ("size-debias", fair_weights(np.array([1.0, 1.0]), np.array([np.e**2, np.e**4]), 0.0, 0.5).w,
          [0.6, 0.4], 1e-9),
-        ("h-index", [heterogeneity_index([(0.2, 0.4, 0.6), (0.8, 0.6, 0.4)], HeterogeneityConfig()).h_t],
+        ("h-index", [heterogeneity_index([(0.2, 0.4, 0.6), (0.8, 0.6, 0.4)], (1 / 3,) * 3).h_t],
          [0.5], 1e-12),
         ("cei", [cei([(60, 20, 0.84, 0.88)], 0.5, 0.5)], [2.0238095238], 1e-9),
         ("hfi", [hfi([0.8, 0.85, 0.9])], [1 - np.sqrt(2 / 3)], 1e-9),

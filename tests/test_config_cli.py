@@ -106,6 +106,21 @@ def test_non_integer_in_integer_field_is_rejected_naming_field(path, value):
         config_from_dict(with_value(preset_smoke(7), path, value))
 
 
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        ("privacy.enabled", "no"),  # ran with DP on: any truthy value enabled it
+        ("protocol.load_aware_sampling", 1),
+        ("protocol.sample_rate", "x"),
+        ("protocol.lambda2", True),
+        ("energy_coefficient", "0"),
+    ],
+)
+def test_wrong_scalar_type_is_rejected_naming_field(path, value):
+    with pytest.raises(ConfigError, match=f"{re.escape(path)} must be"):
+        config_from_dict(with_value(preset_smoke(7), path, value))
+
+
 def smoke_trimmed_mean(seed):
     d = preset_smoke(seed)
     d["protocol"]["robust_method"] = "trimmed_mean"
@@ -150,6 +165,18 @@ def smoke_fedavg(seed):
         (preset_smoke, "protocol.het_alpha", 2.0),  # weights sum to 2 2/3
         (preset_smoke, "protocol.het_beta", -0.1),
         (preset_smoke, "protocol.het_gamma", 0.5),
+        # logistic regression's (d+1)*C parameters outnumber a 1-unit MLP's
+        (preset_smoke, "protocol.grid_hidden", [0, 1]),
+        # at fused_dim 16 a 4-unit MLP has fewer parameters than logistic
+        # regression (98 < 102); at the widest block, 8, it has more
+        (preset_multimodal, "protocol.grid_hidden", [0, 4]),
+        # empty and duplicate templates
+        (preset_smoke, "protocol.grid_hidden", []),
+        (preset_smoke, "protocol.grid_hidden", [8, 8]),
+        (preset_multimodal, "federation.modalities_by_class", {"rural": [5]}),
+        (preset_multimodal, "federation.modalities_by_class", {"rural": []}),
+        (preset_multimodal, "federation.modalities_by_class", {"rural": 1}),
+        (preset_multimodal, "federation.modalities_by_class", [0]),
     ],
 )
 def test_config_that_would_fail_in_run_experiment_is_rejected(preset, path, value):
@@ -179,11 +206,50 @@ def test_config_that_would_fail_in_run_experiment_is_rejected(preset, path, valu
         ("protocol.theta_fair", -1.0),
         ("federation.class_separation", -1.0),
         ("federation.feature_noise", -1.0),
+        # an unknown class was ignored, and modality 3 of one zeroed every feature
+        ("federation.modalities_by_class", {"hospital": [0]}),
+        ("federation.modalities_by_class", {"rural": [3]}),
+        ("federation.modalities_by_class", {"rural": [0, 0]}),
+        ("federation.modalities_by_class", {"rural": [True]}),
     ],
 )
 def test_out_of_range_value_is_rejected_naming_its_path(path, value):
     d = with_value(preset_smoke(7), path, value)
     with pytest.raises(ConfigError, match=re.escape(path)):
+        config_from_dict(d)
+
+
+@pytest.mark.parametrize(
+    "preset, path, value",
+    [
+        (preset_smoke, "protocol.grid_hidden", [4.5, 8]),  # crashed in init_state
+        (preset_smoke, "protocol.grid_hidden", 8),
+        (preset_multimodal, "protocol.active_modalities", [1.0]),
+        (preset_multimodal, "protocol.fusion_weights", ["a", "b", "c"]),  # crashed
+        (preset_multimodal, "protocol.fusion_weights", [True, 0.0, 0.0]),
+        (preset_multimodal, "protocol.fusion_weights", [float("nan"), 0.0, 0.0]),
+    ],
+)
+def test_list_entry_of_the_wrong_type_is_rejected_naming_its_path(preset, path, value):
+    with pytest.raises(ConfigError, match=re.escape(path)):
+        config_from_dict(with_value(preset(7), path, value))
+
+
+@pytest.mark.parametrize(
+    "tau, sigma",
+    [
+        ([0.0, 1.0, 2.0], None),  # tau alone was ignored
+        (None, [1.0, 1.0, 1.0]),
+        ([0.0, 1.0], [1.0, 1.0]),  # three tiers; crashed in init_state
+        ([0.0, 1.0, 2.0], [1.0, 0.5, 0.0]),  # crashed in init_state
+        ([0.0, 1.0, 2.0], [1.0, -0.5, 0.5]),
+        (["0", "1", "2"], [1.0, 1.0, 1.0]),
+    ],
+)
+def test_curriculum_tau_and_sigma_are_checked_at_parse_time(tau, sigma):
+    d = preset_smoke(7)
+    d["protocol"].update(curriculum_tau=tau, curriculum_sigma=sigma)
+    with pytest.raises(ConfigError, match="protocol.curriculum_(tau|sigma)"):
         config_from_dict(d)
 
 
@@ -197,6 +263,9 @@ def test_out_of_range_value_is_rejected_naming_its_path(path, value):
         ("energy_coefficient", 0.0),
         ("protocol.lambda_kl", 0.0),
         ("protocol.theta_fair", 0.0),
+        ("protocol.grid_hidden", [0, 8]),
+        ("protocol.grid_hidden", [0, 3]),  # 45 > 33 parameters; [0, 2] has 30
+        ("federation.modalities_by_class", {"rural": [0], "regional": None}),
     ],
 )
 def test_values_at_the_range_limits_run(path, value):
@@ -228,6 +297,7 @@ def test_active_modalities_leaving_a_class_no_modality_is_rejected():
         (2, {}),  # 4 clients, 2f = 4
         (1, {"sample_rate": 0.625}),  # uniform cohort round(2.5) = 2
         (1, {"sample_rate": 0.625, "load_aware_sampling": True}),  # floor(2.5) = 2
+        (1, {"dropout_rate": 0.5}),  # dropout can leave one live client
     ],
 )
 def test_trimmed_mean_f_too_large_for_smallest_cohort_is_rejected(robust_f, protocol):
@@ -235,6 +305,28 @@ def test_trimmed_mean_f_too_large_for_smallest_cohort_is_rejected(robust_f, prot
     d["protocol"].update(robust_f=robust_f, **protocol)
     with pytest.raises(ConfigError, match="protocol.robust_f"):
         config_from_dict(d)
+
+
+@pytest.mark.parametrize("robust_f", ["auto", 0])
+def test_trimmed_mean_under_dropout_runs_with_auto_or_zero(robust_f):
+    d = smoke_trimmed_mean(7)
+    d["protocol"].update(robust_f=robust_f, dropout_rate=0.5)
+    d["max_rounds"] = 3
+    assert run_experiment(config_from_dict(d)).rounds_run == 3
+
+
+def test_grid_check_uses_the_widest_block_without_fused_dim():
+    d = preset_multimodal(7)
+    d["protocol"].update(grid_hidden=[0, 4], fused_dim=None)
+    d["max_rounds"] = 1
+    assert run_experiment(config_from_dict(d)).rounds_run == 1
+
+
+def test_curriculum_schedule_from_the_config_runs():
+    d = preset_smoke(7)
+    d["protocol"].update(curriculum_tau=[0, 2, 4], curriculum_sigma=[3.0, 2.0, 1.0])
+    d["max_rounds"] = 1
+    assert run_experiment(config_from_dict(d)).rounds_run == 1
 
 
 @pytest.mark.parametrize("load_aware", [False, True])

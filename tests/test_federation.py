@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
+from afflsim.config import FederationBlock
 from afflsim.federation import (
     SAMPLE_RANGES,
     DatasetShard,
-    FederationConfig,
     gen_federation,
     gen_reference_shard,
     pooled_label_distribution,
@@ -16,7 +16,7 @@ TWELVE = {"academic": 2, "regional": 4, "rural": 6}
 
 
 def test_twelve_institution_ranges_seed_7():
-    profiles, shards = gen_federation(FederationConfig(counts=TWELVE), seed=7)
+    profiles, shards = gen_federation(FederationBlock(**TWELVE), seed=7)
     assert len(profiles) == 12
     for profile, shard in zip(profiles, shards):
         assert shard.sample_count == profile.sample_count
@@ -29,7 +29,7 @@ def test_twelve_institution_ranges_seed_7():
 
 
 def test_dirichlet_limit_is_uniform():
-    config = FederationConfig(counts={"academic": 3}, num_classes=4, concentration=1e6)
+    config = FederationBlock(academic=3, regional=0, rural=0, num_classes=4, concentration=1e6)
     _, shards = gen_federation(config, seed=3)
     for shard in shards:
         hist = shard.label_histogram()
@@ -37,7 +37,7 @@ def test_dirichlet_limit_is_uniform():
 
 
 def test_generation_is_byte_identical():
-    config = FederationConfig(counts={"regional": 2, "rural": 3})
+    config = FederationBlock(academic=0, regional=2, rural=3)
     p1, s1 = gen_federation(config, seed=11)
     p2, s2 = gen_federation(config, seed=11)
     assert p1 == p2
@@ -47,14 +47,14 @@ def test_generation_is_byte_identical():
 
 
 def test_different_seeds_differ():
-    config = FederationConfig(counts={"rural": 2})
+    config = FederationBlock(academic=0, regional=0, rural=2)
     _, s1 = gen_federation(config, seed=1)
     _, s2 = gen_federation(config, seed=2)
     assert s1[0].features.tobytes() != s2[0].features.tobytes()
 
 
 def test_ranges_hold_over_seed_sweep():
-    config = FederationConfig(counts={"academic": 1, "regional": 1, "rural": 1})
+    config = FederationBlock(academic=1, regional=1, rural=1)
     for seed in range(100):
         profiles, _ = gen_federation(config, seed)
         for p in profiles:
@@ -64,17 +64,17 @@ def test_ranges_hold_over_seed_sweep():
 
 def test_zero_clients_rejected():
     with pytest.raises(ValueError):
-        FederationConfig(counts={"rural": 0})
+        FederationBlock(academic=0, regional=0, rural=0)
 
 
 def test_nonpositive_concentration_rejected():
     with pytest.raises(ValueError):
-        FederationConfig(counts={"rural": 1}, concentration=0.0)
+        FederationBlock(academic=0, regional=0, rural=1, concentration=0.0)
 
 
 def test_modality_blocks_cover_columns():
-    config = FederationConfig(
-        counts={"rural": 2}, feature_dim=12, num_modalities=3
+    config = FederationBlock(
+        academic=0, regional=0, rural=2, feature_dim=12, num_modalities=3
     )
     _, shards = gen_federation(config, seed=5)
     blocks = shards[0].modality_blocks
@@ -84,8 +84,10 @@ def test_modality_blocks_cover_columns():
 
 
 def test_missing_modalities_zero_their_columns():
-    config = FederationConfig(
-        counts={"rural": 1},
+    config = FederationBlock(
+        academic=0,
+        regional=0,
+        rural=1,
         feature_dim=12,
         num_modalities=3,
         modalities_by_class={"rural": (0,)},
@@ -111,7 +113,7 @@ def test_shard_invariants_enforced():
 
 
 def test_reference_shard_uniform_and_deterministic():
-    config = FederationConfig(counts={"rural": 1}, num_classes=4)
+    config = FederationBlock(academic=0, regional=0, rural=1, num_classes=4)
     val1 = gen_reference_shard(config, 7, 400, "validation")
     val2 = gen_reference_shard(config, 7, 400, "validation")
     probe = gen_reference_shard(config, 7, 400, "probe")

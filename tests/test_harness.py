@@ -295,7 +295,7 @@ def test_bytes_accounting_matches_param_counts():
     cfg = smoke_cfg()
     log = run_experiment(cfg)
     state = init_state(cfg)
-    templates = state.grid.templates
+    templates = state.templates
     for record in log.records:
         pc = templates[record.capacity_index].param_count
         assert record.bytes_up == len(record.cohort) * 4 * pc

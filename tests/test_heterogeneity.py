@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
+from afflsim.config import ProtocolBlock
 from afflsim.federation import ClientProfile, DatasetShard
 from afflsim.heterogeneity import (
-    HeterogeneityConfig,
     arch_divergence,
     assess_cohort,
     descriptor_divergence,
@@ -16,6 +16,8 @@ from afflsim.heterogeneity import (
 )
 from afflsim.models import Arch
 from afflsim.rng import stream
+
+EQUAL_WEIGHTS = (1 / 3, 1 / 3, 1 / 3)  # het_alpha, het_beta, het_gamma
 
 
 def shard_with_labels(labels, num_classes):
@@ -160,13 +162,13 @@ def test_assess_cohort_equals_per_client_composition():
     dist = np.array([0.2, 0.3, 0.5])
     arch = np.array([p.arch_descriptor for p in cohort], dtype=np.float64)
     res = np.array([[np.log(p.compute_capacity), p.network_delay] for p in cohort])
-    report = assess_cohort(shards, cohort, dist, HeterogeneityConfig())
+    report = assess_cohort(shards, cohort, dist, EQUAL_WEIGHTS)
     expected = [
         (stat_divergence(s, dist), loop_divergence(arch, i), loop_divergence(res, i))
         for i, s in enumerate(shards)
     ]
     assert report.per_client == tuple(expected)
-    assert report.h_t == heterogeneity_index(expected, HeterogeneityConfig()).h_t
+    assert report.h_t == heterogeneity_index(expected, EQUAL_WEIGHTS).h_t
 
 
 def test_res_divergence_identical_resources():
@@ -203,43 +205,43 @@ def test_res_divergence_bounded_over_random_populations():
 
 
 def test_index_all_zero_and_all_one():
-    config = HeterogeneityConfig()
-    assert heterogeneity_index([(0, 0, 0)] * 3, config).h_t == 0.0
-    assert heterogeneity_index([(1, 1, 1)] * 3, config).h_t == pytest.approx(1.0)
+    weights = EQUAL_WEIGHTS
+    assert heterogeneity_index([(0, 0, 0)] * 3, weights).h_t == 0.0
+    assert heterogeneity_index([(1, 1, 1)] * 3, weights).h_t == pytest.approx(1.0)
 
 
 def test_index_hand_example():
-    config = HeterogeneityConfig()
-    report = heterogeneity_index([(0.2, 0.4, 0.6), (0.8, 0.6, 0.4)], config)
+    weights = EQUAL_WEIGHTS
+    report = heterogeneity_index([(0.2, 0.4, 0.6), (0.8, 0.6, 0.4)], weights)
     assert report.h_t == pytest.approx(0.5)
 
 
 def test_index_monotone_in_components():
-    config = HeterogeneityConfig(alpha=0.5, beta=0.3, gamma=0.2)
-    base = heterogeneity_index([(0.2, 0.3, 0.4), (0.1, 0.1, 0.1)], config).h_t
-    bumped = heterogeneity_index([(0.5, 0.3, 0.4), (0.1, 0.1, 0.1)], config).h_t
+    weights = (0.5, 0.3, 0.2)
+    base = heterogeneity_index([(0.2, 0.3, 0.4), (0.1, 0.1, 0.1)], weights).h_t
+    bumped = heterogeneity_index([(0.5, 0.3, 0.4), (0.1, 0.1, 0.1)], weights).h_t
     assert bumped >= base
 
 
 def test_index_permutation_invariant():
-    config = HeterogeneityConfig()
+    weights = EQUAL_WEIGHTS
     rows = [(0.2, 0.4, 0.6), (0.8, 0.6, 0.4), (0.1, 0.9, 0.5)]
-    assert heterogeneity_index(rows, config).h_t == pytest.approx(
-        heterogeneity_index(rows[::-1], config).h_t
+    assert heterogeneity_index(rows, weights).h_t == pytest.approx(
+        heterogeneity_index(rows[::-1], weights).h_t
     )
 
 
 def test_index_bounds_over_random_inputs():
     rng = stream(2, "index-sweep")
-    config = HeterogeneityConfig()
+    weights = EQUAL_WEIGHTS
     for _ in range(500):
         rows = rng.uniform(0, 1, (int(rng.integers(1, 8)), 3))
-        h = heterogeneity_index([tuple(r) for r in rows], config).h_t
+        h = heterogeneity_index([tuple(r) for r in rows], weights).h_t
         assert 0.0 <= h <= 1.0
 
 
 def test_index_rejects_empty_and_bad_weights():
     with pytest.raises(ValueError):
-        heterogeneity_index([], HeterogeneityConfig())
+        heterogeneity_index([], EQUAL_WEIGHTS)
     with pytest.raises(ValueError):
-        HeterogeneityConfig(alpha=0.5, beta=0.5, gamma=0.5)
+        ProtocolBlock(het_alpha=0.5, het_beta=0.5, het_gamma=0.5)

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
+from afflsim.config import ProtocolBlock
 from afflsim.federation import DatasetShard
 from afflsim.messenger import (
-    CapacityGrid,
     CurriculumSchedule,
     FusionConfig,
     _safe_log,
@@ -98,18 +98,26 @@ def test_schedule_validation():
 # -- capacity selection ------------------------------------------------------
 
 
-def grid_for(shard, hidden=(4, 8, 16), **kwargs):
+def grid_for(shard, hidden=(4, 8, 16), lambda2=0.1, **kwargs):
+    """(templates, protocol block, lambda2) for select_capacity.
+
+    The probe settings default to lambda1 0.1, 10 probe steps at lr 0.5 and
+    an adaptation interval of 5.
+    """
     templates = tuple(Arch(shard.features.shape[1], shard.num_classes, h) for h in hidden)
-    return CapacityGrid(templates=templates, **kwargs)
+    settings = {"lambda1": 0.1, "probe_steps": 10, "probe_lr": 0.5, "adapt_interval": 5, **kwargs}
+    return templates, ProtocolBlock(**settings), lambda2
 
 
 def test_tie_break_goes_to_smallest_index():
     shard = make_shard(tiers=0)
-    grid = grid_for(shard, lambda1=0.0, lambda2=0.0, probe_steps=0)
-    current = init_params(grid.templates[0], 0)
+    templates, protocol, lambda2 = grid_for(shard, lambda1=0.0, lambda2=0.0, probe_steps=0)
+    current = init_params(templates[0], 0)
     teacher = logits(current, shard.features)
     # zero probe steps + function-preserving resize: identical probe losses
-    decision = select_capacity(grid, 0.5, shard, teacher, 0.0, 0, None, current, seed=1)
+    decision = select_capacity(
+        templates, protocol, 0.5, shard, teacher, 0.0, 0, None, current, seed=1, lambda2=lambda2
+    )
     losses = [s[0] for s in decision.composite_scores]
     assert losses == pytest.approx([losses[0]] * len(losses), abs=1e-12)
     assert decision.chosen_index == 0
@@ -117,14 +125,16 @@ def test_tie_break_goes_to_smallest_index():
 
 def test_chosen_total_minimizes_recomputed_scores():
     shard = make_shard(tiers=0)
-    grid = grid_for(shard, lambda1=0.3, lambda2=0.7, probe_steps=5)
-    current = init_params(grid.templates[1], 3)
+    templates, protocol, lambda2 = grid_for(shard, lambda1=0.3, lambda2=0.7, probe_steps=5)
+    current = init_params(templates[1], 3)
     teacher = stream(4, "teacher").normal(0, 1, (shard.sample_count, shard.num_classes))
     spread = 0.4
-    decision = select_capacity(grid, 0.2, shard, teacher, spread, 0, None, current, seed=2)
-    max_pc = grid.templates[-1].param_count
+    decision = select_capacity(
+        templates, protocol, 0.2, shard, teacher, spread, 0, None, current, seed=2, lambda2=lambda2
+    )
+    max_pc = templates[-1].param_count
     totals = []
-    for template, (loss, comm, fpen, total) in zip(grid.templates, decision.composite_scores):
+    for template, (loss, comm, fpen, total) in zip(templates, decision.composite_scores):
         assert comm == pytest.approx(template.param_count / max_pc)
         assert fpen == pytest.approx(spread * (1 - template.param_count / max_pc))
         assert total == pytest.approx(loss + 0.3 * comm + 0.7 * fpen, abs=1e-12)
@@ -135,32 +145,42 @@ def test_chosen_total_minimizes_recomputed_scores():
 
 def test_selection_skipped_off_interval():
     shard = make_shard(tiers=0)
-    grid = grid_for(shard, adapt_interval=5)
-    current = init_params(grid.templates[0], 0)
+    templates, protocol, lambda2 = grid_for(shard, adapt_interval=5)
+    current = init_params(templates[0], 0)
     teacher = logits(current, shard.features)
-    prev = select_capacity(grid, 0.1, shard, teacher, 0.0, 0, None, current, seed=0)
-    again = select_capacity(grid, 0.9, shard, teacher, 0.5, 3, prev, current, seed=9)
+    prev = select_capacity(
+        templates, protocol, 0.1, shard, teacher, 0.0, 0, None, current, seed=0, lambda2=lambda2
+    )
+    again = select_capacity(
+        templates, protocol, 0.9, shard, teacher, 0.5, 3, prev, current, seed=9, lambda2=lambda2
+    )
     assert again is prev
 
 
 def test_selection_does_not_mutate_current():
     shard = make_shard(tiers=0)
-    grid = grid_for(shard, probe_steps=5)
-    for index in range(len(grid.templates)):  # includes the no-resize template
-        current = init_params(grid.templates[index], 6)
+    templates, protocol, lambda2 = grid_for(shard, probe_steps=5)
+    for index in range(len(templates)):  # includes the no-resize template
+        current = init_params(templates[index], 6)
         snapshot = current.theta.copy()
         teacher = stream(7, "teacher").normal(0, 1, (shard.sample_count, shard.num_classes))
-        select_capacity(grid, 0.3, shard, teacher, 0.1, 0, None, current, seed=5)
+        select_capacity(
+            templates, protocol, 0.3, shard, teacher, 0.1, 0, None, current, seed=5, lambda2=lambda2
+        )
         assert np.array_equal(current.theta, snapshot)
 
 
 def test_selection_deterministic():
     shard = make_shard(tiers=0)
-    grid = grid_for(shard)
-    current = init_params(grid.templates[0], 1)
+    templates, protocol, lambda2 = grid_for(shard)
+    current = init_params(templates[0], 1)
     teacher = stream(8, "teacher").normal(0, 1, (shard.sample_count, shard.num_classes))
-    d1 = select_capacity(grid, 0.3, shard, teacher, 0.1, 0, None, current, seed=5)
-    d2 = select_capacity(grid, 0.3, shard, teacher, 0.1, 0, None, current, seed=5)
+    d1 = select_capacity(
+        templates, protocol, 0.3, shard, teacher, 0.1, 0, None, current, seed=5, lambda2=lambda2
+    )
+    d2 = select_capacity(
+        templates, protocol, 0.3, shard, teacher, 0.1, 0, None, current, seed=5, lambda2=lambda2
+    )
     assert d1 == d2
 
 
@@ -174,10 +194,12 @@ def test_complex_task_selects_at_least_simple_capacity():
     def run(classes, teacher_fn):
         shard = DatasetShard(feats, np.zeros(120, dtype=int), classes)
         templates = (Arch(d, classes, 2), Arch(d, classes, 24))
-        grid = CapacityGrid(templates, lambda1=0.02, lambda2=0.0, probe_steps=40, probe_lr=0.8)
+        protocol = ProtocolBlock(lambda1=0.02, probe_steps=40, probe_lr=0.8, adapt_interval=5)
         current = init_params(templates[0], 0)
         teacher = teacher_fn(shard)
-        return select_capacity(grid, 0.2, shard, teacher, 0.0, 0, None, current, seed=3)
+        return select_capacity(
+            templates, protocol, 0.2, shard, teacher, 0.0, 0, None, current, seed=3, lambda2=0.0
+        )
 
     simple = run(2, lambda s: np.column_stack([s.features[:, 0], -s.features[:, 0]]))
 
@@ -465,10 +487,3 @@ def test_fusion_linear_in_each_input():
     shift = fuse_modalities({0: np.zeros_like(u), 1: v}, fusion)
     assert doubled - shift == pytest.approx(2 * (base - shift), abs=1e-10)
 
-
-def test_grid_validation():
-    with pytest.raises(ValueError):
-        CapacityGrid(templates=())
-    a = Arch(4, 3, 8)
-    with pytest.raises(ValueError):
-        CapacityGrid(templates=(a, a))

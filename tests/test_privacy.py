@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from afflsim.federation import DatasetShard, FederationConfig, gen_reference_shard
+from afflsim.config import FederationBlock
+from afflsim.federation import DatasetShard, gen_reference_shard
 from afflsim.models import Arch, init_params
 from afflsim.privacy import (
     PrivacyParams,
@@ -117,8 +118,8 @@ def test_delta_warning():
 
 
 def shards_same_distribution(seed, n=200):
-    config = FederationConfig(
-        counts={"rural": 1}, num_classes=3, feature_dim=8, concentration=1e6
+    config = FederationBlock(
+        academic=0, regional=0, rural=1, num_classes=3, feature_dim=8, concentration=1e6
     )
     a = gen_reference_shard(config, seed, n, "mia-a")
     b = gen_reference_shard(config, seed, n, "mia-b")

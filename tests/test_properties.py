@@ -1,4 +1,8 @@
-"""Invariants stated as property tests: Shapley efficiency, convex fair weights.
+"""Invariants stated as property tests.
+
+Shapley efficiency, convex fair weights, robust aggregates inside the
+coordinate-wise range of their inputs, and clipped updates inside the clip
+norm.
 
 Examples are derandomized and few, so the suite stays deterministic and
 fast.
@@ -11,7 +15,14 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from afflsim.fairness import fair_weights, shapley_estimate  # noqa: E402
+from afflsim.fairness import (  # noqa: E402
+    RobustAggConfig,
+    fair_weights,
+    robust_aggregate,
+    shapley_estimate,
+)
+from afflsim.models import Arch, ModelParams  # noqa: E402
+from afflsim.privacy import clip_update  # noqa: E402
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -60,3 +71,57 @@ def test_fair_weights_are_convex(phi_counts, eps_smooth, delta_size):
     assert w.shape == (len(phi),)
     assert np.all(w >= 0)
     assert abs(w.sum() - 1.0) <= 1e-9
+
+
+finite = st.floats(-1e6, 1e6, allow_nan=False)
+
+
+@st.composite
+def variant_stacks(draw):
+    """(variants sharing one logistic architecture, their thetas as rows)."""
+    arch = Arch(draw(st.integers(1, 3)), 2, 0)  # 4, 6 or 8 parameters
+    n = draw(st.integers(1, 9))
+    values = draw(st.lists(finite, min_size=n * arch.param_count, max_size=n * arch.param_count))
+    stacked = np.array(values).reshape(n, arch.param_count)
+    return [ModelParams(arch, row) for row in stacked], stacked
+
+
+def assert_between(agg, low, high):
+    tol = 1e-12 * np.maximum(1.0, np.maximum(np.abs(low), np.abs(high)))
+    assert np.all(agg >= low - tol)
+    assert np.all(agg <= high + tol)
+
+
+@PROPERTY
+@given(variant_stacks(), st.data())
+def test_trimmed_mean_stays_between_the_kept_order_statistics(variants_stacked, data):
+    variants, stacked = variants_stacked
+    n = len(variants)
+    f = data.draw(st.integers(0, (n - 1) // 2))
+    weights = data.draw(
+        st.none() | st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n).map(np.array)
+    )
+    agg = robust_aggregate(variants, RobustAggConfig("trimmed_mean", f), weights=weights).theta
+    ordered = np.sort(stacked, axis=0)
+    # inside the range of the values that survive trimming, so inside the
+    # coordinate-wise range of all inputs
+    assert_between(agg, ordered[f], ordered[n - 1 - f])
+
+
+@PROPERTY
+@given(variant_stacks())
+def test_coordinate_median_stays_between_the_middle_values(variants_stacked):
+    variants, stacked = variants_stacked
+    n = len(variants)
+    agg = robust_aggregate(variants, RobustAggConfig("coordinate_median")).theta
+    ordered = np.sort(stacked, axis=0)
+    assert_between(agg, ordered[(n - 1) // 2], ordered[n // 2])
+
+
+@PROPERTY
+@given(st.lists(finite, min_size=1, max_size=50).map(np.array), st.floats(1e-3, 1e3))
+def test_clipped_update_stays_within_the_clip_norm(delta, clip_norm):
+    clipped = clip_update(delta, clip_norm)
+    assert np.linalg.norm(clipped) <= clip_norm * (1 + 1e-12)
+    if np.linalg.norm(delta) <= clip_norm:
+        assert np.array_equal(clipped, delta)
