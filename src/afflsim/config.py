@@ -218,6 +218,8 @@ class AttackBlock:
             raise ConfigError(f"unknown attack kind {self.kind!r}")
         if not 0 <= self.attacker_fraction < 0.5:
             raise ConfigError("attacker_fraction must lie in [0, 0.5)")
+        if not math.isfinite(self.scale):
+            raise ConfigError(f"attack.scale must be finite, got {self.scale!r}")
 
 
 @dataclass(frozen=True)
@@ -231,6 +233,24 @@ class MetricsBlock:
     physician_acceptance: float = 0.75
     regulatory_compliance: float = 0.8
     convergence_burn_in: int = 3
+
+    def __post_init__(self):
+        for f in dataclasses.fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ConfigError(f"metrics.{f.name} must be finite")
+        for name in ("cei_alpha", "cei_beta", "put_lambda", "clinical_w1", "clinical_w2",
+                     "clinical_w3", "convergence_burn_in"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"metrics.{name} must be nonnegative")
+        w_sum = self.clinical_w1 + self.clinical_w2 + self.clinical_w3
+        if abs(w_sum - 1.0) > 1e-9:
+            raise ConfigError(
+                "metrics.clinical_w1 + metrics.clinical_w2 + metrics.clinical_w3 must sum "
+                f"to 1, got {w_sum}"
+            )
+        for name in ("physician_acceptance", "regulatory_compliance"):
+            if not 0 <= getattr(self, name) <= 1:
+                raise ConfigError(f"metrics.{name} must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -251,8 +271,9 @@ class RunConfig:
     def __post_init__(self):
         if self.max_rounds < 0:
             raise ConfigError("max_rounds must be nonnegative")
-        if self.target_accuracy is not None and not 0 < self.target_accuracy <= 1:
-            raise ConfigError("target_accuracy must lie in (0, 1]")
+        target = self.target_accuracy
+        if target is not None and not (type(target) in (int, float) and 0 < target <= 1):
+            raise ConfigError(f"target_accuracy must be null or lie in (0, 1], got {target!r}")
         for name in ("validation_samples", "probe_samples"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")

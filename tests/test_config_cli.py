@@ -6,6 +6,7 @@ import os
 import re
 import time
 
+import numpy as np
 import pytest
 
 from afflsim.cli import cmd_bench, cmd_compare, cmd_run, cmd_validate_config, main
@@ -211,6 +212,26 @@ def test_config_that_would_fail_in_run_experiment_is_rejected(preset, path, valu
         ("federation.modalities_by_class", {"rural": [3]}),
         ("federation.modalities_by_class", {"rural": [0, 0]}),
         ("federation.modalities_by_class", {"rural": [True]}),
+        # NaN with a large_norm attack raised FloatingPointError in distillation
+        ("attack.scale", float("nan")),
+        ("attack.scale", float("inf")),
+        # "x" was rejected without naming the field; bools and NaN are not numbers here
+        ("target_accuracy", "x"),
+        ("target_accuracy", True),
+        ("target_accuracy", float("nan")),
+        # the metrics block had no checks: cei_alpha=-5.0 ran
+        ("metrics.cei_alpha", -5.0),
+        ("metrics.cei_beta", -0.1),
+        ("metrics.put_lambda", -0.1),
+        ("metrics.clinical_w1", -0.1),
+        ("metrics.clinical_w2", 0.4),  # weights sum to 1.1
+        ("metrics.clinical_w3", 0.1),  # weights sum to 0.9
+        ("metrics.physician_acceptance", 1.5),
+        ("metrics.regulatory_compliance", -0.1),
+        ("metrics.convergence_burn_in", -1),
+        ("metrics.cei_beta", float("inf")),
+        ("metrics.put_lambda", float("nan")),
+        ("metrics.physician_acceptance", float("nan")),
     ],
 )
 def test_out_of_range_value_is_rejected_naming_its_path(path, value):
@@ -275,6 +296,31 @@ def test_values_at_the_range_limits_run(path, value):
     assert len(log.records) == 1
     if path == "energy_coefficient":
         assert log.records[0].energy_kwh == 0.0
+
+
+def test_huge_finite_attack_scale_runs_with_finite_logs():
+    d = preset_smoke(7)
+    d["attack"] = {"kind": "large_norm", "attacker_fraction": 0.25, "scale": 1e300}
+    d["max_rounds"] = 2
+    log = run_experiment(config_from_dict(d))
+    assert log.rounds_run == 2
+    assert all(
+        np.isfinite([r.global_val_loss, r.global_val_accuracy, r.fairness_gap]).all()
+        for r in log.records
+    )
+
+
+def test_metrics_block_at_its_limits_parses():
+    d = preset_smoke(7)
+    d["metrics"] = {
+        "cei_alpha": 0.0, "cei_beta": 0.0, "put_lambda": 0.0,
+        "clinical_w1": 1.0, "clinical_w2": 0.0, "clinical_w3": 0.0,
+        "physician_acceptance": 0.0, "regulatory_compliance": 1.0,
+        "convergence_burn_in": 0,
+    }
+    assert config_from_dict(d).metrics.clinical_w1 == 1.0
+    d["metrics"] = {"clinical_w1": 0.1, "clinical_w2": 0.2, "clinical_w3": 0.7}
+    config_from_dict(d)  # sums to 1 within rounding
 
 
 def test_heterogeneity_weights_on_one_component_run():

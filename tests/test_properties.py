@@ -2,7 +2,8 @@
 
 Shapley efficiency, convex fair weights, robust aggregates inside the
 coordinate-wise range of their inputs, and clipped updates inside the clip
-norm.
+norm. The fast reductions in models (einsum column sums, flat-index label
+gathers) equal the numpy expressions they replace bit for bit.
 
 Examples are derandomized and few, so the suite stays deterministic and
 fast.
@@ -21,7 +22,17 @@ from afflsim.fairness import (  # noqa: E402
     robust_aggregate,
     shapley_estimate,
 )
-from afflsim.models import Arch, ModelParams  # noqa: E402
+from afflsim.models import (  # noqa: E402
+    Arch,
+    ModelParams,
+    _column_sums,
+    _label_index,
+    _unpack,
+    ce_loss_and_grad,
+    forward,
+    score,
+    softmax,
+)
 from afflsim.privacy import clip_update  # noqa: E402
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -125,3 +136,129 @@ def test_clipped_update_stays_within_the_clip_norm(delta, clip_norm):
     assert np.linalg.norm(clipped) <= clip_norm * (1 + 1e-12)
     if np.linalg.norm(delta) <= clip_norm:
         assert np.array_equal(clipped, delta)
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def scaled_normals(rng, shape, low_exp=-8, high_exp=8):
+    """Normal draws, each scaled by its own power of ten in [low_exp, high_exp]."""
+    return rng.standard_normal(shape) * 10.0 ** rng.integers(low_exp, high_exp + 1, shape)
+
+
+# C order, F order, a contiguous row slice, a strided row slice and a
+# column slice; only the first and third take the einsum path at width >= 2
+LAYOUTS = ("C", "F", "row_slice", "row_step", "col_slice")
+
+
+def laid_out(a: np.ndarray, layout: str, rng) -> np.ndarray:
+    n, w = a.shape
+    if layout == "C":
+        return np.ascontiguousarray(a)
+    if layout == "F":
+        return np.asfortranarray(a)
+    if layout == "row_slice":
+        base = scaled_normals(rng, (n + 5, w))
+        base[2 : 2 + n] = a
+        return base[2 : 2 + n]
+    if layout == "row_step":
+        base = scaled_normals(rng, (2 * n, w))
+        base[::2] = a
+        return base[::2]
+    base = scaled_normals(rng, (n, w + 3))
+    base[:, 1 : 1 + w] = a
+    return base[:, 1 : 1 + w]
+
+
+@PROPERTY
+@given(
+    st.integers(1, 3000),
+    st.integers(1, 32),
+    st.sampled_from(LAYOUTS),
+    st.integers(-8, 8),
+    st.integers(0, 2**32 - 1),
+)
+def test_column_sums_equal_sum_over_rows_bit_for_bit(n, width, layout, exp, seed):
+    rng = np.random.default_rng(seed)
+    # one shared magnitude plus per-entry spread of up to 10^+-8 around it
+    a = laid_out(scaled_normals(rng, (n, width)) * 10.0**exp, layout, rng)
+    grad = np.full(width + 4, np.nan)
+    out = _column_sums(a, grad[2 : 2 + width])
+    assert np.shares_memory(out, grad)
+    assert same_bits(out, a.sum(axis=0))
+    assert np.isnan(grad[:2]).all() and np.isnan(grad[2 + width :]).all()
+
+
+def fancy_ce_loss_and_grad(params, features, labels):
+    """ce_loss_and_grad as written with fancy label indexing and sum(axis=0)."""
+    n = features.shape[0]
+    z, hidden = forward(params, features)
+    p = softmax(z)
+    idx = np.arange(n)
+    loss = float(-np.mean(np.log(np.maximum(p[idx, labels], 1e-300))))
+    delta = p
+    delta[idx, labels] -= 1.0
+    delta /= n
+    grad = np.empty(params.param_count)
+    if params.arch.hidden == 0:
+        gw, gb = _unpack(params.arch, grad)
+        gw[:] = features.T @ delta
+        gb[:] = delta.sum(axis=0)
+        return loss, grad
+    w2 = _unpack(params.arch, params.theta)[2]
+    gw1, gb1, gw2, gb2 = _unpack(params.arch, grad)
+    gw2[:] = hidden.T @ delta
+    gb2[:] = delta.sum(axis=0)
+    hid_delta = np.matmul(delta, w2.T, out=np.empty(hidden.shape))
+    hid_delta *= 1.0 - hidden * hidden
+    gw1[:] = features.T @ hid_delta
+    gb1[:] = hid_delta.sum(axis=0)
+    return loss, grad
+
+
+@st.composite
+def classification_problems(draw):
+    """(params, features, labels) with confident logits now and then."""
+    hidden = draw(st.sampled_from([0, 1, 3, 8, 24]))
+    arch = Arch(draw(st.integers(1, 6)), draw(st.integers(2, 5)), hidden)
+    n = draw(st.integers(1, 400))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # up to 10^3 so that some label probabilities underflow to the 1e-300 floor
+    theta = rng.standard_normal(arch.param_count) * 10.0 ** draw(st.integers(-2, 3))
+    features = rng.standard_normal((n, arch.in_dim))
+    labels = rng.integers(0, arch.num_classes, n)
+    return ModelParams(arch, theta), features, labels
+
+
+@PROPERTY
+@given(classification_problems(), st.booleans())
+def test_ce_loss_and_grad_equals_the_fancy_index_version(problem, with_ws):
+    params, features, labels = problem
+    loss, grad = ce_loss_and_grad(params, features, labels, {} if with_ws else None)
+    want_loss, want_grad = fancy_ce_loss_and_grad(params, features, labels)
+    assert same_bits(loss, want_loss)
+    assert same_bits(grad, want_grad)
+
+
+@PROPERTY
+@given(classification_problems(), st.sampled_from(["C", "F", "col_slice", "row_step"]))
+def test_flat_label_index_reads_and_writes_like_fancy_indexing(problem, layout):
+    params, features, labels = problem
+    z = forward(params, features)[0]
+    rng = np.random.default_rng(len(labels))
+    p = laid_out(softmax(z), layout, rng)
+    n = len(labels)
+    want = float(-np.mean(np.log(np.maximum(p[np.arange(n), labels], 1e-300))))
+    loss, acc = score(z, p, labels)
+    assert same_bits(loss, want)
+    assert acc == float(np.mean(np.argmax(z, axis=1) == labels))
+    # the update ce_loss_and_grad applies, on a p that need not be contiguous
+    expected = p.copy()
+    expected[np.arange(n), labels] -= 1.0
+    at_label = _label_index(p, labels)
+    picked = np.take(p, at_label)
+    picked -= 1.0
+    np.put(p, at_label, picked)
+    assert same_bits(p, expected)

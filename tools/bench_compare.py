@@ -3,7 +3,7 @@
 Usage (from the repository root):
     python3 tools/bench_compare.py --parent DIR --change DIR --out BENCH_x.json \
         --workload scale160:10 --workload default12:6 [--trace] [--first-seed 301] \
-        [--note TEXT]
+        [--probe default12:30:5] [--note TEXT]
 
 DIR is a checkout (``git clone`` or ``git archive``) holding ``perfbench/``
 and ``src/``; each side's ``perfbench/run.py`` runs that side's sources.
@@ -11,6 +11,14 @@ and ``src/``; each side's ``perfbench/run.py`` runs that side's sources.
 uses workload seed ``first-seed + k`` on both sides, and the side that
 runs first alternates from pair to pair. ``--trace`` adds one ``--trace 1``
 run per side and workload at ``first-seed``.
+
+``--probe NAME:ROUNDS:PAIRS`` times whole runs of a workload's preset at
+another round count, e.g. a 30-round ``preset_default`` as ``default12:30``.
+Each run is one ``tools/fault_probe.py`` child of this checkout pointed at
+the side's sources: one BLAS thread, pinned to one core. Pair k uses seed
+``first-seed + k`` and alternates the side that runs first; the file
+records each side's ``run_wall_s`` (``run_experiment`` alone),
+``wall_s`` (the whole process) and ``peak_rss_mb``.
 
 For each end-to-end metric the file records every run's value, each
 side's median and quartiles, how many pairs the change won (lower is
@@ -29,6 +37,8 @@ import time
 from pathlib import Path
 
 SIDES = ("parent", "change")
+FAULT_PROBE = Path(__file__).resolve().parent / "fault_probe.py"
+PROBED = ("run_wall_s", "wall_s", "peak_rss_mb")
 
 
 def run_bench(checkout: Path, workload: str, seed: int, trace: bool, seconds: float):
@@ -48,6 +58,31 @@ def run_bench(checkout: Path, workload: str, seed: int, trace: bool, seconds: fl
         "attempted": result["attempted"],
         "metrics": {k: v["value"] for k, v in result["metrics"].items()},
     }, env
+
+
+def run_probe(checkout: Path, workload: str, rounds: int, seed: int) -> dict:
+    """One fault_probe run of the workload at the given round count."""
+    cmd = [
+        sys.executable, str(FAULT_PROBE), "--checkout", str(checkout), "--workload", workload,
+        "--rounds", str(rounds), "--seed", str(seed), "--repeat", "1",
+    ]
+    proc = subprocess.run(cmd, capture_output=True, text=True, check=True)
+    result = json.loads(proc.stdout.splitlines()[0])
+    return {"seed": seed, "metrics": {k: result[k] for k in PROBED}}
+
+
+def run_pairs(label: str, count: int, first_seed: int, run_side, shown: str) -> list[dict]:
+    """Pair k runs run_side(side, first_seed + k) on both sides, alternating which goes first."""
+    pairs = []
+    for k in range(count):
+        seed = first_seed + k
+        order = SIDES if k % 2 == 0 else SIDES[::-1]
+        pair = {s: run_side(s, seed) for s in order}
+        pairs.append({"seed": seed, "first": order[0], **pair})
+        print(f"# {label} pair {k + 1}/{count} seed {seed}: " + ", ".join(
+            f"{s} {shown} {pair[s]['metrics'][shown]:.3f}" for s in SIDES
+        ), file=sys.stderr, flush=True)
+    return pairs
 
 
 def quartiles(values: list[float]) -> dict:
@@ -78,16 +113,20 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--parent", type=Path, required=True)
     parser.add_argument("--change", type=Path, required=True)
     parser.add_argument("--out", type=Path, required=True)
-    parser.add_argument("--workload", action="append", required=True, help="NAME:PAIRS")
+    parser.add_argument("--workload", action="append", default=[], help="NAME:PAIRS")
+    parser.add_argument("--probe", action="append", default=[], help="NAME:ROUNDS:PAIRS")
     parser.add_argument("--trace", action="store_true")
     parser.add_argument("--first-seed", type=int, default=301)
     parser.add_argument("--seconds", type=float, default=40.0)
     parser.add_argument("--note", default="", help="free text stored in the file")
     args = parser.parse_args(argv)
+    if not args.workload and not args.probe:
+        parser.error("give at least one --workload or --probe")
     dirs = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     out = {
         "note": args.note,
         "workload_pairs": args.workload,
+        "probe_pairs": args.probe,
         "first_seed": args.first_seed,
         "seconds": args.seconds,
         "workloads": {},
@@ -95,17 +134,12 @@ def main(argv: list[str] | None = None) -> int:
     started = time.time()
     for spec in args.workload:
         name, count = spec.split(":")
-        pairs = []
-        for k in range(int(count)):
-            seed = args.first_seed + k
-            order = SIDES if k % 2 == 0 else SIDES[::-1]
-            pair = {}
-            for s in order:
-                pair[s], out["env"] = run_bench(dirs[s], name, seed, False, args.seconds)
-            pairs.append({"seed": seed, "first": order[0], **pair})
-            print(f"# {name} pair {k + 1}/{count} seed {seed}: " + ", ".join(
-                f"{s} round_p50_s {pair[s]['metrics']['round_p50_s']:.3f}" for s in SIDES
-            ), file=sys.stderr, flush=True)
+
+        def bench_side(side: str, seed: int) -> dict:
+            result, out["env"] = run_bench(dirs[side], name, seed, False, args.seconds)
+            return result
+
+        pairs = run_pairs(name, int(count), args.first_seed, bench_side, "round_p50_s")
         entry = {"pairs": pairs, "end_to_end": summarize(pairs)}
         if args.trace:
             entry["traced"] = {
@@ -113,6 +147,15 @@ def main(argv: list[str] | None = None) -> int:
                 for s in SIDES
             }
         out["workloads"][name] = entry
+    for spec in args.probe:
+        name, rounds, count = spec.split(":")
+        pairs = run_pairs(
+            f"{name} x {rounds} rounds", int(count), args.first_seed,
+            lambda side, seed: run_probe(dirs[side], name, int(rounds), seed), "run_wall_s",
+        )
+        out.setdefault("probes", {})[f"{name}:{rounds}"] = {
+            "pairs": pairs, "end_to_end": summarize(pairs)
+        }
     out["wall_s"] = time.time() - started
     args.out.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")
     return 0

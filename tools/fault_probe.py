@@ -2,16 +2,16 @@
 
 Usage (from the repository root):
     python3 tools/fault_probe.py [--workload default12] [--seed 7] [--repeat 5] \
-        [--checkout DIR] [--cpu 0]
+        [--checkout DIR] [--cpu 0] [--rounds N]
 
 Each repeat starts a new Python process with every BLAS and OpenMP thread
 count set to 1 and ``AFFLSIM_THREADS`` removed (as perfbench does), pins it
 to core ``--cpu``, builds the workload's config from
-``perfbench/workloads.py`` and runs ``harness.run_experiment`` once. The
-process then reads ``getrusage(RUSAGE_SELF)`` and prints one JSON line:
-wall, user and sys seconds and minor faults of the whole process
-(interpreter start and imports included), the same for the run alone, and
-peak RSS. A last line gives the median of each figure over the repeats.
+``perfbench/workloads.py`` (``--rounds`` overrides its round count) and
+runs ``harness.run_experiment`` once. The process then reads
+``getrusage(RUSAGE_SELF)`` and prints one JSON line: wall, user and sys
+seconds and minor faults of the whole process (interpreter start and
+imports included), the same for the run alone, and peak RSS. A last line gives the median of each figure over the repeats.
 
 ``--checkout DIR`` measures the ``src/`` and ``perfbench/`` of another
 checkout, such as a ``git archive`` of the parent commit, with this script.
@@ -37,16 +37,16 @@ def _usage() -> dict:
     return {"user_s": ru.ru_utime, "sys_s": ru.ru_stime, "minflt": ru.ru_minflt}
 
 
-def child(checkout: Path, workload: str, seed: int) -> dict:
+def child(checkout: Path, workload: str, seed: int, rounds: int | None) -> dict:
     """Run one experiment in this process and measure it."""
     sys.path[:0] = [str(checkout / "src"), str(checkout / "perfbench")]
     from workloads import WORKLOADS
 
     from afflsim import config, harness
 
-    preset, args, rounds, _ = WORKLOADS[workload]
+    preset, args, workload_rounds, _ = WORKLOADS[workload]
     data = getattr(config, preset)(*args, seed)
-    data["max_rounds"] = rounds
+    data["max_rounds"] = workload_rounds if rounds is None else rounds
     data["target_accuracy"] = None
     cfg = config.config_from_dict(data)
     before, start = _usage(), time.perf_counter()
@@ -79,12 +79,13 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--repeat", type=int, default=5)
     parser.add_argument("--checkout", type=Path, default=ROOT)
     parser.add_argument("--cpu", type=int, default=0)
+    parser.add_argument("--rounds", type=int, help="override the workload's round count")
     parser.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     checkout = args.checkout.resolve()
     if args.child:
         os.sched_setaffinity(0, {args.cpu})
-        print(json.dumps(child(checkout, args.workload, args.seed)))
+        print(json.dumps(child(checkout, args.workload, args.seed, args.rounds)))
         return 0
     sys.path.insert(0, str(checkout / "perfbench"))
     from workloads import BLAS_THREAD_VARS
@@ -94,6 +95,8 @@ def main(argv: list[str] | None = None) -> int:
         "--workload", args.workload, "--seed", str(args.seed),
         "--checkout", str(checkout), "--cpu", str(args.cpu),
     ]
+    if args.rounds is not None:
+        cmd += ["--rounds", str(args.rounds)]
     runs = []
     for _ in range(args.repeat):
         start = time.perf_counter()
