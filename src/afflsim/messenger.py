@@ -11,6 +11,7 @@ multi-modal fusion.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -228,12 +229,10 @@ def _tier_sample_weights(shard: DatasetShard, pi: np.ndarray) -> np.ndarray:
         )
     tiers = shard.difficulty_tiers
     counts = np.bincount(tiers, minlength=len(pi)).astype(np.float64)
-    weights = np.zeros(shard.sample_count)
     occupied = counts > 0
     per_tier = np.zeros(len(pi))
     per_tier[occupied] = np.asarray(pi)[occupied] / counts[occupied]
-    weights = per_tier[tiers]
-    return weights
+    return per_tier[tiers]
 
 
 def inject_knowledge(
@@ -253,7 +252,9 @@ def inject_knowledge(
     live in ws. ws, if given, is the client-tower workspace the steps use;
     train_local on the same shard can share it.
     """
-    w = _tier_sample_weights(shard, pi)
+    # each row's weight repeated across its columns, so that each step's
+    # product is elementwise instead of a broadcast over a C-wide inner loop
+    w = np.repeat(_tier_sample_weights(shard, pi)[:, None], client.arch.num_classes, axis=1)
     if messenger_fwd is None:
         messenger_fwd = messenger_forward(messenger, shard)
     p_m = messenger_fwd.probs
@@ -263,7 +264,7 @@ def inject_knowledge(
         z, hidden = forward(current, shard.features, ws)
         delta = softmax(z, ws)
         delta -= p_m
-        delta *= w[:, None]
+        delta *= w
         grad = backprop(current, shard.features, delta, hidden, ws)
         grad *= lr
         current.theta -= grad
@@ -303,7 +304,9 @@ def distill_to_messenger(
             z, hidden, p_m = messenger_fwd
         else:
             z, hidden, p_m = messenger_forward(current, shard, ws)
-        if not np.all(np.isfinite(z)):
+        # max and min propagate NaN, so both are finite exactly when every
+        # logit is; initial=0.0 lets an empty shard pass, as before
+        if not (math.isfinite(z.max(initial=0.0)) and math.isfinite(z.min(initial=0.0))):
             raise FloatingPointError("non-finite distillation loss")
         # ((p_m - onehot) + lambda_kl * (p_m - p_c)) / n
         delta = np.subtract(p_m, onehot, out=_buffer(ws, "delta", onehot.shape))

@@ -30,10 +30,25 @@ Two shard-sized operations avoid numpy's slow paths on skinny arrays
   indices rows * C + label, through np.take and np.put, instead of by
   2-D fancy indexing p[np.arange(n), labels]. np.put writes through
   to p even if p is not contiguous.
+
+Narrow arrays (fewer than _COLUMN_MAX_CLASSES columns, such as the
+(870, 2) logits of a rural shard) get the same arithmetic in column-wise
+or hoisted form, because a numpy call that broadcasts a row vector or a
+column over them runs its inner loop over 2-7 elements and costs more
+than one pass per column. Adding the bias, subtracting the row max and
+dividing by the row sum go one column at a time; every element still
+sees the same single float operation on the same operands, so the bits
+are unchanged. A training step's flat label index is a per-shard
+constant: ce_loss_and_grad keeps it in the workspace, tied to the labels
+array and the shape it was built for, so a training call builds it once.
+Means over a shard are np.add.reduce(x) / n, which is what np.mean
+computes for a float64 vector, without its wrapper. BENCH_narrow.json
+has the interleaved pairs.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -167,17 +182,50 @@ def _label_index(p: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return np.arange(n) * c + labels
 
 
+def _kept_label_index(ws: Workspace | None, p: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """_label_index(p, labels), kept in ws while ws is used with this labels array.
+
+    The index is tied to the labels object and to the shape of p, so a
+    workspace reused on another shard or class count builds a new one.
+    labels must not change in place while ws holds its index.
+    """
+    if ws is None:
+        return _label_index(p, labels)
+    key = f"label_index {p.shape}"
+    if ws.get(key + " labels") is not labels:
+        ws[key] = _label_index(p, labels)
+        ws[key + " labels"] = labels
+    return ws[key]
+
+
+def _mean(a: np.ndarray) -> np.float64:
+    """np.mean of a float64 vector, bit for bit: the same sum and division."""
+    return np.add.reduce(a) / a.shape[0]
+
+
 # Below this many classes numpy's row sum adds left to right, which a
 # running column sum reproduces bit for bit; from 8 up it sums pairwise.
+# The same bound picks the column-wise form of row-vector and
+# column-vector broadcasts, which pays on arrays this narrow.
 _COLUMN_MAX_CLASSES = 8
+
+
+def _add_row(z: np.ndarray, b: np.ndarray) -> None:
+    """z += b for a 2-D z, column by column when z is narrow."""
+    if z.shape[1] < _COLUMN_MAX_CLASSES:
+        for j in range(z.shape[1]):
+            np.add(z[:, j], b[j], out=z[:, j])
+    else:
+        z += b
 
 
 def softmax(z: np.ndarray, ws: Workspace | None = None) -> np.ndarray:
     """Row-wise stable softmax (1-D input treated as a single row).
 
-    2-D inputs with few classes reduce column by column: a row-wise max
-    or sum over a short axis is several times slower than a few
-    elementwise passes over whole columns, and gives the same bits.
+    2-D inputs with few classes go column by column: a row-wise max or
+    sum over a short axis, or a column broadcast across it, is several
+    times slower than a few elementwise passes over whole columns, and
+    gives the same bits.
     """
     z = np.asarray(z, dtype=np.float64)
     out = _buffer(ws, "probs", z.shape)
@@ -186,12 +234,14 @@ def softmax(z: np.ndarray, ws: Workspace | None = None) -> np.ndarray:
         m = np.maximum(z[:, 0], z[:, 1], out=_buffer(ws, "row_max", z.shape[:1]))
         for j in range(2, cols):
             np.maximum(m, z[:, j], out=m)
-        np.subtract(z, m[:, None], out=out)
+        for j in range(cols):
+            np.subtract(z[:, j], m, out=out[:, j])
         np.exp(out, out=out)
         s = np.add(out[:, 0], out[:, 1], out=_buffer(ws, "row_sum", z.shape[:1]))
         for j in range(2, cols):
             s += out[:, j]
-        out /= s[:, None]
+        for j in range(cols):
+            np.divide(out[:, j], s, out=out[:, j])
         return out
     rows, rows_out = (z[None, :], out[None, :]) if z.ndim == 1 else (z, out)
     np.subtract(rows, rows.max(axis=1, keepdims=True), out=rows_out)
@@ -215,15 +265,15 @@ def forward(
     if arch.hidden == 0:
         w, b = _unpack(arch, params.theta)
         np.matmul(features, w, out=z)
-        z += b
+        _add_row(z, b)
         return z, None
     w1, b1, w2, b2 = _unpack(arch, params.theta)
     hidden = _buffer(ws, "hidden", (n, arch.hidden))
     np.matmul(features, w1, out=hidden)
-    hidden += b1
+    _add_row(hidden, b1)
     np.tanh(hidden, out=hidden)
     np.matmul(hidden, w2, out=z)
-    z += b2
+    _add_row(z, b2)
     return z, hidden
 
 
@@ -273,21 +323,21 @@ def backprop(
     grad = _buffer(ws, "grad", params.theta.shape)
     if params.arch.hidden == 0:
         gw, gb = _unpack(params.arch, grad)
-        gw[:] = features.T @ out_delta
+        np.matmul(features.T, out_delta, out=gw)
         _column_sums(out_delta, gb)
         return grad
     w1, b1, w2, b2 = _unpack(params.arch, params.theta)
     gw1, gb1, gw2, gb2 = _unpack(params.arch, grad)
     if hidden is None:
         hidden = np.tanh(features @ w1 + b1)
-    gw2[:] = hidden.T @ out_delta
+    np.matmul(hidden.T, out_delta, out=gw2)
     _column_sums(out_delta, gb2)
     hid_delta = np.matmul(out_delta, w2.T, out=_buffer(ws, "hid_delta", hidden.shape))
     # tanh' = 1 - hidden**2
     sq = np.multiply(hidden, hidden, out=_buffer(ws, "tanh_grad", hidden.shape))
     np.subtract(1.0, sq, out=sq)
     hid_delta *= sq
-    gw1[:] = features.T @ hid_delta
+    np.matmul(features.T, hid_delta, out=gw1)
     _column_sums(hid_delta, gb1)
     return grad
 
@@ -295,13 +345,17 @@ def backprop(
 def ce_loss_and_grad(
     params: ModelParams, features: np.ndarray, labels: np.ndarray, ws: Workspace | None = None
 ) -> tuple[float, np.ndarray]:
-    """Mean cross-entropy and its gradient w.r.t. theta."""
+    """Mean cross-entropy and its gradient w.r.t. theta.
+
+    With a workspace, labels must stay unchanged while ws is in use (the
+    flat label index is kept there).
+    """
     n = features.shape[0]
     z, hidden = forward(params, features, ws)
     p = softmax(z, ws)
-    at_label = _label_index(p, labels)
+    at_label = _kept_label_index(ws, p, labels)
     picked = np.take(p, at_label)
-    loss = float(-np.mean(np.log(np.maximum(picked, 1e-300))))
+    loss = float(-_mean(np.log(np.maximum(picked, 1e-300))))
     picked -= 1.0
     np.put(p, at_label, picked)
     delta = p
@@ -324,7 +378,7 @@ def train_local(
     ws = {} if ws is None else ws
     for _ in range(steps):
         loss, grad = ce_loss_and_grad(current, shard.features, shard.labels, ws)
-        if not np.isfinite(loss):
+        if not math.isfinite(loss):
             raise FloatingPointError(f"non-finite training loss {loss}")
         grad *= lr
         current.theta -= grad
@@ -347,7 +401,7 @@ def stacked_accuracy(
 def score(z: np.ndarray, p: np.ndarray, labels: np.ndarray) -> tuple[float, float]:
     """(mean cross-entropy, argmax accuracy) of logits z, given p = softmax(z)."""
     picked = np.take(p, _label_index(p, labels))
-    loss = float(-np.mean(np.log(np.maximum(picked, 1e-300))))
+    loss = float(-_mean(np.log(np.maximum(picked, 1e-300))))
     return loss, accuracy(z, labels)
 
 
@@ -372,7 +426,7 @@ def assign_difficulty_tiers(shard, warmup: ModelParams, num_tiers: int):
     if num_tiers > n:
         raise ValueError(f"num_tiers {num_tiers} exceeds sample count {n}")
     p = softmax(logits(warmup, shard.features))
-    conf = p[np.arange(n), shard.labels]
+    conf = np.take(p, _label_index(p, shard.labels))
     # stable sort on -conf keeps index order among ties
     order = np.argsort(-conf, kind="stable")
     tiers = np.empty(n, dtype=np.int64)

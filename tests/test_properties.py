@@ -3,7 +3,8 @@
 Shapley efficiency, convex fair weights, robust aggregates inside the
 coordinate-wise range of their inputs, and clipped updates inside the clip
 norm. The fast reductions in models (einsum column sums, flat-index label
-gathers) equal the numpy expressions they replace bit for bit.
+gathers) and the column-wise and hoisted forms of the training steps on
+narrow arrays equal the numpy expressions they replace bit for bit.
 
 Examples are derandomized and few, so the suite stays deterministic and
 fast.
@@ -22,7 +23,15 @@ from afflsim.fairness import (  # noqa: E402
     robust_aggregate,
     shapley_estimate,
 )
+from afflsim.federation import DatasetShard  # noqa: E402
+from afflsim.messenger import (  # noqa: E402
+    _tier_sample_weights,
+    distill_to_messenger,
+    inject_knowledge,
+    messenger_forward,
+)
 from afflsim.models import (  # noqa: E402
+    _COLUMN_MAX_CLASSES,
     Arch,
     ModelParams,
     _column_sums,
@@ -32,6 +41,7 @@ from afflsim.models import (  # noqa: E402
     forward,
     score,
     softmax,
+    train_local,
 )
 from afflsim.privacy import clip_update  # noqa: E402
 
@@ -191,22 +201,51 @@ def test_column_sums_equal_sum_over_rows_bit_for_bit(n, width, layout, exp, seed
     assert np.isnan(grad[:2]).all() and np.isnan(grad[2 + width :]).all()
 
 
-def fancy_ce_loss_and_grad(params, features, labels):
-    """ce_loss_and_grad as written with fancy label indexing and sum(axis=0)."""
-    n = features.shape[0]
-    z, hidden = forward(params, features)
-    p = softmax(z)
-    idx = np.arange(n)
-    loss = float(-np.mean(np.log(np.maximum(p[idx, labels], 1e-300))))
-    delta = p
-    delta[idx, labels] -= 1.0
-    delta /= n
+def broadcast_forward(params, features):
+    """forward as written with row-vector bias broadcasts (z += b)."""
+    arch = params.arch
+    if arch.hidden == 0:
+        w, b = _unpack(arch, params.theta)
+        z = np.matmul(features, w)
+        z += b
+        return z, None
+    w1, b1, w2, b2 = _unpack(arch, params.theta)
+    hidden = np.matmul(features, w1)
+    hidden += b1
+    np.tanh(hidden, out=hidden)
+    z = np.matmul(hidden, w2)
+    z += b2
+    return z, hidden
+
+
+def broadcast_softmax(z):
+    """softmax as written with the m[:, None] and s[:, None] broadcasts."""
+    cols = z.shape[1]
+    if cols >= _COLUMN_MAX_CLASSES:
+        out = z - z.max(axis=1, keepdims=True)
+        np.exp(out, out=out)
+        out /= out.sum(axis=1, keepdims=True)
+        return out
+    m = np.maximum(z[:, 0], z[:, 1])
+    for j in range(2, cols):
+        np.maximum(m, z[:, j], out=m)
+    out = z - m[:, None]
+    np.exp(out, out=out)
+    s = out[:, 0] + out[:, 1]
+    for j in range(2, cols):
+        s += out[:, j]
+    out /= s[:, None]
+    return out
+
+
+def broadcast_backprop(params, features, delta, hidden):
+    """backprop as written with copied matmul results and sum(axis=0)."""
     grad = np.empty(params.param_count)
     if params.arch.hidden == 0:
         gw, gb = _unpack(params.arch, grad)
         gw[:] = features.T @ delta
         gb[:] = delta.sum(axis=0)
-        return loss, grad
+        return grad
     w2 = _unpack(params.arch, params.theta)[2]
     gw1, gb1, gw2, gb2 = _unpack(params.arch, grad)
     gw2[:] = hidden.T @ delta
@@ -215,14 +254,28 @@ def fancy_ce_loss_and_grad(params, features, labels):
     hid_delta *= 1.0 - hidden * hidden
     gw1[:] = features.T @ hid_delta
     gb1[:] = hid_delta.sum(axis=0)
-    return loss, grad
+    return grad
+
+
+def fancy_ce_loss_and_grad(params, features, labels):
+    """ce_loss_and_grad as written with fancy label indexing, np.mean and broadcasts."""
+    n = features.shape[0]
+    z, hidden = broadcast_forward(params, features)
+    p = broadcast_softmax(z)
+    idx = np.arange(n)
+    loss = float(-np.mean(np.log(np.maximum(p[idx, labels], 1e-300))))
+    delta = p
+    delta[idx, labels] -= 1.0
+    delta /= n
+    return loss, broadcast_backprop(params, features, delta, hidden)
 
 
 @st.composite
 def classification_problems(draw):
     """(params, features, labels) with confident logits now and then."""
     hidden = draw(st.sampled_from([0, 1, 3, 8, 24]))
-    arch = Arch(draw(st.integers(1, 6)), draw(st.integers(2, 5)), hidden)
+    # 2-9 classes: both sides of _COLUMN_MAX_CLASSES
+    arch = Arch(draw(st.integers(1, 6)), draw(st.integers(2, 9)), hidden)
     n = draw(st.integers(1, 400))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     # up to 10^3 so that some label probabilities underflow to the 1e-300 floor
@@ -262,3 +315,168 @@ def test_flat_label_index_reads_and_writes_like_fancy_indexing(problem, layout):
     picked -= 1.0
     np.put(p, at_label, picked)
     assert same_bits(p, expected)
+
+
+# -- narrow arrays: column-wise and hoisted forms -----------------------------
+
+NARROW = settings(PROPERTY, max_examples=25)
+
+
+@NARROW
+@given(classification_problems(), st.sampled_from(LAYOUTS), st.booleans())
+def test_forward_equals_the_broadcast_version(problem, layout, with_ws):
+    params, features, _ = problem
+    rng = np.random.default_rng(features.shape[0])
+    features = laid_out(features, layout, rng)
+    z, hidden = forward(params, features, {} if with_ws else None)
+    want_z, want_hidden = broadcast_forward(params, features)
+    assert same_bits(z, want_z)
+    assert hidden is None if want_hidden is None else same_bits(hidden, want_hidden)
+
+
+@NARROW
+@given(
+    st.integers(1, 400),
+    st.integers(2, 9),
+    st.sampled_from(["C", "F", "row_step", "col_slice"]),
+    st.integers(0, 2**32 - 1),
+    st.booleans(),
+)
+def test_softmax_equals_the_broadcast_version(n, classes, layout, seed, with_ws):
+    rng = np.random.default_rng(seed)
+    z = laid_out(scaled_normals(rng, (n, classes), -2, 3), layout, rng)
+    snapshot = z.copy()
+    out = softmax(z, {} if with_ws else None)
+    assert same_bits(out, broadcast_softmax(z))
+    assert same_bits(z, snapshot)
+
+
+@NARROW
+@given(classification_problems(), st.integers(0, 2**32 - 1), st.booleans())
+def test_a_reused_workspace_never_keeps_a_stale_label_index(problem, seed, more_classes):
+    params, features, labels = problem
+    ws = {}
+    ce_loss_and_grad(params, features, labels, ws)
+    rng = np.random.default_rng(seed)
+    if more_classes:  # the same labels array under a model with one class more
+        arch = Arch(params.arch.in_dim, params.arch.num_classes + 1, params.arch.hidden)
+        params = ModelParams(arch, rng.standard_normal(arch.param_count))
+    else:  # a second shard of the same shape with its own labels array
+        features = rng.standard_normal(features.shape)
+        labels = rng.integers(0, params.arch.num_classes, len(labels))
+    loss, grad = ce_loss_and_grad(params, features, labels, ws)
+    want_loss, want_grad = fancy_ce_loss_and_grad(params, features, labels)
+    assert same_bits(loss, want_loss)
+    assert same_bits(grad, want_grad)
+    # train_local on the second shard, reusing the workspace once more
+    shard = DatasetShard(features, labels, params.arch.num_classes)
+    trained = train_local(params, shard, 2, 0.5, ws)
+    current = params.copy()
+    for _ in range(2):
+        current.theta -= fancy_ce_loss_and_grad(current, features, labels)[1] * 0.5
+    assert same_bits(trained.theta, current.theta)
+
+
+@st.composite
+def tiered_problems(draw):
+    """(client, messenger, shard with difficulty tiers, curriculum weights pi)."""
+    classes = draw(st.integers(2, 9))
+    d = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 300))
+    num_tiers = draw(st.integers(1, min(4, n)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # random tiers, so some of them may be empty
+    shard = DatasetShard(
+        rng.standard_normal((n, d)), rng.integers(0, classes, n), classes
+    ).with_tiers(rng.integers(0, num_tiers, n), num_tiers)
+    client, messenger = (
+        ModelParams(arch, rng.standard_normal(arch.param_count) * 10.0 ** draw(st.integers(-2, 2)))
+        for arch in (
+            Arch(d, classes, draw(st.sampled_from([0, 3, 8]))),
+            Arch(d, classes, draw(st.sampled_from([0, 2, 12]))),
+        )
+    )
+    return client, messenger, shard, rng.dirichlet(np.ones(num_tiers))
+
+
+def broadcast_inject_knowledge(client, messenger, shard, pi, steps, lr):
+    """inject_knowledge as written with delta *= w[:, None] at each step."""
+    w = _tier_sample_weights(shard, pi)
+    p_m = broadcast_softmax(broadcast_forward(messenger, shard.features)[0])
+    current = client.copy()
+    for _ in range(steps):
+        z, hidden = broadcast_forward(current, shard.features)
+        delta = broadcast_softmax(z)
+        delta -= p_m
+        delta *= w[:, None]
+        grad = broadcast_backprop(current, shard.features, delta, hidden)
+        grad *= lr
+        current.theta -= grad
+    return current
+
+
+def broadcast_distill_to_messenger(messenger, client, shard, lambda_kl, steps, lr):
+    """distill_to_messenger as written with np.isfinite over every logit."""
+    n = shard.sample_count
+    p_c = broadcast_softmax(broadcast_forward(client, shard.features)[0])
+    onehot = np.zeros((n, shard.num_classes))
+    onehot[np.arange(n), shard.labels] = 1.0
+    current = messenger.copy()
+    for _ in range(steps):
+        z, hidden = broadcast_forward(current, shard.features)
+        if not np.all(np.isfinite(z)):
+            raise FloatingPointError("non-finite distillation loss")
+        p_m = broadcast_softmax(z)
+        delta = p_m - onehot
+        kl_delta = p_m - p_c
+        kl_delta *= lambda_kl
+        delta += kl_delta
+        delta /= n
+        grad = broadcast_backprop(current, shard.features, delta, hidden)
+        grad *= lr
+        current.theta -= grad
+    return current
+
+
+@NARROW
+@given(tiered_problems(), st.integers(0, 3), st.booleans())
+def test_inject_knowledge_equals_the_broadcast_version(problem, steps, with_fwd):
+    client, messenger, shard, pi = problem
+    fwd = messenger_forward(messenger, shard) if with_fwd else None
+    out = inject_knowledge(client, messenger, shard, pi, steps, 0.3, fwd, {})
+    want = broadcast_inject_knowledge(client, messenger, shard, pi, steps, 0.3)
+    assert same_bits(out.theta, want.theta)
+
+
+@NARROW
+@given(tiered_problems(), st.integers(0, 3), st.floats(0.0, 2.0), st.booleans())
+def test_distill_to_messenger_equals_the_broadcast_version(problem, steps, lambda_kl, with_fwd):
+    client, messenger, shard, _ = problem
+    fwd = messenger_forward(messenger, shard) if with_fwd else None
+    out = distill_to_messenger(messenger, client, shard, lambda_kl, steps, 0.3, fwd, None, {})
+    want = broadcast_distill_to_messenger(messenger, client, shard, lambda_kl, steps, 0.3)
+    assert same_bits(out.theta, want.theta)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e308, -1e308])
+@NARROW
+@given(tiered_problems(), st.data())
+def test_distillation_rejects_non_finite_logits_as_before(value, problem, data):
+    client, messenger, shard, _ = problem
+    fwd = messenger_forward(messenger, shard)
+    n, c = fwd.logits.shape
+    fwd.logits[data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, c - 1))] = value
+    args = (messenger, client, shard, 0.5, 1, 0.3, fwd)
+    if np.all(np.isfinite(fwd.logits)):  # the check as it was written
+        distill_to_messenger(*args)
+    else:
+        with pytest.raises(FloatingPointError, match="non-finite distillation loss"):
+            distill_to_messenger(*args)
+
+
+def test_distillation_on_an_empty_shard_leaves_the_messenger_as_is():
+    shard = DatasetShard(np.empty((0, 3)), np.empty(0, dtype=np.int64), 2)
+    messenger = ModelParams(Arch(3, 2, 0), np.arange(8.0))
+    client = ModelParams(Arch(3, 2, 4), np.ones(Arch(3, 2, 4).param_count))
+    out = distill_to_messenger(messenger, client, shard, 0.5, 2, 0.1)
+    assert same_bits(out.theta, messenger.theta)

@@ -86,7 +86,11 @@ def run_pairs(label: str, count: int, first_seed: int, run_side, shown: str) -> 
 
 
 def quartiles(values: list[float]) -> dict:
-    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    """Median and quartiles; one value is its own median and both quartiles."""
+    if len(values) == 1:
+        q1 = q3 = values[0]
+    else:
+        q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": statistics.median(values), "q1": q1, "q3": q3}
 
 
