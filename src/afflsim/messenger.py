@@ -23,6 +23,7 @@ from .models import (
     ModelParams,
     Workspace,
     _buffer,
+    _per_row,
     _unpack,
     backprop,
     forward,
@@ -252,9 +253,7 @@ def inject_knowledge(
     live in ws. ws, if given, is the client-tower workspace the steps use;
     train_local on the same shard can share it.
     """
-    # each row's weight repeated across its columns, so that each step's
-    # product is elementwise instead of a broadcast over a C-wide inner loop
-    w = np.repeat(_tier_sample_weights(shard, pi)[:, None], client.arch.num_classes, axis=1)
+    w = _tier_sample_weights(shard, pi)
     if messenger_fwd is None:
         messenger_fwd = messenger_forward(messenger, shard)
     p_m = messenger_fwd.probs
@@ -264,7 +263,7 @@ def inject_knowledge(
         z, hidden = forward(current, shard.features, ws)
         delta = softmax(z, ws)
         delta -= p_m
-        delta *= w
+        _per_row(np.multiply, delta, w, delta)
         grad = backprop(current, shard.features, delta, hidden, ws)
         grad *= lr
         current.theta -= grad

@@ -31,17 +31,16 @@ Two shard-sized operations avoid numpy's slow paths on skinny arrays
   2-D fancy indexing p[np.arange(n), labels]. np.put writes through
   to p even if p is not contiguous.
 
-Narrow arrays (fewer than _COLUMN_MAX_CLASSES columns, such as the
-(870, 2) logits of a rural shard) get the same arithmetic in column-wise
-or hoisted form, because a numpy call that broadcasts a row vector or a
-column over them runs its inner loop over 2-7 elements and costs more
-than one pass per column. Adding the bias, subtracting the row max and
-dividing by the row sum go one column at a time; every element still
-sees the same single float operation on the same operands, so the bits
-are unchanged. A training step's flat label index is a per-shard
-constant: ce_loss_and_grad keeps it in the workspace, tied to the labels
-array and the shape it was built for, so a training call builds it once.
-Means over a shard are np.add.reduce(x) / n, which is what np.mean
+A numpy call that broadcasts a row vector (a bias) or a per-row column
+(a row max, row sum or sample weight) over an (n, C) array runs its
+inner loop over the C columns of each row. On narrow, tall arrays, such
+as the (870, 2) logits of a rural shard, one call per column is faster.
+_COLUMN_MIN_ROWS holds the measured crossover: the widths 2, 3 and 4
+and the row count from which the column form wins; every other shape
+broadcasts. Either form applies the same single float operation to the
+same operands, so the bits do not depend on which one runs. train_local
+builds the flat label index once per call rather than once per step,
+and means over a shard are np.add.reduce(x) / n, which is what np.mean
 computes for a float64 vector, without its wrapper. BENCH_narrow.json
 has the interleaved pairs.
 """
@@ -176,26 +175,9 @@ def _column_sums(a: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _label_index(p: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Flat C-order indices of p[i, labels[i]] for every row i of p."""
-    n, c = p.shape
-    return np.arange(n) * c + labels
-
-
-def _kept_label_index(ws: Workspace | None, p: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """_label_index(p, labels), kept in ws while ws is used with this labels array.
-
-    The index is tied to the labels object and to the shape of p, so a
-    workspace reused on another shard or class count builds a new one.
-    labels must not change in place while ws holds its index.
-    """
-    if ws is None:
-        return _label_index(p, labels)
-    key = f"label_index {p.shape}"
-    if ws.get(key + " labels") is not labels:
-        ws[key] = _label_index(p, labels)
-        ws[key + " labels"] = labels
-    return ws[key]
+def _label_index(labels: np.ndarray, classes: int) -> np.ndarray:
+    """Flat C-order indices of p[i, labels[i]] in an (len(labels), classes) array p."""
+    return np.arange(labels.shape[0]) * classes + labels
 
 
 def _mean(a: np.ndarray) -> np.float64:
@@ -205,27 +187,45 @@ def _mean(a: np.ndarray) -> np.float64:
 
 # Below this many classes numpy's row sum adds left to right, which a
 # running column sum reproduces bit for bit; from 8 up it sums pairwise.
-# The same bound picks the column-wise form of row-vector and
-# column-vector broadcasts, which pays on arrays this narrow.
 _COLUMN_MAX_CLASSES = 8
 
+# Width -> row count from which a broadcast over an (n, width) array is
+# slower than one numpy call per column (timed on one core for widths
+# 2-8 and 200-12000 rows; README "Performance" has the table). Wider
+# arrays were not faster by column below 6000 rows.
+_COLUMN_MIN_ROWS = {2: 500, 3: 1500, 4: 3000}
 
-def _add_row(z: np.ndarray, b: np.ndarray) -> None:
-    """z += b for a 2-D z, column by column when z is narrow."""
-    if z.shape[1] < _COLUMN_MAX_CLASSES:
+
+def _by_columns(a: np.ndarray) -> bool:
+    """Whether a broadcast over the 2-D array a goes one column at a time."""
+    n, c = a.shape
+    return c in _COLUMN_MIN_ROWS and n >= _COLUMN_MIN_ROWS[c]
+
+
+def _add_bias(z: np.ndarray, b: np.ndarray) -> None:
+    """z += b for a 2-D z and one b per column."""
+    if _by_columns(z):
         for j in range(z.shape[1]):
             np.add(z[:, j], b[j], out=z[:, j])
     else:
         z += b
 
 
+def _per_row(op: np.ufunc, a: np.ndarray, v: np.ndarray, out: np.ndarray) -> None:
+    """out = op(a, v[:, None]) for a 2-D a and one v per row."""
+    if _by_columns(a):
+        for j in range(a.shape[1]):
+            op(a[:, j], v, out=out[:, j])
+    else:
+        op(a, v[:, None], out=out)
+
+
 def softmax(z: np.ndarray, ws: Workspace | None = None) -> np.ndarray:
     """Row-wise stable softmax (1-D input treated as a single row).
 
-    2-D inputs with few classes go column by column: a row-wise max or
-    sum over a short axis, or a column broadcast across it, is several
-    times slower than a few elementwise passes over whole columns, and
-    gives the same bits.
+    2-D inputs with few classes reduce column by column: a row-wise max
+    or sum over a short axis is several times slower than a few
+    elementwise passes over whole columns, and gives the same bits.
     """
     z = np.asarray(z, dtype=np.float64)
     out = _buffer(ws, "probs", z.shape)
@@ -234,14 +234,12 @@ def softmax(z: np.ndarray, ws: Workspace | None = None) -> np.ndarray:
         m = np.maximum(z[:, 0], z[:, 1], out=_buffer(ws, "row_max", z.shape[:1]))
         for j in range(2, cols):
             np.maximum(m, z[:, j], out=m)
-        for j in range(cols):
-            np.subtract(z[:, j], m, out=out[:, j])
+        _per_row(np.subtract, z, m, out)
         np.exp(out, out=out)
         s = np.add(out[:, 0], out[:, 1], out=_buffer(ws, "row_sum", z.shape[:1]))
         for j in range(2, cols):
             s += out[:, j]
-        for j in range(cols):
-            np.divide(out[:, j], s, out=out[:, j])
+        _per_row(np.divide, out, s, out)
         return out
     rows, rows_out = (z[None, :], out[None, :]) if z.ndim == 1 else (z, out)
     np.subtract(rows, rows.max(axis=1, keepdims=True), out=rows_out)
@@ -265,15 +263,15 @@ def forward(
     if arch.hidden == 0:
         w, b = _unpack(arch, params.theta)
         np.matmul(features, w, out=z)
-        _add_row(z, b)
+        _add_bias(z, b)
         return z, None
     w1, b1, w2, b2 = _unpack(arch, params.theta)
     hidden = _buffer(ws, "hidden", (n, arch.hidden))
     np.matmul(features, w1, out=hidden)
-    _add_row(hidden, b1)
+    _add_bias(hidden, b1)
     np.tanh(hidden, out=hidden)
     np.matmul(hidden, w2, out=z)
-    _add_row(z, b2)
+    _add_bias(z, b2)
     return z, hidden
 
 
@@ -345,15 +343,17 @@ def backprop(
 def ce_loss_and_grad(
     params: ModelParams, features: np.ndarray, labels: np.ndarray, ws: Workspace | None = None
 ) -> tuple[float, np.ndarray]:
-    """Mean cross-entropy and its gradient w.r.t. theta.
+    """Mean cross-entropy and its gradient w.r.t. theta."""
+    return _ce_step(params, features, _label_index(labels, params.arch.num_classes), ws)
 
-    With a workspace, labels must stay unchanged while ws is in use (the
-    flat label index is kept there).
-    """
+
+def _ce_step(
+    params: ModelParams, features: np.ndarray, at_label: np.ndarray, ws: Workspace | None
+) -> tuple[float, np.ndarray]:
+    """ce_loss_and_grad given the labels' flat index, _label_index(labels, C)."""
     n = features.shape[0]
     z, hidden = forward(params, features, ws)
     p = softmax(z, ws)
-    at_label = _kept_label_index(ws, p, labels)
     picked = np.take(p, at_label)
     loss = float(-_mean(np.log(np.maximum(picked, 1e-300))))
     picked -= 1.0
@@ -376,8 +376,9 @@ def train_local(
         raise ValueError("lr must be positive")
     current = params.copy()
     ws = {} if ws is None else ws
+    at_label = _label_index(shard.labels, current.arch.num_classes)
     for _ in range(steps):
-        loss, grad = ce_loss_and_grad(current, shard.features, shard.labels, ws)
+        loss, grad = _ce_step(current, shard.features, at_label, ws)
         if not math.isfinite(loss):
             raise FloatingPointError(f"non-finite training loss {loss}")
         grad *= lr
@@ -400,7 +401,7 @@ def stacked_accuracy(
 
 def score(z: np.ndarray, p: np.ndarray, labels: np.ndarray) -> tuple[float, float]:
     """(mean cross-entropy, argmax accuracy) of logits z, given p = softmax(z)."""
-    picked = np.take(p, _label_index(p, labels))
+    picked = np.take(p, _label_index(labels, p.shape[1]))
     loss = float(-_mean(np.log(np.maximum(picked, 1e-300))))
     return loss, accuracy(z, labels)
 
@@ -426,7 +427,7 @@ def assign_difficulty_tiers(shard, warmup: ModelParams, num_tiers: int):
     if num_tiers > n:
         raise ValueError(f"num_tiers {num_tiers} exceeds sample count {n}")
     p = softmax(logits(warmup, shard.features))
-    conf = np.take(p, _label_index(p, shard.labels))
+    conf = np.take(p, _label_index(shard.labels, p.shape[1]))
     # stable sort on -conf keeps index order among ties
     order = np.argsort(-conf, kind="stable")
     tiers = np.empty(n, dtype=np.int64)

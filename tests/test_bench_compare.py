@@ -37,7 +37,12 @@ def test_summarize_one_pair():
     assert run_s["pairs"] == 1
     assert run_s["change_wins"] == 1
     assert run_s["median_change_frac"] == pytest.approx(-0.25)
-    # the parent's interquartile range of one run is 0, so any gap exceeds it
+    # one run has no interquartile range, so the gap is not judged
+    assert run_s["median_gap_exceeds_parent_iqr"] is None
+
+
+def test_summarize_judges_the_gap_from_two_pairs():
+    run_s = bench_compare.summarize([pair(1, 2.0, 1.5), pair(2, 2.1, 1.6)])["run_s"]
     assert run_s["median_gap_exceeds_parent_iqr"] is True
 
 

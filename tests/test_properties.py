@@ -32,10 +32,13 @@ from afflsim.messenger import (  # noqa: E402
 )
 from afflsim.models import (  # noqa: E402
     _COLUMN_MAX_CLASSES,
+    _COLUMN_MIN_ROWS,
     Arch,
     ModelParams,
+    _add_bias,
     _column_sums,
     _label_index,
+    _per_row,
     _unpack,
     ce_loss_and_grad,
     forward,
@@ -270,13 +273,20 @@ def fancy_ce_loss_and_grad(params, features, labels):
     return loss, broadcast_backprop(params, features, delta, hidden)
 
 
+# row counts on both sides of each _COLUMN_MIN_ROWS bound, and below them all
+ROWS = st.one_of(
+    st.integers(1, 400),
+    st.sampled_from(sorted({n + d for n in _COLUMN_MIN_ROWS.values() for d in (-1, 0, 1)})),
+)
+
+
 @st.composite
 def classification_problems(draw):
     """(params, features, labels) with confident logits now and then."""
     hidden = draw(st.sampled_from([0, 1, 3, 8, 24]))
     # 2-9 classes: both sides of _COLUMN_MAX_CLASSES
     arch = Arch(draw(st.integers(1, 6)), draw(st.integers(2, 9)), hidden)
-    n = draw(st.integers(1, 400))
+    n = draw(ROWS)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     # up to 10^3 so that some label probabilities underflow to the 1e-300 floor
     theta = rng.standard_normal(arch.param_count) * 10.0 ** draw(st.integers(-2, 3))
@@ -310,7 +320,7 @@ def test_flat_label_index_reads_and_writes_like_fancy_indexing(problem, layout):
     # the update ce_loss_and_grad applies, on a p that need not be contiguous
     expected = p.copy()
     expected[np.arange(n), labels] -= 1.0
-    at_label = _label_index(p, labels)
+    at_label = _label_index(labels, p.shape[1])
     picked = np.take(p, at_label)
     picked -= 1.0
     np.put(p, at_label, picked)
@@ -320,6 +330,22 @@ def test_flat_label_index_reads_and_writes_like_fancy_indexing(problem, layout):
 # -- narrow arrays: column-wise and hoisted forms -----------------------------
 
 NARROW = settings(PROPERTY, max_examples=25)
+
+
+@pytest.mark.parametrize("width", range(1, 10))
+@pytest.mark.parametrize("rows", [1, 499, 500, 1499, 1500, 2999, 3000])
+@pytest.mark.parametrize("layout", ["C", "col_slice"])
+def test_bias_and_per_row_broadcasts_equal_numpys(width, rows, layout):
+    rng = np.random.default_rng(rows * 10 + width)
+    a = laid_out(scaled_normals(rng, (rows, width), -2, 3), layout, rng)
+    b, v = rng.standard_normal(width), rng.random(rows) + 0.5
+    for op in (np.subtract, np.multiply, np.divide):
+        out = np.empty((rows, width))
+        _per_row(op, a, v, out)
+        assert same_bits(out, op(a, v[:, None]))
+    want = a + b
+    _add_bias(a, b)
+    assert same_bits(a, want)
 
 
 @NARROW
@@ -336,7 +362,7 @@ def test_forward_equals_the_broadcast_version(problem, layout, with_ws):
 
 @NARROW
 @given(
-    st.integers(1, 400),
+    ROWS,
     st.integers(2, 9),
     st.sampled_from(["C", "F", "row_step", "col_slice"]),
     st.integers(0, 2**32 - 1),
@@ -352,27 +378,13 @@ def test_softmax_equals_the_broadcast_version(n, classes, layout, seed, with_ws)
 
 
 @NARROW
-@given(classification_problems(), st.integers(0, 2**32 - 1), st.booleans())
-def test_a_reused_workspace_never_keeps_a_stale_label_index(problem, seed, more_classes):
+@given(classification_problems(), st.integers(0, 3), st.booleans())
+def test_train_local_equals_steps_of_the_fancy_index_version(problem, steps, with_ws):
     params, features, labels = problem
-    ws = {}
-    ce_loss_and_grad(params, features, labels, ws)
-    rng = np.random.default_rng(seed)
-    if more_classes:  # the same labels array under a model with one class more
-        arch = Arch(params.arch.in_dim, params.arch.num_classes + 1, params.arch.hidden)
-        params = ModelParams(arch, rng.standard_normal(arch.param_count))
-    else:  # a second shard of the same shape with its own labels array
-        features = rng.standard_normal(features.shape)
-        labels = rng.integers(0, params.arch.num_classes, len(labels))
-    loss, grad = ce_loss_and_grad(params, features, labels, ws)
-    want_loss, want_grad = fancy_ce_loss_and_grad(params, features, labels)
-    assert same_bits(loss, want_loss)
-    assert same_bits(grad, want_grad)
-    # train_local on the second shard, reusing the workspace once more
     shard = DatasetShard(features, labels, params.arch.num_classes)
-    trained = train_local(params, shard, 2, 0.5, ws)
+    trained = train_local(params, shard, steps, 0.5, {} if with_ws else None)
     current = params.copy()
-    for _ in range(2):
+    for _ in range(steps):
         current.theta -= fancy_ce_loss_and_grad(current, features, labels)[1] * 0.5
     assert same_bits(trained.theta, current.theta)
 
@@ -382,7 +394,7 @@ def tiered_problems(draw):
     """(client, messenger, shard with difficulty tiers, curriculum weights pi)."""
     classes = draw(st.integers(2, 9))
     d = draw(st.integers(1, 6))
-    n = draw(st.integers(1, 300))
+    n = draw(ROWS)
     num_tiers = draw(st.integers(1, min(4, n)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     # random tiers, so some of them may be empty

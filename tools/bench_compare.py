@@ -105,7 +105,8 @@ def summarize(pairs: list[dict]) -> dict:
             "change_wins": sum(c < p for p, c in zip(vals["parent"], vals["change"])),
             "pairs": len(pairs),
             "median_change_frac": stats["change"]["median"] / stats["parent"]["median"] - 1.0,
-            "median_gap_exceeds_parent_iqr": abs(
+            # one parent run has no spread to compare the gap with
+            "median_gap_exceeds_parent_iqr": None if len(pairs) < 2 else abs(
                 stats["change"]["median"] - stats["parent"]["median"]
             ) > iqr,
         }
