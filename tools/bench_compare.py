@@ -23,7 +23,8 @@ records each side's ``run_wall_s`` (``run_experiment`` alone),
 For each end-to-end metric the file records every run's value, each
 side's median and quartiles, how many pairs the change won (lower is
 better for every end-to-end metric; ties count for neither side), and
-whether the medians differ by more than the parent's interquartile range.
+whether the medians differ by more than the parent's interquartile range
+(null for a single pair).
 """
 
 from __future__ import annotations
