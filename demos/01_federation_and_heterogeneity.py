@@ -9,12 +9,7 @@ import numpy as np
 
 from afflsim.config import FederationBlock
 from afflsim.federation import gen_federation, pooled_label_distribution
-from afflsim.heterogeneity import (
-    arch_divergence,
-    heterogeneity_index,
-    res_divergence,
-    stat_divergence,
-)
+from afflsim.heterogeneity import assess_cohort
 
 EQUAL_WEIGHTS = (1 / 3, 1 / 3, 1 / 3)  # het_alpha, het_beta, het_gamma
 
@@ -41,17 +36,12 @@ pooled = pooled_label_distribution(shards)
 print(f"\npooled label distribution: {np.round(pooled, 3)}")
 
 print("\n=== Divergence components per client ===")
-components = []
-for profile, shard in zip(profiles, shards):
-    d_stat = stat_divergence(shard, pooled)
-    d_arch = arch_divergence(profile, profiles)
-    d_res = res_divergence(profile, profiles)
-    components.append((d_stat, d_arch, d_res))
+report = assess_cohort(shards, profiles, pooled, EQUAL_WEIGHTS)
+for profile, (d_stat, d_arch, d_res) in zip(profiles, report.per_client):
     print(
         f"client {profile.id:2d}: D_stat={d_stat:.3f} D_arch={d_arch:.3f} D_res={d_res:.3f}"
     )
 
-report = heterogeneity_index(components, EQUAL_WEIGHTS)
 print(f"\nnetwork heterogeneity index H = {report.h_t:.4f} (equal component weights)")
 
 # the index responds to skew: regenerate with near-uniform labels
@@ -65,9 +55,5 @@ uniform_cfg = FederationBlock(
 )
 u_profiles, u_shards = gen_federation(uniform_cfg, seed=7)
 u_pooled = pooled_label_distribution(u_shards)
-u_components = [
-    (stat_divergence(s, u_pooled), arch_divergence(p, u_profiles), res_divergence(p, u_profiles))
-    for p, s in zip(u_profiles, u_shards)
-]
-u_report = heterogeneity_index(u_components, EQUAL_WEIGHTS)
+u_report = assess_cohort(u_shards, u_profiles, u_pooled, EQUAL_WEIGHTS)
 print(f"same federation with near-IID labels: H = {u_report.h_t:.4f} (lower, as expected)")

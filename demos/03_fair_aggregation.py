@@ -50,17 +50,17 @@ ids = list(range(6))
 phi_exact = shapley_estimate(ids, value_fn, mode="exact")
 phi_mc = shapley_estimate(ids, value_fn, mode="monte_carlo", num_perms=2000, seed=1)
 counts = np.array([pr.sample_count for pr in state.profiles])
-fw = fair_weights(phi_exact, counts, eps_smooth=0.01, delta_size=0.2)
+fair_w = fair_weights(phi_exact, counts, eps_smooth=0.01, delta_size=0.2)
 size_w = counts / counts.sum()
 
 print("=== Client valuation, exact vs Monte Carlo (2000 permutations) ===")
 print(f"v(empty)={v_empty:.3f}  v(grand)={value(tuple(ids)):.3f}")
 for i in ids:
     print(f"client {i} (n={counts[i]:5d}): phi_exact={phi_exact[i]:+.4f} "
-          f"phi_mc={phi_mc[i]:+.4f} fair_w={fw.w[i]:.3f} size_w={size_w[i]:.3f}")
+          f"phi_mc={phi_mc[i]:+.4f} fair_w={fair_w[i]:.3f} size_w={size_w[i]:.3f}")
 print(f"efficiency check: sum(phi) - (v_grand - v_empty) = "
       f"{phi_exact.sum() - (value(tuple(ids)) - v_empty):+.2e}")
 
 print("\n=== Weight inequality ===")
 print(f"gini(size weights) = {gini(size_w):.3f}")
-print(f"gini(fair weights) = {gini(fw.w):.3f}  (log-size debias evens things out)")
+print(f"gini(fair weights) = {gini(fair_w):.3f}  (log-size debias evens things out)")

@@ -8,7 +8,7 @@ what trimmed-mean consensus does to sign-flipped updates.
 
 import numpy as np
 
-from afflsim.fairness import RobustAggConfig, robust_aggregate
+from afflsim.fairness import robust_aggregate
 from afflsim.models import Arch, ModelParams
 from afflsim.privacy import (
     PrivacyParams,
@@ -48,7 +48,7 @@ honest_delta = stream(2, "honest").normal(0.2, 0.05, arch.param_count)
 variants = [ModelParams(arch, base + honest_delta) for _ in range(8)]
 variants += [ModelParams(arch, base - 3 * honest_delta) for _ in range(3)]  # attackers
 plain = np.mean([v.theta for v in variants], axis=0)
-trimmed = robust_aggregate(variants, RobustAggConfig("trimmed_mean", f=3))
+trimmed = robust_aggregate(variants, "trimmed_mean", 3)
 print(f"honest delta direction (first 3 coords): {np.round(honest_delta[:3], 3)}")
 print(f"plain mean           : {np.round(plain[:3], 3)}  (dragged off course)")
 print(f"trimmed mean (f=3)   : {np.round(trimmed.theta[:3], 3)}  (attackers excised)")

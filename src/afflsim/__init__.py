@@ -16,8 +16,6 @@ from .config import (
     load_config,
 )
 from .fairness import (
-    FairWeights,
-    RobustAggConfig,
     aggregate_messengers,
     fair_weights,
     fairness_gap,
@@ -45,9 +43,7 @@ from .harness import (
 )
 from .heterogeneity import (
     HeterogeneityReport,
-    arch_divergence,
     heterogeneity_index,
-    res_divergence,
     stat_divergence,
 )
 from .messenger import (

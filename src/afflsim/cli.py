@@ -21,8 +21,12 @@ Output schemas (schema_version 1):
                 kwh_per_round, bytes_per_round, fairness_gap
 
 Environment: AFFLSIM_OUTPUT_DIR overrides the output directory,
-AFFLSIM_THREADS the worker thread count (results are identical at any
-value; only wall time changes).
+AFFLSIM_THREADS the worker thread count. At a fixed numpy/BLAS build and
+BLAS thread count, results are identical bit for bit at any
+AFFLSIM_THREADS value; only wall time changes. The BLAS thread count can
+move the last bits of large matrix products, and so the logs: perfbench
+and tools/fault_probe.py pin one BLAS thread, while `afflsim run` and the
+test suite leave the BLAS thread variables as they find them.
 """
 
 from __future__ import annotations
@@ -57,8 +61,6 @@ COMPARE_FIELDS = [
     "bytes_per_round",
     "fairness_gap",
 ]
-
-SUITES = ("convergence", "fairness", "privacy", "multimodal", "scale", "robustness")
 
 
 def _outdir(cfg_dir: str, override: str | None) -> str:
@@ -333,7 +335,7 @@ _SUITE_FNS = {
 
 def cmd_bench(suite: str, output_dir: str | None = None, seed: int = 7) -> int:
     if suite not in _SUITE_FNS:
-        print(f"unknown suite {suite!r}; pick one of {', '.join(SUITES)}", file=sys.stderr)
+        print(f"unknown suite {suite!r}; pick one of {', '.join(_SUITE_FNS)}", file=sys.stderr)
         return 2
     outdir = _outdir(os.path.join("bench", suite), output_dir)
     os.makedirs(outdir, exist_ok=True)

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -19,34 +18,6 @@ from .rng import stream
 
 # Largest cohort exact Shapley enumerates (2^n coalitions).
 EXACT_MAX_CLIENTS = 10
-
-
-@dataclass(frozen=True)
-class FairWeights:
-    """Shapley estimates and the normalized aggregation weights they induce."""
-
-    phi: np.ndarray
-    w: np.ndarray
-    eps_smooth: float
-    delta_size: float
-
-    def __post_init__(self):
-        if np.any(self.w < 0):
-            raise ValueError("weights must be nonnegative")
-        if abs(self.w.sum() - 1.0) > 1e-9:
-            raise ValueError("weights must sum to 1")
-
-
-@dataclass(frozen=True)
-class RobustAggConfig:
-    method: str = "trimmed_mean"  # trimmed_mean | coordinate_median
-    f: int = 0
-
-    def __post_init__(self):
-        if self.method not in ("trimmed_mean", "coordinate_median"):
-            raise ValueError(f"unknown robust method {self.method!r}")
-        if self.f < 0:
-            raise ValueError("f must be nonnegative")
 
 
 def shapley_estimate(
@@ -144,7 +115,7 @@ def fair_weights(
     sample_counts: np.ndarray,
     eps_smooth: float,
     delta_size: float,
-) -> FairWeights:
+) -> np.ndarray:
     """Smoothed Shapley shares with a log-size debias factor, renormalized.
 
     raw_i = (phi_i + eps) / sum_j(phi_j + eps) * 1 / (1 + delta * ln|D_i|);
@@ -165,7 +136,12 @@ def fair_weights(
     total = raw.sum()
     if total <= 0:
         raise ValueError("all raw weights are zero; nothing to aggregate")
-    return FairWeights(phi=phi, w=raw / total, eps_smooth=eps_smooth, delta_size=delta_size)
+    w = raw / total
+    if np.any(w < 0):
+        raise ValueError("weights must be nonnegative")
+    if abs(w.sum() - 1.0) > 1e-9:
+        raise ValueError("weights must sum to 1")
+    return w
 
 
 def _stack_variants(variants: list[ModelParams]) -> tuple[Arch, np.ndarray]:
@@ -191,22 +167,26 @@ def aggregate_messengers(variants: list[ModelParams], weights: np.ndarray) -> Mo
 
 def robust_aggregate(
     variants: list[ModelParams],
-    config: RobustAggConfig,
+    method: str,
+    f: int = 0,
     weights: np.ndarray | None = None,
 ) -> ModelParams:
     """Byzantine-robust coordinate-wise consensus.
 
-    trimmed_mean drops the f smallest and f largest values per coordinate,
-    then averages the rest — weighted, if weights are given, with the
-    surviving weights renormalized per coordinate. coordinate_median takes
-    the per-coordinate median (mean of the middle two for even counts) and
-    ignores weights.
+    method is trimmed_mean or coordinate_median. trimmed_mean drops the f
+    smallest and f largest values per coordinate, then averages the rest —
+    weighted, if weights are given, with the surviving weights renormalized
+    per coordinate. coordinate_median takes the per-coordinate median (mean
+    of the middle two for even counts) and ignores f and weights.
     """
+    if method not in ("trimmed_mean", "coordinate_median"):
+        raise ValueError(f"unknown robust method {method!r}")
+    if f < 0:
+        raise ValueError("f must be nonnegative")
     arch, stacked = _stack_variants(variants)
     n = stacked.shape[0]
-    if config.method == "coordinate_median":
+    if method == "coordinate_median":
         return ModelParams(arch, np.median(stacked, axis=0))
-    f = config.f
     if n <= 2 * f:
         raise ValueError(f"trimmed_mean needs cohort > 2f (got {n} <= {2 * f})")
     order = np.argsort(stacked, axis=0, kind="stable")

@@ -79,7 +79,6 @@ class RunLog:
     h_max: float = 0.0
     target_accuracy: float | None = None
     rounds_to_target: int | None = None
-    initial_val_loss: float = 0.0
     initial_val_accuracy: float = 0.0
     final_client_accuracy: dict[int, float] = field(default_factory=dict)
     final_class_accuracy: dict[str, float] = field(default_factory=dict)
@@ -258,10 +257,9 @@ class SimState:
     messenger: ModelParams  # the broadcast model; fedavg's global model
     templates: tuple[Arch, ...]  # messenger templates, ascending in param count
     schedule: msg.CurriculumSchedule
-    capacity_decision: msg.CapacityDecision | None
+    capacity_decision: msg.CapacityDecision
     lambda2: float
     round_index: int
-    h_max: float
     eps_total: float
     last_client_losses: dict[int, float]
     per_round_eps: float
@@ -387,12 +385,7 @@ def init_state(cfg: RunConfig) -> SimState:
         priv.check_delta(min(pr.sample_count for pr in profiles))
         per_round_eps = privacy.account_privacy(1, priv).per_round_eps
 
-    decision = msg.CapacityDecision(
-        chosen_index=p.initial_capacity_index,
-        composite_scores=(),
-        h_t=0.0,
-        round_index=0,
-    )
+    decision = msg.CapacityDecision(chosen_index=p.initial_capacity_index, composite_scores=())
     return SimState(
         config=cfg,
         profiles=profiles,
@@ -409,7 +402,6 @@ def init_state(cfg: RunConfig) -> SimState:
         capacity_decision=decision,
         lambda2=p.lambda2,
         round_index=0,
-        h_max=0.0,
         eps_total=0.0,
         last_client_losses={},
         per_round_eps=per_round_eps,
@@ -510,7 +502,7 @@ def coalition_value_fn(
 
 
 def _adapt_capacity(
-    state: SimState, cohort: list[int], h_t: float, t: int
+    state: SimState, cohort: list[int], t: int
 ) -> tuple[msg.CapacityDecision, ModelParams]:
     """(capacity decision, broadcast model of round t); affl variants only.
 
@@ -526,7 +518,6 @@ def _adapt_capacity(
     decision = msg.select_capacity(
         state.templates,
         p,
-        h_t,
         state.probe,
         probe_teacher_logits(state, cohort),
         _loss_spread(state, cohort),
@@ -636,7 +627,7 @@ def _weights(
             num_perms=p.shapley_perms,
             seed=subseed(state.config.seed, "shapley", t),
         )
-        weights = fair.fair_weights(phi, sizes, p.eps_smooth, p.delta_size).w
+        weights = fair.fair_weights(phi, sizes, p.eps_smooth, p.delta_size)
         return [float(v) for v in phi], weights
     if p.algorithm == "uniform_weight_affl":
         return None, np.full(len(cohort), 1.0 / len(cohort))
@@ -649,8 +640,7 @@ def _aggregate(state: SimState, uploads: list[ModelParams], weights: np.ndarray)
         return fair.aggregate_messengers(uploads, weights)
     # robust_f "auto" is floor((cohort - 1) / 3)
     f = max(0, (len(uploads) - 1) // 3) if p.robust_f == "auto" else p.robust_f
-    robust_cfg = fair.RobustAggConfig(method=p.robust_method, f=f)
-    return fair.robust_aggregate(uploads, robust_cfg, weights=weights)
+    return fair.robust_aggregate(uploads, p.robust_method, f, weights)
 
 
 def run_round(state: SimState) -> tuple[SimState, RoundRecord]:
@@ -678,7 +668,7 @@ def run_round(state: SimState) -> tuple[SimState, RoundRecord]:
             state.pooled_dist,
             (p.het_alpha, p.het_beta, p.het_gamma),
         ).h_t
-        decision, base = _adapt_capacity(state, cohort, h_t, t)
+        decision, base = _adapt_capacity(state, cohort, t)
         client_params, uploads, scores = _client_step(state, cohort, base, t)
         uploads, eps_round = _privatize(state, cohort, uploads, base, t)
         uploads = inject_attack(uploads, base, cohort_profiles, cfg.attack)
@@ -730,7 +720,6 @@ def run_round(state: SimState) -> tuple[SimState, RoundRecord]:
         capacity_decision=decision,
         lambda2=lambda2,
         round_index=t,
-        h_max=max(state.h_max, h_t),
         eps_total=eps_total,
         last_client_losses=losses,
     )
@@ -745,19 +734,17 @@ def run_round(state: SimState) -> tuple[SimState, RoundRecord]:
 def run_experiment(cfg: RunConfig) -> RunLog:
     """Run the configured algorithm to target accuracy or max rounds."""
     state = init_state(cfg)
-    loss0, acc0 = models.evaluate(state.messenger, state.validation)
+    _, acc0 = models.evaluate(state.messenger, state.validation)
     log = RunLog(
         algorithm=cfg.protocol.algorithm,
         seed=cfg.seed,
         config_digest=cfg.digest(),
         target_accuracy=cfg.target_accuracy,
-        initial_val_loss=loss0,
         initial_val_accuracy=acc0,
     )
     for _ in range(cfg.max_rounds):
         state, record = run_round(state)
         log.records.append(record)
-        log.h_max = state.h_max
         if (
             cfg.target_accuracy is not None
             and log.rounds_to_target is None
@@ -765,6 +752,7 @@ def run_experiment(cfg: RunConfig) -> RunLog:
         ):
             log.rounds_to_target = record.round_index
             break
+    log.h_max = max((r.h_t for r in log.records), default=0.0)
     class_accs: dict[str, list[float]] = {}
     for profile, shard in zip(state.profiles, state.shards):
         _, acc = models.evaluate(state.client_params[profile.id], shard)

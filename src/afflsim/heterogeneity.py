@@ -67,37 +67,6 @@ def descriptor_divergences(vectors: np.ndarray) -> np.ndarray:
     return peers.mean(axis=1)
 
 
-def descriptor_divergence(vectors: np.ndarray, index: int) -> float:
-    """Row ``index``'s entry of descriptor_divergences."""
-    return float(descriptor_divergences(vectors)[index])
-
-
-def _arch_vectors(population: list[ClientProfile]) -> np.ndarray:
-    if not population:
-        raise ValueError("population must be non-empty")
-    return np.array([p.arch_descriptor for p in population], dtype=np.float64)
-
-
-def _res_vectors(population: list[ClientProfile]) -> np.ndarray:
-    if not population:
-        raise ValueError("population must be non-empty")
-    return np.array([[np.log(p.compute_capacity), p.network_delay] for p in population])
-
-
-def _position(profile: ClientProfile, population: list[ClientProfile]) -> int:
-    return next(i for i, p in enumerate(population) if p.id == profile.id)
-
-
-def arch_divergence(profile: ClientProfile, population: list[ClientProfile]) -> float:
-    """Mean range-normalized L1 distance of arch descriptors to peers."""
-    return descriptor_divergence(_arch_vectors(population), _position(profile, population))
-
-
-def res_divergence(profile: ClientProfile, population: list[ClientProfile]) -> float:
-    """As arch_divergence over (log compute capacity, network delay)."""
-    return descriptor_divergence(_res_vectors(population), _position(profile, population))
-
-
 def heterogeneity_index(
     components: list[tuple[float, float, float]], weights: tuple[float, float, float]
 ) -> HeterogeneityReport:
@@ -125,13 +94,19 @@ def assess_cohort(
 ) -> HeterogeneityReport:
     """Full per-cohort assessment; components computed in client-id order.
 
-    The architecture and resource descriptor matrices are built once for
-    the cohort, and descriptor_divergences gives every client's divergence
-    from one pairwise array, so the per-value arithmetic equals
-    arch_divergence and res_divergence called client by client.
+    A client's (stat, arch, res) components are the JSD of its labels
+    against the global mix, and its descriptor_divergences entry among the
+    cohort's architecture descriptors and among their (log compute
+    capacity, network delay) pairs. Each descriptor matrix is built once
+    for the cohort and gives every client's divergence from one pairwise
+    array.
     """
-    arch = descriptor_divergences(_arch_vectors(cohort))
-    res = descriptor_divergences(_res_vectors(cohort))
+    if not cohort:
+        raise ValueError("cohort must be non-empty")
+    arch = descriptor_divergences(np.array([p.arch_descriptor for p in cohort], dtype=np.float64))
+    res = descriptor_divergences(
+        np.array([[np.log(p.compute_capacity), p.network_delay] for p in cohort])
+    )
     components = [
         (stat_divergence(shard, global_label_dist), float(a), float(r))
         for shard, a, r in zip(shards, arch, res)

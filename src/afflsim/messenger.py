@@ -41,8 +41,6 @@ class CapacityDecision:
     chosen_index: int
     # per template: (loss_proxy, comm_cost, fairness_penalty, total)
     composite_scores: tuple[tuple[float, float, float, float], ...]
-    h_t: float = 0.0
-    round_index: int = 0
 
 
 @dataclass(frozen=True)
@@ -151,7 +149,6 @@ def _safe_log(p: np.ndarray) -> np.ndarray:
 def select_capacity(
     templates: tuple[Arch, ...],
     protocol: ProtocolBlock,
-    h_t: float,
     probe_shard: DatasetShard,
     teacher_logits: np.ndarray,
     client_loss_spread: float,
@@ -190,12 +187,7 @@ def select_capacity(
         scores.append((kl, comm_cost, fairness_penalty, total))
     totals = np.array([s[3] for s in scores])
     chosen = int(np.argmin(totals))  # argmin takes the first (smallest) index on ties
-    return CapacityDecision(
-        chosen_index=chosen,
-        composite_scores=tuple(scores),
-        h_t=float(h_t),
-        round_index=round_index,
-    )
+    return CapacityDecision(chosen_index=chosen, composite_scores=tuple(scores))
 
 
 class MessengerForward(NamedTuple):
@@ -335,13 +327,12 @@ class FusionConfig:
         if not (len(self.modality_ids) == len(self.raw_weights) == len(self.encoders)):
             raise ValueError("modality ids, weights and encoders must align")
 
-    def normalized_weights(self, present: tuple[int, ...] | None = None) -> dict[int, float]:
+    def normalized_weights(self, present: tuple[int, ...]) -> dict[int, float]:
         """Softmax weights, renormalized over the present modalities."""
-        ids = self.modality_ids if present is None else tuple(present)
         raw = {m: w for m, w in zip(self.modality_ids, self.raw_weights)}
-        z = np.array([raw[m] for m in ids])
+        z = np.array([raw[m] for m in present])
         w = softmax(z)
-        return {m: float(v) for m, v in zip(ids, w)}
+        return {m: float(v) for m, v in zip(present, w)}
 
 
 def fuse_modalities(inputs: dict[int, np.ndarray], fusion: FusionConfig) -> np.ndarray:

@@ -17,23 +17,6 @@ import numpy as np
 
 UTILITY_NOTE = "utility=validation_accuracy"
 
-METRICS_CSV_FIELDS = [
-    "schema_version",
-    "suite",
-    "cei",
-    "hfi",
-    "put",
-    "mis",
-    "statistical_parity",
-    "mia_success",
-    "transfer_effectiveness",
-    "scaling_exponent",
-    "clinical_readiness",
-    "gini_accuracy",
-    "fairness_gap_final",
-    "convergence_slope",
-]
-
 
 @dataclass
 class MetricsReport:
@@ -70,6 +53,10 @@ class MetricsReport:
             value = getattr(self, name, None)
             row[name] = "" if value is None else value
         return row
+
+
+# metrics.csv columns: the schema version, then MetricsReport's fields in order
+METRICS_CSV_FIELDS = ["schema_version", *(f.name for f in dataclasses.fields(MetricsReport))]
 
 
 def append_metrics_csv(path: str, report: MetricsReport) -> None:

@@ -309,14 +309,15 @@ def backprop(
     params: ModelParams,
     features: np.ndarray,
     out_delta: np.ndarray,
-    hidden: np.ndarray | None = None,
+    hidden: np.ndarray | None,
     ws: Workspace | None = None,
 ) -> np.ndarray:
     """Gradient of any loss w.r.t. theta given dLoss/dlogits (n x C).
 
     Shared by cross-entropy and distillation losses: they differ only in
-    the output delta. Pass the hidden activations from forward() to skip
-    recomputing them. Reads out_delta and hidden, never writes them.
+    the output delta. hidden is forward()'s hidden activations for these
+    params and features (None for logistic models). Reads out_delta and
+    hidden, never writes them.
     """
     grad = _buffer(ws, "grad", params.theta.shape)
     if params.arch.hidden == 0:
@@ -324,10 +325,8 @@ def backprop(
         np.matmul(features.T, out_delta, out=gw)
         _column_sums(out_delta, gb)
         return grad
-    w1, b1, w2, b2 = _unpack(params.arch, params.theta)
+    _, _, w2, _ = _unpack(params.arch, params.theta)
     gw1, gb1, gw2, gb2 = _unpack(params.arch, grad)
-    if hidden is None:
-        hidden = np.tanh(features @ w1 + b1)
     np.matmul(hidden.T, out_delta, out=gw2)
     _column_sums(out_delta, gb2)
     hid_delta = np.matmul(out_delta, w2.T, out=_buffer(ws, "hid_delta", hidden.shape))

@@ -308,14 +308,14 @@ def test_criterion_8_numerical_suite():
                     failures.append(f"gradient hidden={hidden} point={point} coord={c}")
 
     # hand-arithmetic spot checks at their stated tolerances
-    from afflsim.fairness import fair_weights, robust_aggregate, RobustAggConfig
+    from afflsim.fairness import fair_weights, robust_aggregate
     from afflsim.heterogeneity import heterogeneity_index
     from afflsim.metrics import cei, hfi, put, transfer_effectiveness
 
     checks = [
-        ("fair-weights", fair_weights(np.array([1.0, 3.0]), np.array([5, 5]), 0.0, 0.0).w,
+        ("fair-weights", fair_weights(np.array([1.0, 3.0]), np.array([5, 5]), 0.0, 0.0),
          [0.25, 0.75], 1e-12),
-        ("size-debias", fair_weights(np.array([1.0, 1.0]), np.array([np.e**2, np.e**4]), 0.0, 0.5).w,
+        ("size-debias", fair_weights(np.array([1.0, 1.0]), np.array([np.e**2, np.e**4]), 0.0, 0.5),
          [0.6, 0.4], 1e-9),
         ("h-index", [heterogeneity_index([(0.2, 0.4, 0.6), (0.8, 0.6, 0.4)], (1 / 3,) * 3).h_t],
          [0.5], 1e-12),
@@ -329,7 +329,8 @@ def test_criterion_8_numerical_suite():
             failures.append(f"hand example {name}: {got} != {want}")
     trimmed = robust_aggregate(
         [ModelParams(Arch(2, 2), np.full(6, v)) for v in (0.0, 1.0, 2.0, 3.0, 100.0)],
-        RobustAggConfig("trimmed_mean", 1),
+        "trimmed_mean",
+        1,
     )
     if not np.allclose(trimmed.theta, 2.0):
         failures.append("trimmed mean hand example")

@@ -1,4 +1,4 @@
-"""tools/bench_compare.py summaries, including a workload of one pair."""
+"""tools/bench_compare.py summaries, from one pair to ten."""
 
 import importlib.util
 from pathlib import Path
@@ -37,13 +37,22 @@ def test_summarize_one_pair():
     assert run_s["pairs"] == 1
     assert run_s["change_wins"] == 1
     assert run_s["median_change_frac"] == pytest.approx(-0.25)
-    # one run has no interquartile range, so the gap is not judged
     assert run_s["median_gap_exceeds_parent_iqr"] is None
 
 
-def test_summarize_judges_the_gap_from_two_pairs():
-    run_s = bench_compare.summarize([pair(1, 2.0, 1.5), pair(2, 2.1, 1.6)])["run_s"]
+def test_summarize_judges_the_gap_from_ten_pairs():
+    pairs = [pair(k, 2.0 + 0.01 * k, 1.5 + 0.01 * k) for k in range(10)]
+    run_s = bench_compare.summarize(pairs)["run_s"]
     assert run_s["median_gap_exceeds_parent_iqr"] is True
+    pairs = [pair(k, 2.0 + 0.01 * k, 2.0 + 0.01 * (9 - k)) for k in range(10)]
+    assert bench_compare.summarize(pairs)["run_s"]["median_gap_exceeds_parent_iqr"] is False
+
+
+def test_summarize_does_not_judge_the_gap_from_nine_pairs():
+    pairs = [pair(k, 2.0 + 0.01 * k, 1.5 + 0.01 * k) for k in range(9)]
+    run_s = bench_compare.summarize(pairs)["run_s"]
+    assert run_s["pairs"] == 9
+    assert run_s["median_gap_exceeds_parent_iqr"] is None
 
 
 def test_summarize_counts_ties_for_neither_side():

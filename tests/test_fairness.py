@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from afflsim.fairness import (
-    FairWeights,
-    RobustAggConfig,
     aggregate_messengers,
     fair_weights,
     fairness_gap,
@@ -109,32 +107,32 @@ def test_shapley_guards():
 
 
 def test_fair_weights_uniform_for_equal_phi():
-    fw = fair_weights(np.array([0.4, 0.4, 0.4]), np.array([10, 10, 10]), 0.0, 0.0)
-    assert fw.w == pytest.approx(np.full(3, 1 / 3))
+    w = fair_weights(np.array([0.4, 0.4, 0.4]), np.array([10, 10, 10]), 0.0, 0.0)
+    assert w == pytest.approx(np.full(3, 1 / 3))
 
 
 def test_fair_weights_hand_ratio():
-    fw = fair_weights(np.array([1.0, 3.0]), np.array([5, 5]), 0.0, 0.0)
-    assert fw.w == pytest.approx([0.25, 0.75])
+    w = fair_weights(np.array([1.0, 3.0]), np.array([5, 5]), 0.0, 0.0)
+    assert w == pytest.approx([0.25, 0.75])
 
 
 def test_fair_weights_size_debias_hand_example():
     counts = np.array([np.e**2, np.e**4])
-    fw = fair_weights(np.array([1.0, 1.0]), counts, 0.0, 0.5)
-    assert fw.w == pytest.approx([0.6, 0.4])
+    w = fair_weights(np.array([1.0, 1.0]), counts, 0.0, 0.5)
+    assert w == pytest.approx([0.6, 0.4])
 
 
 def test_fair_weights_clamps_negative_phi():
-    fw = fair_weights(np.array([-0.5, 1.0]), np.array([3, 3]), 0.1, 0.0)
-    assert fw.w[0] == pytest.approx(0.1 / 1.2)
-    assert fw.w.sum() == pytest.approx(1.0)
+    w = fair_weights(np.array([-0.5, 1.0]), np.array([3, 3]), 0.1, 0.0)
+    assert w[0] == pytest.approx(0.1 / 1.2)
+    assert w.sum() == pytest.approx(1.0)
 
 
 def test_fair_weights_scale_invariance():
     phi = np.array([0.2, 0.5, 0.9])
     counts = np.array([100, 200, 300])
-    a = fair_weights(phi, counts, 0.0, 0.0).w
-    b = fair_weights(7.3 * phi, counts, 0.0, 0.0).w
+    a = fair_weights(phi, counts, 0.0, 0.0)
+    b = fair_weights(7.3 * phi, counts, 0.0, 0.0)
     assert a == pytest.approx(b, abs=1e-12)
 
 
@@ -143,11 +141,6 @@ def test_fair_weights_all_zero_raises():
         fair_weights(np.array([0.0, 0.0]), np.array([3, 3]), 0.0, 0.0)
     with pytest.raises(ValueError):
         fair_weights(np.array([-1.0, -2.0]), np.array([3, 3]), 0.0, 0.1)
-
-
-def test_fair_weights_invariant_checked():
-    with pytest.raises(ValueError):
-        FairWeights(np.array([1.0]), np.array([0.7]), 0.0, 0.0)
 
 
 # -- aggregation -------------------------------------------------------------
@@ -195,15 +188,14 @@ def test_aggregate_convex_hull_and_guards():
 
 def test_robust_identical_variants():
     v = vec_params(np.arange(6.0))
-    cfg = RobustAggConfig("trimmed_mean", f=1)
-    out = robust_aggregate([v.copy() for _ in range(5)], cfg)
+    out = robust_aggregate([v.copy() for _ in range(5)], "trimmed_mean", 1)
     assert out.theta == pytest.approx(v.theta, abs=1e-12)
 
 
 def test_trimmed_mean_hand_example():
     column = np.array([0.0, 1.0, 2.0, 3.0, 100.0])
     variants = [vec_params(np.full(6, c)) for c in column]
-    out = robust_aggregate(variants, RobustAggConfig("trimmed_mean", f=1))
+    out = robust_aggregate(variants, "trimmed_mean", 1)
     assert out.theta == pytest.approx(np.full(6, 2.0))
 
 
@@ -212,9 +204,7 @@ def test_coordinate_median_matches_sort_oracle():
     for _ in range(1000):
         n = int(rng.integers(2, 9))
         thetas = rng.normal(0, 1, (n, 6))
-        out = robust_aggregate(
-            [vec_params(t) for t in thetas], RobustAggConfig("coordinate_median")
-        )
+        out = robust_aggregate([vec_params(t) for t in thetas], "coordinate_median")
         srt = np.sort(thetas, axis=0)
         oracle = srt[n // 2] if n % 2 == 1 else 0.5 * (srt[n // 2 - 1] + srt[n // 2])
         assert out.theta == pytest.approx(oracle, abs=1e-12)
@@ -223,14 +213,22 @@ def test_coordinate_median_matches_sort_oracle():
 def test_trimmed_mean_f_zero_equals_plain_mean():
     rng = stream(5, "f0")
     thetas = rng.normal(0, 1, (5, 6))
-    out = robust_aggregate([vec_params(t) for t in thetas], RobustAggConfig("trimmed_mean", 0))
+    out = robust_aggregate([vec_params(t) for t in thetas], "trimmed_mean", 0)
     assert out.theta == pytest.approx(thetas.mean(axis=0), abs=1e-12)
 
 
 def test_trimmed_mean_cohort_guard():
     variants = [vec_params(np.zeros(6)) for _ in range(4)]
     with pytest.raises(ValueError):
-        robust_aggregate(variants, RobustAggConfig("trimmed_mean", f=2))
+        robust_aggregate(variants, "trimmed_mean", 2)
+
+
+def test_robust_aggregate_rejects_unknown_method_and_negative_f():
+    variants = [vec_params(np.zeros(6)) for _ in range(3)]
+    with pytest.raises(ValueError, match="unknown robust method"):
+        robust_aggregate(variants, "mean")
+    with pytest.raises(ValueError, match="nonnegative"):
+        robust_aggregate(variants, "trimmed_mean", -1)
 
 
 def test_trimmed_mean_weighted_composition():
@@ -238,7 +236,7 @@ def test_trimmed_mean_weighted_composition():
     column = np.array([0.0, 1.0, 3.0, 50.0])
     variants = [vec_params(np.full(6, c)) for c in column]
     weights = np.array([0.4, 0.3, 0.2, 0.1])
-    out = robust_aggregate(variants, RobustAggConfig("trimmed_mean", 1), weights=weights)
+    out = robust_aggregate(variants, "trimmed_mean", 1, weights)
     expected = (0.3 * 1.0 + 0.2 * 3.0) / 0.5
     assert out.theta == pytest.approx(np.full(6, expected), abs=1e-12)
 

@@ -245,7 +245,7 @@ def test_round_matches_scripted_composition_of_public_ops():
         seed=subseed(cfg.seed, "shapley", t),
     )
     counts = np.array([state.profiles[i].sample_count for i in cohort])
-    weights = fair_weights(phi, counts, p.eps_smooth, p.delta_size).w
+    weights = fair_weights(phi, counts, p.eps_smooth, p.delta_size)
     expected = aggregate_messengers(variants, weights)
     assert np.array_equal(new_state.messenger.theta, expected.theta)
     assert record.phi == pytest.approx(list(phi))

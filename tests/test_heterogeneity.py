@@ -6,12 +6,9 @@ import pytest
 from afflsim.config import ProtocolBlock
 from afflsim.federation import ClientProfile, DatasetShard
 from afflsim.heterogeneity import (
-    arch_divergence,
     assess_cohort,
-    descriptor_divergence,
     descriptor_divergences,
     heterogeneity_index,
-    res_divergence,
     stat_divergence,
 )
 from afflsim.models import Arch
@@ -36,6 +33,13 @@ def profile(pid, capacity=2.0, delay=1.0, hidden=8, cls="rural", samples=1000):
         honesty="honest",
         arch=Arch(4, 3, hidden),
     )
+
+
+def divergences(pop):
+    """(arch, res) divergence lists of a population, from assess_cohort."""
+    shards = [shard_with_labels([0, 1], 2) for _ in pop]
+    report = assess_cohort(shards, pop, np.array([0.5, 0.5]), EQUAL_WEIGHTS)
+    return [c[1] for c in report.per_client], [c[2] for c in report.per_client]
 
 
 def reference_jsd(p, q):
@@ -78,23 +82,22 @@ def test_stat_divergence_validates_inputs():
 
 def test_arch_divergence_homogeneous_population():
     pop = [profile(i, hidden=8) for i in range(4)]
-    assert all(arch_divergence(p, pop) == 0.0 for p in pop)
+    assert divergences(pop)[0] == [0.0] * 4
 
 
-def test_descriptor_divergence_two_client_example():
+def test_descriptor_divergences_two_client_example():
     vectors = np.array([[1.0, 8.0, 100.0], [2.0, 16.0, 300.0]])
-    assert descriptor_divergence(vectors, 0) == pytest.approx(1.0)
-    assert descriptor_divergence(vectors, 1) == pytest.approx(1.0)
+    assert descriptor_divergences(vectors) == pytest.approx([1.0, 1.0])
 
 
-def test_descriptor_divergence_rescaling_invariance():
+def test_descriptor_divergences_rescaling_invariance():
     rng = stream(0, "rescale")
     vectors = rng.uniform(1, 5, (6, 3))
-    base = [descriptor_divergence(vectors, i) for i in range(6)]
     scaled = vectors.copy()
     scaled[:, 1] *= 37.0
-    rescaled = [descriptor_divergence(scaled, i) for i in range(6)]
-    assert base == pytest.approx(rescaled, abs=1e-12)
+    assert descriptor_divergences(vectors) == pytest.approx(
+        descriptor_divergences(scaled), abs=1e-12
+    )
 
 
 def loop_divergence(vectors, index):
@@ -119,7 +122,6 @@ def assert_matches_loop(vectors):
     assert got.shape == (len(vectors),)
     for i in range(len(vectors)):
         assert got[i] == loop_divergence(vectors, i)
-        assert descriptor_divergence(vectors, i) == loop_divergence(vectors, i)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 9, 40, 160])
@@ -173,7 +175,7 @@ def test_assess_cohort_equals_per_client_composition():
 
 def test_res_divergence_identical_resources():
     pop = [profile(i, capacity=3.0, delay=1.5) for i in range(3)]
-    assert all(res_divergence(p, pop) == 0.0 for p in pop)
+    assert divergences(pop)[1] == [0.0] * 3
 
 
 def test_res_divergence_log_spaced_capacities():
@@ -184,8 +186,9 @@ def test_res_divergence_log_spaced_capacities():
         profile(1, capacity=10.0, delay=1.0),
         profile(2, capacity=100.0, delay=1.0),
     ]
-    assert res_divergence(pop[1], pop) == pytest.approx(0.5)
-    assert res_divergence(pop[0], pop) == pytest.approx(0.75)
+    res = divergences(pop)[1]
+    assert res[1] == pytest.approx(0.5)
+    assert res[0] == pytest.approx(0.75)
 
 
 def test_res_divergence_bounded_over_random_populations():
@@ -200,8 +203,7 @@ def test_res_divergence_bounded_over_random_populations():
             )
             for i in range(n)
         ]
-        for p in pop:
-            assert 0.0 <= res_divergence(p, pop) <= 1.0
+        assert all(0.0 <= d <= 1.0 for d in divergences(pop)[1])
 
 
 def test_index_all_zero_and_all_one():

@@ -23,6 +23,7 @@ from afflsim.models import (
     ModelParams,
     backprop,
     evaluate,
+    forward,
     init_params,
     logits,
     softmax,
@@ -116,7 +117,7 @@ def test_tie_break_goes_to_smallest_index():
     teacher = logits(current, shard.features)
     # zero probe steps + function-preserving resize: identical probe losses
     decision = select_capacity(
-        templates, protocol, 0.5, shard, teacher, 0.0, 0, None, current, seed=1, lambda2=lambda2
+        templates, protocol, shard, teacher, 0.0, 0, None, current, seed=1, lambda2=lambda2
     )
     losses = [s[0] for s in decision.composite_scores]
     assert losses == pytest.approx([losses[0]] * len(losses), abs=1e-12)
@@ -130,7 +131,7 @@ def test_chosen_total_minimizes_recomputed_scores():
     teacher = stream(4, "teacher").normal(0, 1, (shard.sample_count, shard.num_classes))
     spread = 0.4
     decision = select_capacity(
-        templates, protocol, 0.2, shard, teacher, spread, 0, None, current, seed=2, lambda2=lambda2
+        templates, protocol, shard, teacher, spread, 0, None, current, seed=2, lambda2=lambda2
     )
     max_pc = templates[-1].param_count
     totals = []
@@ -149,10 +150,10 @@ def test_selection_skipped_off_interval():
     current = init_params(templates[0], 0)
     teacher = logits(current, shard.features)
     prev = select_capacity(
-        templates, protocol, 0.1, shard, teacher, 0.0, 0, None, current, seed=0, lambda2=lambda2
+        templates, protocol, shard, teacher, 0.0, 0, None, current, seed=0, lambda2=lambda2
     )
     again = select_capacity(
-        templates, protocol, 0.9, shard, teacher, 0.5, 3, prev, current, seed=9, lambda2=lambda2
+        templates, protocol, shard, teacher, 0.5, 3, prev, current, seed=9, lambda2=lambda2
     )
     assert again is prev
 
@@ -165,7 +166,7 @@ def test_selection_does_not_mutate_current():
         snapshot = current.theta.copy()
         teacher = stream(7, "teacher").normal(0, 1, (shard.sample_count, shard.num_classes))
         select_capacity(
-            templates, protocol, 0.3, shard, teacher, 0.1, 0, None, current, seed=5, lambda2=lambda2
+            templates, protocol, shard, teacher, 0.1, 0, None, current, seed=5, lambda2=lambda2
         )
         assert np.array_equal(current.theta, snapshot)
 
@@ -176,10 +177,10 @@ def test_selection_deterministic():
     current = init_params(templates[0], 1)
     teacher = stream(8, "teacher").normal(0, 1, (shard.sample_count, shard.num_classes))
     d1 = select_capacity(
-        templates, protocol, 0.3, shard, teacher, 0.1, 0, None, current, seed=5, lambda2=lambda2
+        templates, protocol, shard, teacher, 0.1, 0, None, current, seed=5, lambda2=lambda2
     )
     d2 = select_capacity(
-        templates, protocol, 0.3, shard, teacher, 0.1, 0, None, current, seed=5, lambda2=lambda2
+        templates, protocol, shard, teacher, 0.1, 0, None, current, seed=5, lambda2=lambda2
     )
     assert d1 == d2
 
@@ -198,7 +199,7 @@ def test_complex_task_selects_at_least_simple_capacity():
         current = init_params(templates[0], 0)
         teacher = teacher_fn(shard)
         return select_capacity(
-            templates, protocol, 0.2, shard, teacher, 0.0, 0, None, current, seed=3, lambda2=0.0
+            templates, protocol, shard, teacher, 0.0, 0, None, current, seed=3, lambda2=0.0
         )
 
     simple = run(2, lambda s: np.column_stack([s.features[:, 0], -s.features[:, 0]]))
@@ -335,12 +336,13 @@ def distillation_grad(
 ) -> np.ndarray:
     """Gradient of distillation_loss w.r.t. the messenger parameters."""
     n = shard.sample_count
-    p_m = softmax(logits(messenger, shard.features))
+    z, hidden = forward(messenger, shard.features)
+    p_m = softmax(z)
     p_c = softmax(logits(client, shard.features))
     onehot = np.zeros((n, shard.num_classes))
     onehot[np.arange(n), shard.labels] = 1.0
     delta = ((p_m - onehot) + lambda_kl * (p_m - p_c)) / n
-    return backprop(messenger, shard.features, delta)
+    return backprop(messenger, shard.features, delta, hidden)
 
 
 def test_distill_lambda_zero_equals_plain_ce_training():

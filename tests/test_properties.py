@@ -18,7 +18,6 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from afflsim.fairness import (  # noqa: E402
-    RobustAggConfig,
     fair_weights,
     robust_aggregate,
     shapley_estimate,
@@ -91,7 +90,7 @@ def test_fair_weights_are_convex(phi_counts, eps_smooth, delta_size):
         with pytest.raises(ValueError, match="all raw weights are zero"):
             fair_weights(np.array(phi), np.array(counts), eps_smooth, delta_size)
         return
-    w = fair_weights(np.array(phi), np.array(counts), eps_smooth, delta_size).w
+    w = fair_weights(np.array(phi), np.array(counts), eps_smooth, delta_size)
     assert w.shape == (len(phi),)
     assert np.all(w >= 0)
     assert abs(w.sum() - 1.0) <= 1e-9
@@ -125,7 +124,7 @@ def test_trimmed_mean_stays_between_the_kept_order_statistics(variants_stacked, 
     weights = data.draw(
         st.none() | st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n).map(np.array)
     )
-    agg = robust_aggregate(variants, RobustAggConfig("trimmed_mean", f), weights=weights).theta
+    agg = robust_aggregate(variants, "trimmed_mean", f, weights).theta
     ordered = np.sort(stacked, axis=0)
     # inside the range of the values that survive trimming, so inside the
     # coordinate-wise range of all inputs
@@ -137,7 +136,7 @@ def test_trimmed_mean_stays_between_the_kept_order_statistics(variants_stacked, 
 def test_coordinate_median_stays_between_the_middle_values(variants_stacked):
     variants, stacked = variants_stacked
     n = len(variants)
-    agg = robust_aggregate(variants, RobustAggConfig("coordinate_median")).theta
+    agg = robust_aggregate(variants, "coordinate_median").theta
     ordered = np.sort(stacked, axis=0)
     assert_between(agg, ordered[(n - 1) // 2], ordered[n // 2])
 

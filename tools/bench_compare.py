@@ -23,8 +23,10 @@ records each side's ``run_wall_s`` (``run_experiment`` alone),
 For each end-to-end metric the file records every run's value, each
 side's median and quartiles, how many pairs the change won (lower is
 better for every end-to-end metric; ties count for neither side), and
-whether the medians differ by more than the parent's interquartile range
-(null for a single pair).
+whether the medians differ by more than the parent's interquartile range.
+That last flag is null for fewer than MIN_JUDGED_PAIRS (10) pairs: the
+quartiles of a handful of parent runs are too close together to tell a
+gap of a few percent from noise.
 """
 
 from __future__ import annotations
@@ -40,6 +42,8 @@ from pathlib import Path
 SIDES = ("parent", "change")
 FAULT_PROBE = Path(__file__).resolve().parent / "fault_probe.py"
 PROBED = ("run_wall_s", "wall_s", "peak_rss_mb")
+# fewest pairs from which the median gap is judged against the parent's IQR
+MIN_JUDGED_PAIRS = 10
 
 
 def run_bench(checkout: Path, workload: str, seed: int, trace: bool, seconds: float):
@@ -106,8 +110,7 @@ def summarize(pairs: list[dict]) -> dict:
             "change_wins": sum(c < p for p, c in zip(vals["parent"], vals["change"])),
             "pairs": len(pairs),
             "median_change_frac": stats["change"]["median"] / stats["parent"]["median"] - 1.0,
-            # one parent run has no spread to compare the gap with
-            "median_gap_exceeds_parent_iqr": None if len(pairs) < 2 else abs(
+            "median_gap_exceeds_parent_iqr": None if len(pairs) < MIN_JUDGED_PAIRS else abs(
                 stats["change"]["median"] - stats["parent"]["median"]
             ) > iqr,
         }
