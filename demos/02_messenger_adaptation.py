@@ -50,7 +50,7 @@ templates = (Arch(10, 4, 2), Arch(10, 4, 8), Arch(10, 4, 18))
 protocol = ProtocolBlock(grid_hidden=(2, 8, 18), lambda1=0.01, probe_steps=60, probe_lr=0.8)
 current = init_params(templates[0], 0)
 decision = select_capacity(
-    templates, protocol, probe, teacher, 0.0, 0, None, current, seed=1, lambda2=0.1
+    templates, protocol, probe, teacher, 0.0, None, current, seed=1, lambda2=0.1
 )
 print("=== Capacity probe (radial pair in the data) ===")
 for i, (kl, comm, fpen, total) in enumerate(decision.composite_scores):

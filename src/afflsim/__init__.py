@@ -36,7 +36,6 @@ from .harness import (
     RunLog,
     compute_load,
     inject_attack,
-    run_baseline,
     run_experiment,
     run_round,
     sample_clients,

@@ -16,7 +16,11 @@ Output schemas (schema_version 1):
   summary.json  run summary with config digest, rounds_to_target, final
                 per-client/per-class accuracy, gini, fairness gap, byte
                 and energy means, eps_total, h_max
-  metrics.csv   one row per report over the fixed metric columns
+  metrics.csv   one row per report, columns: schema_version, suite, cei,
+                hfi, put, mis, statistical_parity, mia_success,
+                transfer_effectiveness, scaling_exponent,
+                clinical_readiness, gini_accuracy, fairness_gap_final;
+                a metric the report does not compute is left empty
   compare CSV   method, rounds_to_target, final_accuracy, gini,
                 kwh_per_round, bytes_per_round, fairness_gap
 
@@ -41,7 +45,6 @@ import sys
 from . import harness, metrics, models, privacy
 from .config import (
     ConfigError,
-    PRESETS,
     RunConfig,
     config_from_dict,
     load_config,

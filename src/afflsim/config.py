@@ -702,12 +702,3 @@ def preset_robustness(
     cfg["target_accuracy"] = None
     return cfg
 
-
-PRESETS = {
-    "default": preset_default,
-    "smoke": preset_smoke,
-    "convex": preset_convex,
-    "privacy": preset_privacy,
-    "multimodal": preset_multimodal,
-    "robustness": preset_robustness,
-}

@@ -134,10 +134,6 @@ class ClientProfile:
     def arch_descriptor(self) -> tuple[int, int, int]:
         return self.arch.descriptor
 
-    @property
-    def is_attacker(self) -> bool:
-        return self.honesty != HONEST
-
 
 def _class_means(fed: FederationBlock, seed: int) -> np.ndarray:
     rng = stream(seed, "class-means")

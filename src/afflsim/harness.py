@@ -100,10 +100,6 @@ class RunLog:
             return 0.0
         return float(np.mean([r.energy_kwh for r in self.records]))
 
-    def loss_curve(self) -> list[tuple[int, float]]:
-        """(round, pooled-objective loss) pairs for convergence fits."""
-        return [(r.round_index, r.global_pool_loss) for r in self.records]
-
     def summary_dict(self) -> dict:
         accs = list(self.final_client_accuracy.values())
         return {
@@ -521,7 +517,6 @@ def _adapt_capacity(
         state.probe,
         probe_teacher_logits(state, cohort),
         _loss_spread(state, cohort),
-        t,
         prev,
         state.messenger,
         subseed(seed, "capacity", t),
@@ -679,8 +674,8 @@ def run_round(state: SimState) -> tuple[SimState, RoundRecord]:
             scores = [models.evaluate(model, state.shards[i]) for i in cohort]
 
     # evaluation: each cohort client's model on its own shard (scored in the
-    # client step for messengers), the broadcast model on validation and
-    # pooled data; fairness escalation for messengers
+    # client step for messengers), the broadcast model on validation and its
+    # loss alone on the pooled data; fairness escalation for messengers
     per_client = [(i, *score) for i, score in zip(cohort, scores)]
     losses = {**state.last_client_losses, **{i: loss for i, loss, _ in per_client}}
     gap = fair.fairness_gap([acc for _, _, acc in per_client]) if cohort else 0.0
@@ -688,7 +683,10 @@ def run_round(state: SimState) -> tuple[SimState, RoundRecord]:
     if cohort and not fedavg:
         lambda2 = fair.monitor_and_adjust(gap, p.theta_fair, lambda2)
     gv_loss, gv_acc = models.evaluate(model, state.validation)
-    pool_loss, _ = models.evaluate(model, state.pooled_eval)
+    pooled = state.pooled_eval
+    pool_loss = models.cross_entropy(
+        models.softmax(models.logits(model, pooled.features)), pooled.labels
+    )
     bytes_each_way = len(cohort) * 4 * base.param_count
     eps_total = state.eps_total + eps_round
 
@@ -760,29 +758,6 @@ def run_experiment(cfg: RunConfig) -> RunLog:
         class_accs.setdefault(profile.institution_class, []).append(acc)
     log.final_class_accuracy = {k: float(np.mean(v)) for k, v in class_accs.items()}
     return log
-
-
-def run_baseline(cfg: RunConfig, kind: str) -> RunLog:
-    """Run a named baseline regardless of the config's algorithm field."""
-    from .config import config_from_dict
-
-    data = cfg.to_dict()
-    data.pop("schema_version")
-    data["protocol"]["algorithm"] = kind
-    return run_experiment(config_from_dict(data))
-
-
-def centralized_reference_loss(cfg: RunConfig, steps: int = 3000, lr: float = 0.5) -> float:
-    """Objective floor: a long centralized run on the pooled federation data.
-
-    Trains the largest messenger template on the union of all shards and
-    returns its pooled loss — the F* that convergence-trend fits subtract.
-    """
-    state = init_state(cfg)
-    arch = state.templates[-1]
-    model = models.init_params(arch, subseed(cfg.seed, "central-oracle"))
-    trained = models.train_local(model, state.pooled_eval, steps, lr)
-    return models.evaluate(trained, state.pooled_eval)[0]
 
 
 # ---------------------------------------------------------------------------

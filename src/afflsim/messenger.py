@@ -28,6 +28,7 @@ from .models import (
     backprop,
     forward,
     logits,
+    safe_log,
     softmax,
 )
 from .rng import stream
@@ -136,14 +137,10 @@ def _distill_toward_teacher(
         current.theta -= grad
     p = softmax(logits(current, features))
     kl = float(
-        np.mean(np.sum(teacher_probs * (_safe_log(teacher_probs) - _safe_log(p)), axis=1))
+        np.mean(np.sum(teacher_probs * (safe_log(teacher_probs) - safe_log(p)), axis=1))
     )
     # KL is nonnegative; clamp float dust so exact ties stay ties
     return current, max(kl, 0.0)
-
-
-def _safe_log(p: np.ndarray) -> np.ndarray:
-    return np.log(np.maximum(p, 1e-300))
 
 
 def select_capacity(
@@ -152,7 +149,6 @@ def select_capacity(
     probe_shard: DatasetShard,
     teacher_logits: np.ndarray,
     client_loss_spread: float,
-    round_index: int,
     prev: CapacityDecision | None,
     current: ModelParams,
     seed: int,
@@ -160,16 +156,18 @@ def select_capacity(
 ) -> CapacityDecision:
     """Pick the messenger template minimizing probe loss + penalties.
 
-    templates ascend in param count. Off the protocol's adaptation interval
-    the previous decision is returned unchanged. Each template is probed by
+    templates ascend in param count. Every call probes the whole grid; the
+    caller decides on which rounds to call. Each template is probed by
     resizing the current messenger and distilling probe_steps toward the
     averaged-logit teacher; its score is probe KL + lambda1 * normalized
     param count + lambda2 * loss spread scaled down linearly as capacity
     grows. lambda2 is the run's current value, which fairness escalation
     raises. Ties go to the smaller index.
+
+    prev, the decision in force before this call (None for none), does not
+    enter the choice; the tracer in perfbench binds it by name to count
+    capacity switches.
     """
-    if round_index % protocol.adapt_interval != 0 and prev is not None:
-        return prev
     if probe_shard.sample_count == 0:
         raise ValueError("probe shard is empty")
     teacher_probs = softmax(np.asarray(teacher_logits, dtype=np.float64))

@@ -1,10 +1,12 @@
-"""Benchmark metric suite: nine evaluation formulas plus trend fits.
+"""Benchmark metric suite: evaluation formulas plus trend fits.
 
 Every metric is a pure function of persisted run logs (or of scalars
-extracted from them), so reports are recomputable after the fact. Note:
-the privacy-utility trade-off uses validation accuracy as the utility
-score, since the simulator's tasks are classification; there is no ranking
-metric to plug in. Reports flag this substitution.
+extracted from them), so reports are recomputable after the fact. The
+trend fits share one least-squares slope, slope(x, y): the communication
+scaling exponent here, and the convergence-trend fit of the acceptance
+suite. Note: the privacy-utility trade-off uses validation accuracy as
+the utility score, since the simulator's tasks are classification; there
+is no ranking metric to plug in. Reports flag this substitution.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ class MetricsReport:
     clinical_readiness: float | None = None
     gini_accuracy: float | None = None
     fairness_gap_final: float | None = None
-    convergence_slope: float | None = None
 
     def to_flat_dict(self) -> dict:
         out = {"schema_version": 1, "note": UTILITY_NOTE}
@@ -152,16 +153,12 @@ def scaling_exponent(samples: list[tuple[float, float]]) -> float:
     for n, b in samples:
         if n <= 1 or b <= 0:
             raise ValueError("sizes must exceed 1 and bytes must be positive")
-    x = np.array([np.log(n * np.log(n)) for n, _ in samples])
-    y = np.array([np.log(b) for _, b in samples])
-    xc = x - x.mean()
-    return float(np.dot(xc, y - y.mean()) / np.dot(xc, xc))
+    return slope([np.log(n * np.log(n)) for n, _ in samples], [np.log(b) for _, b in samples])
 
 
-def loglog_slope(samples: list[tuple[float, float]]) -> float:
-    """Least-squares slope of log(comm bytes) vs log(N)."""
-    x = np.array([np.log(n) for n, _ in samples])
-    y = np.array([np.log(b) for _, b in samples])
+def slope(x: list[float] | np.ndarray, y: list[float] | np.ndarray) -> float:
+    """Least-squares slope of y on x, from the centred x and y."""
+    x, y = np.asarray(x), np.asarray(y)
     xc = x - x.mean()
     return float(np.dot(xc, y - y.mean()) / np.dot(xc, xc))
 
@@ -178,38 +175,9 @@ def clinical_readiness(
     return w1 * tech + w2 * acceptance + w3 * compliance
 
 
-def convergence_slope(
-    loss_curve: list[tuple[float, float]], f_star: float, burn_in: int = 0
-) -> float:
-    """Power-law fit: slope of log(F_t - F*) vs log t after a burn-in prefix."""
-    points = [(t, f) for t, f in loss_curve if t > burn_in]
-    if any(f <= f_star for _, f in points):
-        raise ValueError("loss curve must stay above f_star on the fitted range")
-    if len(points) < 3:
-        raise ValueError("need at least 3 points after burn-in")
-    x = np.array([np.log(t) for t, _ in points])
-    y = np.array([np.log(f - f_star) for _, f in points])
-    xc = x - x.mean()
-    return float(np.dot(xc, y - y.mean()) / np.dot(xc, xc))
-
-
 # ---------------------------------------------------------------------------
 # Report assembly from persisted run logs
 # ---------------------------------------------------------------------------
-
-
-def records_fairness_gap(records: list[dict], round_index: int) -> float:
-    for record in records:
-        if record["round_index"] == round_index:
-            return record["fairness_gap"]
-    raise KeyError(f"no record for round {round_index}")
-
-
-def rounds_to_target_from_records(records: list[dict], target: float) -> int | None:
-    for record in records:
-        if record["global_val_accuracy"] >= target:
-            return record["round_index"]
-    return None
 
 
 def benefit_samples(

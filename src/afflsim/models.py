@@ -185,6 +185,11 @@ def _mean(a: np.ndarray) -> np.float64:
     return np.add.reduce(a) / a.shape[0]
 
 
+def safe_log(p: np.ndarray) -> np.ndarray:
+    """np.log of probabilities floored at 1e-300, so that 0 gives a finite log."""
+    return np.log(np.maximum(p, 1e-300))
+
+
 # Below this many classes numpy's row sum adds left to right, which a
 # running column sum reproduces bit for bit; from 8 up it sums pairwise.
 _COLUMN_MAX_CLASSES = 8
@@ -339,22 +344,18 @@ def backprop(
     return grad
 
 
-def ce_loss_and_grad(
-    params: ModelParams, features: np.ndarray, labels: np.ndarray, ws: Workspace | None = None
-) -> tuple[float, np.ndarray]:
-    """Mean cross-entropy and its gradient w.r.t. theta."""
-    return _ce_step(params, features, _label_index(labels, params.arch.num_classes), ws)
-
-
 def _ce_step(
     params: ModelParams, features: np.ndarray, at_label: np.ndarray, ws: Workspace | None
 ) -> tuple[float, np.ndarray]:
-    """ce_loss_and_grad given the labels' flat index, _label_index(labels, C)."""
+    """Mean cross-entropy and its gradient w.r.t. theta.
+
+    at_label is the labels' flat index, _label_index(labels, C).
+    """
     n = features.shape[0]
     z, hidden = forward(params, features, ws)
     p = softmax(z, ws)
     picked = np.take(p, at_label)
-    loss = float(-_mean(np.log(np.maximum(picked, 1e-300))))
+    loss = float(-_mean(safe_log(picked)))
     picked -= 1.0
     np.put(p, at_label, picked)
     delta = p
@@ -398,11 +399,14 @@ def stacked_accuracy(
     return np.mean(np.argmax(z, axis=-1) == shard.labels, axis=-1)
 
 
+def cross_entropy(p: np.ndarray, labels: np.ndarray) -> float:
+    """Mean cross-entropy of the probabilities p at the labels."""
+    return float(-_mean(safe_log(np.take(p, _label_index(labels, p.shape[1])))))
+
+
 def score(z: np.ndarray, p: np.ndarray, labels: np.ndarray) -> tuple[float, float]:
     """(mean cross-entropy, argmax accuracy) of logits z, given p = softmax(z)."""
-    picked = np.take(p, _label_index(labels, p.shape[1]))
-    loss = float(-_mean(np.log(np.maximum(picked, 1e-300))))
-    return loss, accuracy(z, labels)
+    return cross_entropy(p, labels), accuracy(z, labels)
 
 
 def evaluate(params: ModelParams, shard) -> tuple[float, float]:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .federation import DatasetShard
-from .models import ModelParams, logits, softmax
+from .models import ModelParams, logits, safe_log, softmax
 from .rng import stream
 
 
@@ -101,7 +101,7 @@ def noise_multiplier_for_budget(total_eps: float, rounds: int, delta: float) -> 
 
 def _per_sample_losses(model: ModelParams, shard: DatasetShard) -> np.ndarray:
     p = softmax(logits(model, shard.features))
-    return -np.log(np.maximum(p[np.arange(shard.sample_count), shard.labels], 1e-300))
+    return -safe_log(p[np.arange(shard.sample_count), shard.labels])
 
 
 def mia_attack(

@@ -8,7 +8,6 @@ from afflsim.federation import DatasetShard
 from afflsim.messenger import (
     CurriculumSchedule,
     FusionConfig,
-    _safe_log,
     _tier_sample_weights,
     curriculum_weights,
     distill_to_messenger,
@@ -26,6 +25,7 @@ from afflsim.models import (
     forward,
     init_params,
     logits,
+    safe_log,
     softmax,
     train_local,
 )
@@ -102,11 +102,10 @@ def test_schedule_validation():
 def grid_for(shard, hidden=(4, 8, 16), lambda2=0.1, **kwargs):
     """(templates, protocol block, lambda2) for select_capacity.
 
-    The probe settings default to lambda1 0.1, 10 probe steps at lr 0.5 and
-    an adaptation interval of 5.
+    The probe settings default to lambda1 0.1 and 10 probe steps at lr 0.5.
     """
     templates = tuple(Arch(shard.features.shape[1], shard.num_classes, h) for h in hidden)
-    settings = {"lambda1": 0.1, "probe_steps": 10, "probe_lr": 0.5, "adapt_interval": 5, **kwargs}
+    settings = {"lambda1": 0.1, "probe_steps": 10, "probe_lr": 0.5, **kwargs}
     return templates, ProtocolBlock(**settings), lambda2
 
 
@@ -117,7 +116,7 @@ def test_tie_break_goes_to_smallest_index():
     teacher = logits(current, shard.features)
     # zero probe steps + function-preserving resize: identical probe losses
     decision = select_capacity(
-        templates, protocol, shard, teacher, 0.0, 0, None, current, seed=1, lambda2=lambda2
+        templates, protocol, shard, teacher, 0.0, None, current, seed=1, lambda2=lambda2
     )
     losses = [s[0] for s in decision.composite_scores]
     assert losses == pytest.approx([losses[0]] * len(losses), abs=1e-12)
@@ -131,7 +130,7 @@ def test_chosen_total_minimizes_recomputed_scores():
     teacher = stream(4, "teacher").normal(0, 1, (shard.sample_count, shard.num_classes))
     spread = 0.4
     decision = select_capacity(
-        templates, protocol, shard, teacher, spread, 0, None, current, seed=2, lambda2=lambda2
+        templates, protocol, shard, teacher, spread, None, current, seed=2, lambda2=lambda2
     )
     max_pc = templates[-1].param_count
     totals = []
@@ -144,20 +143,6 @@ def test_chosen_total_minimizes_recomputed_scores():
     assert totals[decision.chosen_index] <= min(totals) + 1e-12
 
 
-def test_selection_skipped_off_interval():
-    shard = make_shard(tiers=0)
-    templates, protocol, lambda2 = grid_for(shard, adapt_interval=5)
-    current = init_params(templates[0], 0)
-    teacher = logits(current, shard.features)
-    prev = select_capacity(
-        templates, protocol, shard, teacher, 0.0, 0, None, current, seed=0, lambda2=lambda2
-    )
-    again = select_capacity(
-        templates, protocol, shard, teacher, 0.5, 3, prev, current, seed=9, lambda2=lambda2
-    )
-    assert again is prev
-
-
 def test_selection_does_not_mutate_current():
     shard = make_shard(tiers=0)
     templates, protocol, lambda2 = grid_for(shard, probe_steps=5)
@@ -166,7 +151,7 @@ def test_selection_does_not_mutate_current():
         snapshot = current.theta.copy()
         teacher = stream(7, "teacher").normal(0, 1, (shard.sample_count, shard.num_classes))
         select_capacity(
-            templates, protocol, shard, teacher, 0.1, 0, None, current, seed=5, lambda2=lambda2
+            templates, protocol, shard, teacher, 0.1, None, current, seed=5, lambda2=lambda2
         )
         assert np.array_equal(current.theta, snapshot)
 
@@ -177,10 +162,10 @@ def test_selection_deterministic():
     current = init_params(templates[0], 1)
     teacher = stream(8, "teacher").normal(0, 1, (shard.sample_count, shard.num_classes))
     d1 = select_capacity(
-        templates, protocol, shard, teacher, 0.1, 0, None, current, seed=5, lambda2=lambda2
+        templates, protocol, shard, teacher, 0.1, None, current, seed=5, lambda2=lambda2
     )
     d2 = select_capacity(
-        templates, protocol, shard, teacher, 0.1, 0, None, current, seed=5, lambda2=lambda2
+        templates, protocol, shard, teacher, 0.1, None, current, seed=5, lambda2=lambda2
     )
     assert d1 == d2
 
@@ -195,11 +180,11 @@ def test_complex_task_selects_at_least_simple_capacity():
     def run(classes, teacher_fn):
         shard = DatasetShard(feats, np.zeros(120, dtype=int), classes)
         templates = (Arch(d, classes, 2), Arch(d, classes, 24))
-        protocol = ProtocolBlock(lambda1=0.02, probe_steps=40, probe_lr=0.8, adapt_interval=5)
+        protocol = ProtocolBlock(lambda1=0.02, probe_steps=40, probe_lr=0.8)
         current = init_params(templates[0], 0)
         teacher = teacher_fn(shard)
         return select_capacity(
-            templates, protocol, shard, teacher, 0.0, 0, None, current, seed=3, lambda2=0.0
+            templates, protocol, shard, teacher, 0.0, None, current, seed=3, lambda2=0.0
         )
 
     simple = run(2, lambda s: np.column_stack([s.features[:, 0], -s.features[:, 0]]))
@@ -245,7 +230,7 @@ def injection_loss(
     w = _tier_sample_weights(shard, pi)
     p_m = softmax(logits(messenger, shard.features))
     p_c = softmax(logits(client, shard.features))
-    per_sample = np.sum(p_m * (_safe_log(p_m) - _safe_log(p_c)), axis=1)
+    per_sample = np.sum(p_m * (safe_log(p_m) - safe_log(p_c)), axis=1)
     return float(np.sum(w * per_sample))
 
 
@@ -326,8 +311,8 @@ def distillation_loss(
     n = shard.sample_count
     p_m = softmax(logits(messenger, shard.features))
     p_c = softmax(logits(client, shard.features))
-    ce = float(-np.mean(_safe_log(p_m[np.arange(n), shard.labels])))
-    kl = float(np.mean(np.sum(p_c * (_safe_log(p_c) - _safe_log(p_m)), axis=1)))
+    ce = float(-np.mean(safe_log(p_m[np.arange(n), shard.labels])))
+    kl = float(np.mean(np.sum(p_c * (safe_log(p_c) - safe_log(p_m)), axis=1)))
     return ce + lambda_kl * kl
 
 

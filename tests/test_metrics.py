@@ -7,12 +7,11 @@ from afflsim.metrics import (
     MetricsReport,
     cei,
     clinical_readiness,
-    convergence_slope,
     hfi,
-    loglog_slope,
     mis,
     put,
     scaling_exponent,
+    slope,
     statistical_parity,
     transfer_effectiveness,
 )
@@ -123,9 +122,9 @@ def test_scaling_exponent_guards():
         scaling_exponent([(10, 1.0), (20, -2.0), (40, 1.0)])
 
 
-def test_loglog_slope_linear_bytes():
-    samples = [(n, 7.5 * n) for n in (10, 20, 40, 80)]
-    assert loglog_slope(samples) == pytest.approx(1.0, abs=1e-9)
+def test_slope_of_linear_bytes_on_log_axes():
+    sizes = np.array([10, 20, 40, 80])
+    assert slope(np.log(sizes), np.log(7.5 * sizes)) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_clinical_readiness():
@@ -135,31 +134,6 @@ def test_clinical_readiness():
         clinical_readiness(1.2, 0.5, 0.5, 0.5, 0.3, 0.2)
     with pytest.raises(ValueError):
         clinical_readiness(0.5, 0.5, 0.5, 0.5, 0.3, 0.3)
-
-
-def test_convergence_slope_recovers_power_law():
-    f_star = 0.3
-    curve = [(t, f_star + t**-0.5) for t in range(1, 40)]
-    assert convergence_slope(curve, f_star) == pytest.approx(-0.5, abs=0.01)
-
-
-def test_convergence_slope_constant_curve():
-    curve = [(t, 1.0) for t in range(1, 20)]
-    assert convergence_slope(curve, 0.4) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_convergence_slope_guards():
-    with pytest.raises(ValueError):
-        convergence_slope([(1, 0.5), (2, 0.4)], f_star=0.45)
-    with pytest.raises(ValueError):
-        convergence_slope([(1, 1.0), (2, 0.9)], f_star=0.0)
-
-
-def test_convergence_slope_burn_in_excluded():
-    f_star = 0.0
-    # burn-in points deliberately off the power law
-    curve = [(1, 50.0), (2, 40.0)] + [(t, t**-0.5) for t in range(3, 30)]
-    assert convergence_slope(curve, f_star, burn_in=2) == pytest.approx(-0.5, abs=0.01)
 
 
 def test_gap_zero_iff_gini_zero():

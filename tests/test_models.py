@@ -7,8 +7,9 @@ from afflsim.federation import DatasetShard
 from afflsim.models import (
     Arch,
     ModelParams,
+    _ce_step,
+    _label_index,
     assign_difficulty_tiers,
-    ce_loss_and_grad,
     evaluate,
     init_params,
     logits,
@@ -47,7 +48,7 @@ def test_gradients_match_finite_differences(hidden, point_seed):
     arch = Arch(6, 3, hidden)
     shard = small_shard()
     params = init_params(arch, point_seed)
-    _, grad = ce_loss_and_grad(params, shard.features, shard.labels)
+    _, grad = _ce_step(params, shard.features, _label_index(shard.labels, 3), None)
     rng = stream(point_seed, "fd-coords")
     coords = rng.choice(arch.param_count, size=min(50, arch.param_count), replace=False)
     fd = fd_gradient(params, shard, coords)
