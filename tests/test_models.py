@@ -10,9 +10,11 @@ from afflsim.models import (
     _ce_step,
     _label_index,
     assign_difficulty_tiers,
+    cross_entropy,
     evaluate,
     init_params,
     logits,
+    safe_log,
     softmax,
     train_local,
 )
@@ -134,6 +136,25 @@ def test_evaluate_matches_hand_computed_loss():
     ) / 3.0
     loss, _ = evaluate(params, shard)
     assert loss == pytest.approx(hand, abs=1e-12)
+
+
+def test_safe_log_floors_zero_with_the_inline_bits():
+    p = np.array([0.0, 1e-320, 1e-300, 0.25, 1.0])
+    out = safe_log(p)
+    assert np.isfinite(out).all()
+    assert out[0] == out[1] == np.log(1e-300)
+    assert np.array_equal(out, np.log(np.maximum(p, 1e-300)))
+
+
+def test_cross_entropy_is_the_loss_evaluate_reports():
+    shard = small_shard(seed=4, n=57, classes=4)
+    params = init_params(Arch(6, 4, 8), seed=4)
+    p = softmax(logits(params, shard.features))
+    picked = p[np.arange(shard.labels.shape[0]), shard.labels]
+    fancy = float(-np.mean(np.log(np.maximum(picked, 1e-300))))
+    loss = cross_entropy(p, shard.labels)
+    assert loss == fancy
+    assert loss == evaluate(params, shard)[0]
 
 
 def test_evaluate_rejects_empty_shard():
