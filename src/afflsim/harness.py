@@ -54,7 +54,7 @@ class RoundRecord:
     per_client: list[tuple[int, float, float]]  # (id, loss, accuracy)
     global_val_loss: float
     global_val_accuracy: float
-    global_pool_loss: float  # loss on the pooled federation data (the global objective)
+    global_pool_loss: float  # mean loss over every row of every shard (the global objective)
     fairness_gap: float
     lambda2: float
     bytes_up: int
@@ -247,7 +247,6 @@ class SimState:
     train_shards: list[DatasetShard]  # label-flipped views for attackers
     validation: DatasetShard
     probe: DatasetShard
-    pooled_eval: DatasetShard
     pooled_dist: np.ndarray
     client_params: list[ModelParams]  # fedavg: copies of the broadcast model
     messenger: ModelParams  # the broadcast model; fedavg's global model
@@ -369,12 +368,6 @@ def init_state(cfg: RunConfig) -> SimState:
     else:
         schedule = msg.CurriculumSchedule.spread(num_tiers, max(cfg.max_rounds, 1))
 
-    pooled_eval = DatasetShard(
-        np.concatenate([s.features for s in shards]),
-        np.concatenate([s.labels for s in shards]),
-        shards[0].num_classes,
-    )
-
     priv = cfg.privacy
     per_round_eps = 0.0
     if priv.enabled and priv.noise_multiplier > 0:
@@ -389,7 +382,6 @@ def init_state(cfg: RunConfig) -> SimState:
         train_shards=train_shards,
         validation=validation,
         probe=probe,
-        pooled_eval=pooled_eval,
         pooled_dist=pooled,
         client_params=client_params,
         messenger=messenger,
@@ -675,7 +667,9 @@ def run_round(state: SimState) -> tuple[SimState, RoundRecord]:
 
     # evaluation: each cohort client's model on its own shard (scored in the
     # client step for messengers), the broadcast model on validation and its
-    # loss alone on the pooled data; fairness escalation for messengers
+    # mean loss over every row of every shard, evaluated shard by shard so
+    # no pooled copy of the data or its activations is held; fairness
+    # escalation for messengers
     per_client = [(i, *score) for i, score in zip(cohort, scores)]
     losses = {**state.last_client_losses, **{i: loss for i, loss, _ in per_client}}
     gap = fair.fairness_gap([acc for _, _, acc in per_client]) if cohort else 0.0
@@ -683,10 +677,7 @@ def run_round(state: SimState) -> tuple[SimState, RoundRecord]:
     if cohort and not fedavg:
         lambda2 = fair.monitor_and_adjust(gap, p.theta_fair, lambda2)
     gv_loss, gv_acc = models.evaluate(model, state.validation)
-    pooled = state.pooled_eval
-    pool_loss = models.cross_entropy(
-        models.softmax(models.logits(model, pooled.features)), pooled.labels
-    )
+    pool_loss = models.pooled_cross_entropy(model, state.shards)
     bytes_each_way = len(cohort) * 4 * base.param_count
     eps_total = state.eps_total + eps_round
 

@@ -404,6 +404,29 @@ def cross_entropy(p: np.ndarray, labels: np.ndarray) -> float:
     return float(-_mean(safe_log(np.take(p, _label_index(labels, p.shape[1])))))
 
 
+def pooled_cross_entropy(params: ModelParams, shards: list[DatasetShard]) -> float:
+    """Mean cross-entropy over every row of every shard, one shard at a time.
+
+    The value of cross_entropy(softmax(logits(params, X)), y) for X and y
+    the shards' rows stacked in order, without stacking them: each shard's
+    forward and softmax write into one workspace, so only one shard's
+    activations are held at a time. The label probabilities go into one
+    vector that is reduced once, so the mean is the same pairwise sum over
+    the same values. Only the matmuls may differ in the last bits from one
+    product over the stacked rows, since BLAS picks its kernel by matrix
+    size.
+    """
+    picked = np.empty(sum(s.labels.shape[0] for s in shards))
+    ws: Workspace = {}
+    start = 0
+    for shard in shards:
+        stop = start + shard.labels.shape[0]
+        p = softmax(forward(params, shard.features, ws)[0], ws)
+        np.take(p, _label_index(shard.labels, p.shape[1]), out=picked[start:stop])
+        start = stop
+    return float(-_mean(safe_log(picked)))
+
+
 def score(z: np.ndarray, p: np.ndarray, labels: np.ndarray) -> tuple[float, float]:
     """(mean cross-entropy, argmax accuracy) of logits z, given p = softmax(z)."""
     return cross_entropy(p, labels), accuracy(z, labels)

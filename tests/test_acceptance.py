@@ -32,6 +32,7 @@ from afflsim.fairness import (
     gini,
     shapley_estimate,
 )
+from afflsim.federation import DatasetShard
 from afflsim.harness import (
     THREADS_ENV,
     init_state,
@@ -269,9 +270,14 @@ def centralized_reference_loss(cfg, steps=3000, lr=0.5):
     returns its pooled loss, the F* that the convergence fit subtracts.
     """
     state = init_state(cfg)
+    pooled = DatasetShard(
+        np.concatenate([s.features for s in state.shards]),
+        np.concatenate([s.labels for s in state.shards]),
+        state.shards[0].num_classes,
+    )
     model = init_params(state.templates[-1], subseed(cfg.seed, "central-oracle"))
-    trained = train_local(model, state.pooled_eval, steps, lr)
-    return evaluate(trained, state.pooled_eval)[0]
+    trained = train_local(model, pooled, steps, lr)
+    return evaluate(trained, pooled)[0]
 
 
 def convergence_slope(loss_curve, f_star, burn_in=0):
@@ -334,8 +340,6 @@ def test_criterion_8_numerical_suite():
     rng = stream(0, "acc8-shard")
     feats = rng.normal(0, 1, (40, 6))
     labels = rng.integers(0, 3, 40)
-    from afflsim.federation import DatasetShard
-
     shard = DatasetShard(feats, labels, 3)
     for hidden in (0, 8):
         for point in (1, 2, 3):

@@ -110,7 +110,7 @@ GOLDEN = {
     "robustness_fedavg": (
         lambda: config.preset_robustness(7, algorithm="fedavg"),
         2,
-        "7c43dcd3a0ec2a91e28cc0e3e8dd8b4e888c1bba6b87524fc2bad9d339470619",
+        "dd5f1788d43496323344ac896230b3b5b273f549404deb9491bcb4c052c5ff94",
         "9b182375d9506b6ec1d3ac43e6a8863cc291352455ca1d88bb3469f469ca0b36",
     ),
     "smoke_label_flip_median": (

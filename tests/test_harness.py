@@ -1,12 +1,13 @@
 """Round loop: sampling, attacks, composition, determinism, baselines."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from afflsim import messenger as msg
-from afflsim.config import config_from_dict, preset_default, preset_smoke
+from afflsim.config import config_from_dict, preset_default, preset_scale, preset_smoke
 from afflsim.fairness import aggregate_messengers, fair_weights, fairness_gap, monitor_and_adjust, shapley_estimate
 from afflsim.federation import ClientProfile
 from afflsim.harness import (
@@ -477,3 +478,18 @@ def test_jsonl_records_round_trip(tmp_path):
     with open(paths["rounds"]) as fh:
         first = json.loads(fh.readline())
     assert list(first.keys()) == sorted(first.keys())
+
+
+def test_round_holds_no_pooled_activations():
+    """The global objective is evaluated shard by shard: no round allocates
+    as much as the hidden activations of every row at once."""
+    state = init_state(config_from_dict(preset_scale(40)))
+    rows = sum(s.labels.shape[0] for s in state.shards)
+    pooled_hidden_bytes = rows * state.messenger.arch.hidden * 8
+    tracemalloc.start()
+    try:
+        run_round(state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < pooled_hidden_bytes

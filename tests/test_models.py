@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from afflsim.config import config_from_dict, preset_smoke
 from afflsim.federation import DatasetShard
+from afflsim.harness import init_state
 from afflsim.models import (
     Arch,
     ModelParams,
@@ -14,6 +16,7 @@ from afflsim.models import (
     evaluate,
     init_params,
     logits,
+    pooled_cross_entropy,
     safe_log,
     softmax,
     train_local,
@@ -155,6 +158,37 @@ def test_cross_entropy_is_the_loss_evaluate_reports():
     loss = cross_entropy(p, shard.labels)
     assert loss == fancy
     assert loss == evaluate(params, shard)[0]
+
+
+def stacked(shards):
+    """One shard holding the rows of every shard, in order."""
+    return DatasetShard(
+        np.concatenate([s.features for s in shards]),
+        np.concatenate([s.labels for s in shards]),
+        shards[0].num_classes,
+    )
+
+
+@pytest.mark.parametrize("hidden", [0, 8])
+def test_pooled_cross_entropy_is_the_row_weighted_mean(hidden):
+    small = small_shard(seed=5, n=3, classes=4, separation=0.5)
+    large = small_shard(seed=6, n=300, classes=4, separation=3.0)
+    params = init_params(Arch(6, 4, hidden), seed=5)
+    pooled = stacked([small, large])
+    reference = cross_entropy(softmax(logits(params, pooled.features)), pooled.labels)
+    loss = pooled_cross_entropy(params, [small, large])
+    assert loss == pytest.approx(reference, rel=1e-15, abs=0.0)
+    mean_of_means = (evaluate(params, small)[0] + evaluate(params, large)[0]) / 2
+    assert abs(loss - mean_of_means) > 1e-3
+
+
+def test_pooled_cross_entropy_bit_identical_on_smoke_shards():
+    """On shards this small both paths take the same BLAS kernel, so the bits agree."""
+    state = init_state(config_from_dict(preset_smoke(7)))
+    pooled = stacked(state.shards)
+    for model in (state.messenger, state.client_params[0]):
+        reference = cross_entropy(softmax(logits(model, pooled.features)), pooled.labels)
+        assert pooled_cross_entropy(model, state.shards) == reference
 
 
 def test_evaluate_rejects_empty_shard():
