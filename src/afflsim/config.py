@@ -232,14 +232,13 @@ class MetricsBlock:
     clinical_w3: float = 0.2
     physician_acceptance: float = 0.75
     regulatory_compliance: float = 0.8
-    convergence_burn_in: int = 3
 
     def __post_init__(self):
         for f in dataclasses.fields(self):
             if not math.isfinite(getattr(self, f.name)):
                 raise ConfigError(f"metrics.{f.name} must be finite")
         for name in ("cei_alpha", "cei_beta", "put_lambda", "clinical_w1", "clinical_w2",
-                     "clinical_w3", "convergence_burn_in"):
+                     "clinical_w3"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"metrics.{name} must be nonnegative")
         w_sum = self.clinical_w1 + self.clinical_w2 + self.clinical_w3

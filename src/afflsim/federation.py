@@ -39,7 +39,12 @@ HONEST = "honest"
 
 @dataclass
 class DatasetShard:
-    """One institution's data: features, labels, modality layout, tiers."""
+    """One institution's data: features, labels, modality layout, tiers.
+
+    features are stored column-major, the layout of every model kernel's
+    activations (see models), converted once here; a copy that is already
+    column-major is kept as it is.
+    """
 
     features: np.ndarray
     labels: np.ndarray
@@ -49,7 +54,7 @@ class DatasetShard:
     num_tiers: int = 0
 
     def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=np.float64)
+        self.features = np.asfortranarray(self.features, dtype=np.float64)
         self.labels = np.asarray(self.labels, dtype=np.int64)
         if self.features.ndim != 2 or self.features.shape[0] != self.labels.shape[0]:
             raise ValueError("features and labels disagree on sample count")

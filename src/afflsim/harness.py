@@ -12,7 +12,11 @@ thread count.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import dataclasses
+import functools
+import glob
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -128,6 +132,48 @@ def thread_count() -> int:
         return max(1, int(os.environ.get(THREADS_ENV, "1")))
     except ValueError:
         return 1
+
+
+@functools.cache
+def _bundled_openblas() -> ctypes.CDLL | None:
+    """numpy's bundled scipy-openblas library, or None if this build has none.
+
+    numpy wheels ship it in numpy.libs next to the package; numpy has
+    loaded it already, so this opens the same library, not a second copy.
+    """
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas*.so*"))):
+        lib = ctypes.CDLL(path)
+        try:
+            get = lib.scipy_openblas_get_num_threads64_
+            set_ = lib.scipy_openblas_set_num_threads64_
+        except AttributeError:
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return lib
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Hold numpy's OpenBLAS at one thread, then restore its previous count.
+
+    On default-sized shards a product can give different bits at different
+    BLAS thread counts, so pinning one thread leaves rounds.jsonl depending
+    on the numpy/BLAS build only. A build without the scipy-openblas
+    symbols runs at whatever count its BLAS uses.
+    """
+    lib = _bundled_openblas()
+    if lib is None:
+        yield
+        return
+    previous = lib.scipy_openblas_get_num_threads64_()
+    lib.scipy_openblas_set_num_threads64_(1)
+    try:
+        yield
+    finally:
+        lib.scipy_openblas_set_num_threads64_(previous)
 
 
 def _parallel_map(fn, items: list):
@@ -720,8 +766,12 @@ def run_round(state: SimState) -> tuple[SimState, RoundRecord]:
 # ---------------------------------------------------------------------------
 
 
+@_one_blas_thread()
 def run_experiment(cfg: RunConfig) -> RunLog:
-    """Run the configured algorithm to target accuracy or max rounds."""
+    """Run the configured algorithm to target accuracy or max rounds.
+
+    BLAS runs on one thread meanwhile (see _one_blas_thread).
+    """
     state = init_state(cfg)
     _, acc0 = models.evaluate(state.messenger, state.validation)
     log = RunLog(

@@ -23,7 +23,7 @@ from .models import (
     ModelParams,
     Workspace,
     _buffer,
-    _per_row,
+    _label_index,
     _unpack,
     backprop,
     forward,
@@ -253,7 +253,7 @@ def inject_knowledge(
         z, hidden = forward(current, shard.features, ws)
         delta = softmax(z, ws)
         delta -= p_m
-        _per_row(np.multiply, delta, w, delta)
+        delta *= w[:, None]
         grad = backprop(current, shard.features, delta, hidden, ws)
         grad *= lr
         current.theta -= grad
@@ -285,8 +285,8 @@ def distill_to_messenger(
     ws = {} if ws is None else ws
     if any(np.may_share_memory(p_c, buf) for buf in ws.values()):
         raise ValueError("client_probs lives in the workspace distillation overwrites")
-    onehot = np.zeros((n, shard.num_classes))
-    onehot[np.arange(n), shard.labels] = 1.0
+    onehot = np.zeros((shard.num_classes, n)).T  # column-major, as the kernels' arrays
+    np.put(onehot.T, _label_index(shard.labels), 1.0)
     current = messenger.copy()
     for step in range(steps):
         if step == 0 and messenger_fwd is not None:

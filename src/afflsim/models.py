@@ -16,33 +16,24 @@ instead of once per step. Arrays a kernel returns then live in the
 workspace and are overwritten by the next step; without a workspace each
 kernel takes fresh arrays from np.empty.
 
-Two shard-sized operations avoid numpy's slow paths on skinny arrays
-(thousands of rows, 2-24 columns) without changing a bit:
+Activations are column-major. Shard features are stored that way (see
+federation.DatasetShard), and every (n, width) array a kernel allocates,
+hidden units, logits, probabilities and deltas, is the transpose of a
+C-contiguous (width, n) array, so that a feature, hidden unit or class is
+one contiguous column of a tall array only 2-24 columns wide:
 
-- Column sums (backprop's bias gradients) go through
-  np.einsum("ij->j"), several times faster than a.sum(axis=0) there.
-  For a C-contiguous array at least 2 columns wide both add row after
-  row in the same order, so they agree bit for bit. A 1-D reduction
-  (one column) sums pairwise and einsum uses its own accumulator, and a
-  non-C-contiguous input can take that path too, so those fall back to
-  a.sum(axis=0).
-- The probability of each row's label is read and updated at flat
-  indices rows * C + label, through np.take and np.put, instead of by
-  2-D fancy indexing p[np.arange(n), labels]. np.put writes through
-  to p even if p is not contiguous.
+- products run on the (width, n) views, np.matmul(W.T, X.T, out=Z.T);
+- bias adds and per-row operations (row max, row sum, sample weights)
+  broadcast down contiguous columns;
+- softmax reduces across the classes with np.maximum.reduce and
+  np.add.reduce(axis=1), which add the columns left to right;
+- bias gradients are np.add.reduce(delta, axis=0), a pairwise sum down
+  each column;
+- the probability of each row's label is read and written at the flat
+  indices labels * n + rows of p.T, through np.take and np.put.
 
-A numpy call that broadcasts a row vector (a bias) or a per-row column
-(a row max, row sum or sample weight) over an (n, C) array runs its
-inner loop over the C columns of each row. On narrow, tall arrays, such
-as the (870, 2) logits of a rural shard, one call per column is faster.
-_COLUMN_MIN_ROWS holds the measured crossover: the widths 2, 3 and 4
-and the row count from which the column form wins; every other shape
-broadcasts. Either form applies the same single float operation to the
-same operands, so the bits do not depend on which one runs. train_local
-builds the flat label index once per call rather than once per step,
-and means over a shard are np.add.reduce(x) / n, which is what np.mean
-computes for a float64 vector, without its wrapper. BENCH_narrow.json
-has the interleaved pairs.
+The kernels accept inputs of any layout and stay correct on them; only
+the bits of a sum or product may then differ in the last place.
 """
 
 from __future__ import annotations
@@ -158,26 +149,31 @@ Workspace = dict[str, np.ndarray]
 
 
 def _buffer(ws: Workspace | None, name: str, shape: tuple[int, ...]) -> np.ndarray:
-    """Uninitialized float64 scratch: ws[name] if it has this shape, else new."""
-    if ws is None:
-        return np.empty(shape)
-    buf = ws.get(name)
-    if buf is None or buf.shape != shape:
-        buf = ws[name] = np.empty(shape)
+    """Uninitialized column-major float64 scratch of this shape.
+
+    The first axis is the contiguous one: the array is the transpose of a
+    C-contiguous array of the reversed shape. ws[name] is reused when its
+    other axes match and it has at least shape[0] rows; a shorter request
+    gets its leading rows, whose columns are still contiguous.
+    """
+    if ws is not None:
+        buf = ws.get(name)
+        if buf is not None and buf.shape[1:] == shape[1:] and buf.shape[0] >= shape[0]:
+            return buf if buf.shape[0] == shape[0] else buf[: shape[0]]
+    buf = np.empty(shape[::-1]).T
+    if ws is not None:
+        ws[name] = buf
     return buf
 
 
-def _column_sums(a: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """a.sum(axis=0) written into out, bit for bit (see the module docstring)."""
-    if a.flags.c_contiguous and a.shape[1] >= 2:
-        return np.einsum("ij->j", a, out=out)
-    out[:] = a.sum(axis=0)
-    return out
+def _label_index(labels: np.ndarray) -> np.ndarray:
+    """Flat indices of p[i, labels[i]] in p.T, for an (len(labels), C) array p.
 
-
-def _label_index(labels: np.ndarray, classes: int) -> np.ndarray:
-    """Flat C-order indices of p[i, labels[i]] in an (len(labels), classes) array p."""
-    return np.arange(labels.shape[0]) * classes + labels
+    p.T is C-contiguous for a column-major p, so np.take and np.put on it
+    need no copy.
+    """
+    n = labels.shape[0]
+    return labels * n + np.arange(n)
 
 
 def _mean(a: np.ndarray) -> np.float64:
@@ -190,67 +186,21 @@ def safe_log(p: np.ndarray) -> np.ndarray:
     return np.log(np.maximum(p, 1e-300))
 
 
-# Below this many classes numpy's row sum adds left to right, which a
-# running column sum reproduces bit for bit; from 8 up it sums pairwise.
-_COLUMN_MAX_CLASSES = 8
-
-# Width -> row count from which a broadcast over an (n, width) array is
-# slower than one numpy call per column (timed on one core for widths
-# 2-8 and 200-12000 rows; README "Performance" has the table). Wider
-# arrays gained at most 7% by column anywhere in that range.
-_COLUMN_MIN_ROWS = {2: 500, 3: 1500, 4: 3000}
-
-
-def _by_columns(a: np.ndarray) -> bool:
-    """Whether a broadcast over the 2-D array a goes one column at a time."""
-    n, c = a.shape
-    return c in _COLUMN_MIN_ROWS and n >= _COLUMN_MIN_ROWS[c]
-
-
-def _add_bias(z: np.ndarray, b: np.ndarray) -> None:
-    """z += b for a 2-D z and one b per column."""
-    if _by_columns(z):
-        for j in range(z.shape[1]):
-            np.add(z[:, j], b[j], out=z[:, j])
-    else:
-        z += b
-
-
-def _per_row(op: np.ufunc, a: np.ndarray, v: np.ndarray, out: np.ndarray) -> None:
-    """out = op(a, v[:, None]) for a 2-D a and one v per row."""
-    if _by_columns(a):
-        for j in range(a.shape[1]):
-            op(a[:, j], v, out=out[:, j])
-    else:
-        op(a, v[:, None], out=out)
-
-
 def softmax(z: np.ndarray, ws: Workspace | None = None) -> np.ndarray:
     """Row-wise stable softmax (1-D input treated as a single row).
 
-    2-D inputs with few classes reduce column by column: a row-wise max
-    or sum over a short axis is several times slower than a few
-    elementwise passes over whole columns, and gives the same bits.
+    The max and the sum run across the classes, column after column, and
+    the output is column-major.
     """
     z = np.asarray(z, dtype=np.float64)
-    out = _buffer(ws, "probs", z.shape)
-    if z.ndim == 2 and 2 <= z.shape[1] < _COLUMN_MAX_CLASSES:
-        cols = z.shape[1]
-        m = np.maximum(z[:, 0], z[:, 1], out=_buffer(ws, "row_max", z.shape[:1]))
-        for j in range(2, cols):
-            np.maximum(m, z[:, j], out=m)
-        _per_row(np.subtract, z, m, out)
-        np.exp(out, out=out)
-        s = np.add(out[:, 0], out[:, 1], out=_buffer(ws, "row_sum", z.shape[:1]))
-        for j in range(2, cols):
-            s += out[:, j]
-        _per_row(np.divide, out, s, out)
-        return out
-    rows, rows_out = (z[None, :], out[None, :]) if z.ndim == 1 else (z, out)
-    np.subtract(rows, rows.max(axis=1, keepdims=True), out=rows_out)
-    np.exp(rows_out, out=rows_out)
-    rows_out /= rows_out.sum(axis=1, keepdims=True)
-    return out
+    rows = z[None, :] if z.ndim == 1 else z
+    out = _buffer(ws, "probs", rows.shape)
+    m = np.maximum.reduce(rows, axis=1, out=_buffer(ws, "row_max", rows.shape[:1]))
+    np.subtract(rows, m[:, None], out=out)
+    np.exp(out, out=out)
+    s = np.add.reduce(out, axis=1, out=_buffer(ws, "row_sum", rows.shape[:1]))
+    out /= s[:, None]
+    return out[0] if z.ndim == 1 else out
 
 
 def forward(
@@ -267,16 +217,16 @@ def forward(
     z = _buffer(ws, "logits", (n, arch.num_classes))
     if arch.hidden == 0:
         w, b = _unpack(arch, params.theta)
-        np.matmul(features, w, out=z)
-        _add_bias(z, b)
+        np.matmul(w.T, features.T, out=z.T)
+        z += b
         return z, None
     w1, b1, w2, b2 = _unpack(arch, params.theta)
     hidden = _buffer(ws, "hidden", (n, arch.hidden))
-    np.matmul(features, w1, out=hidden)
-    _add_bias(hidden, b1)
+    np.matmul(w1.T, features.T, out=hidden.T)
+    hidden += b1
     np.tanh(hidden, out=hidden)
-    np.matmul(hidden, w2, out=z)
-    _add_bias(z, b2)
+    np.matmul(w2.T, hidden.T, out=z.T)
+    z += b2
     return z, hidden
 
 
@@ -287,26 +237,29 @@ def logits(params: ModelParams, features: np.ndarray) -> np.ndarray:
 def forward_stacked(
     arch: Arch, thetas: np.ndarray, features: np.ndarray, ws: Workspace | None = None
 ) -> np.ndarray:
-    """Logits (k, n, C) of k models of one architecture, their thetas the rows of (k, P).
+    """Class-major logits (k, C, n) of k models of one architecture.
+
+    The models' thetas are the rows of (k, P).
 
     One np.matmul per layer over the whole stack. A stacked matmul runs
     the same 2-D product per slice, so slice i equals
-    logits(ModelParams(arch, thetas[i]), features) bit for bit.
+    logits(ModelParams(arch, thetas[i]), features).T bit for bit.
     """
     k, n = thetas.shape[0], features.shape[0]
-    z = _buffer(ws, "stacked_logits", (k, n, arch.num_classes))
+    # a column-major (n, width, k) buffer is a C-contiguous (k, width, n) one
+    z = _buffer(ws, "stacked_logits", (n, arch.num_classes, k)).T
     if arch.hidden == 0:
         w, b = _unpack_stacked(arch, thetas)
-        np.matmul(features, w, out=z)
-        z += b[:, None, :]
+        np.matmul(w.transpose(0, 2, 1), features.T, out=z)
+        z += b[:, :, None]
         return z
     w1, b1, w2, b2 = _unpack_stacked(arch, thetas)
-    hidden = _buffer(ws, "stacked_hidden", (k, n, arch.hidden))
-    np.matmul(features, w1, out=hidden)
-    hidden += b1[:, None, :]
+    hidden = _buffer(ws, "stacked_hidden", (n, arch.hidden, k)).T
+    np.matmul(w1.transpose(0, 2, 1), features.T, out=hidden)
+    hidden += b1[:, :, None]
     np.tanh(hidden, out=hidden)
-    np.matmul(hidden, w2, out=z)
-    z += b2[:, None, :]
+    np.matmul(w2.transpose(0, 2, 1), hidden, out=z)
+    z += b2[:, :, None]
     return z
 
 
@@ -328,19 +281,20 @@ def backprop(
     if params.arch.hidden == 0:
         gw, gb = _unpack(params.arch, grad)
         np.matmul(features.T, out_delta, out=gw)
-        _column_sums(out_delta, gb)
+        np.add.reduce(out_delta, axis=0, out=gb)
         return grad
     _, _, w2, _ = _unpack(params.arch, params.theta)
     gw1, gb1, gw2, gb2 = _unpack(params.arch, grad)
     np.matmul(hidden.T, out_delta, out=gw2)
-    _column_sums(out_delta, gb2)
-    hid_delta = np.matmul(out_delta, w2.T, out=_buffer(ws, "hid_delta", hidden.shape))
+    np.add.reduce(out_delta, axis=0, out=gb2)
+    hid_delta = _buffer(ws, "hid_delta", hidden.shape)
+    np.matmul(w2, out_delta.T, out=hid_delta.T)
     # tanh' = 1 - hidden**2
     sq = np.multiply(hidden, hidden, out=_buffer(ws, "tanh_grad", hidden.shape))
     np.subtract(1.0, sq, out=sq)
     hid_delta *= sq
     np.matmul(features.T, hid_delta, out=gw1)
-    _column_sums(hid_delta, gb1)
+    np.add.reduce(hid_delta, axis=0, out=gb1)
     return grad
 
 
@@ -349,15 +303,15 @@ def _ce_step(
 ) -> tuple[float, np.ndarray]:
     """Mean cross-entropy and its gradient w.r.t. theta.
 
-    at_label is the labels' flat index, _label_index(labels, C).
+    at_label is the labels' flat index, _label_index(labels).
     """
     n = features.shape[0]
     z, hidden = forward(params, features, ws)
     p = softmax(z, ws)
-    picked = np.take(p, at_label)
+    picked = np.take(p.T, at_label)
     loss = float(-_mean(safe_log(picked)))
     picked -= 1.0
-    np.put(p, at_label, picked)
+    np.put(p.T, at_label, picked)
     delta = p
     delta /= n
     return loss, backprop(params, features, delta, hidden, ws)
@@ -376,7 +330,7 @@ def train_local(
         raise ValueError("lr must be positive")
     current = params.copy()
     ws = {} if ws is None else ws
-    at_label = _label_index(shard.labels, current.arch.num_classes)
+    at_label = _label_index(shard.labels)
     for _ in range(steps):
         loss, grad = _ce_step(current, shard.features, at_label, ws)
         if not math.isfinite(loss):
@@ -386,9 +340,36 @@ def train_local(
     return current
 
 
+def _argmax_is_label(z: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """np.argmax(z, axis=-2) == labels for class-major logits z, (..., C, n).
+
+    Compares whole class rows instead of arg-maxing over an axis only C
+    long. As in np.argmax, the first maximum wins and the first NaN counts
+    as the maximum. The updates are boolean algebra and np.maximum, since
+    masked copies are several times slower.
+    """
+    best = z[..., 0, :].copy()
+    hit = np.empty(best.shape, dtype=bool)
+    hit[...] = labels == 0
+    move = np.empty(best.shape, dtype=bool)
+    for c in range(1, z.shape[-2]):
+        zc = z[..., c, :]
+        # move where zc > best or zc is NaN, but never off a NaN
+        np.less_equal(zc, best, out=move)
+        np.logical_not(move, out=move)
+        move &= best == best
+        # hit becomes labels == c where the argmax moves
+        flip = hit ^ (labels == c)
+        flip &= move
+        hit ^= flip
+        # np.maximum propagates NaN, so a NaN best stays NaN
+        np.maximum(best, zc, out=best)
+    return hit
+
+
 def accuracy(z: np.ndarray, labels: np.ndarray) -> float:
     """Share of rows whose argmax logit is the label."""
-    return float(np.mean(np.argmax(z, axis=1) == labels))
+    return float(np.mean(_argmax_is_label(z.T, labels)))
 
 
 def stacked_accuracy(
@@ -396,12 +377,12 @@ def stacked_accuracy(
 ) -> np.ndarray:
     """accuracy() on a shard of each of the k models whose thetas are the rows of (k, P)."""
     z = forward_stacked(arch, thetas, shard.features, ws)
-    return np.mean(np.argmax(z, axis=-1) == shard.labels, axis=-1)
+    return np.mean(_argmax_is_label(z, shard.labels), axis=-1)
 
 
 def cross_entropy(p: np.ndarray, labels: np.ndarray) -> float:
     """Mean cross-entropy of the probabilities p at the labels."""
-    return float(-_mean(safe_log(np.take(p, _label_index(labels, p.shape[1])))))
+    return float(-_mean(safe_log(np.take(p.T, _label_index(labels)))))
 
 
 def pooled_cross_entropy(params: ModelParams, shards: list[DatasetShard]) -> float:
@@ -410,20 +391,22 @@ def pooled_cross_entropy(params: ModelParams, shards: list[DatasetShard]) -> flo
     The value of cross_entropy(softmax(logits(params, X)), y) for X and y
     the shards' rows stacked in order, without stacking them: each shard's
     forward and softmax write into one workspace, so only one shard's
-    activations are held at a time. The label probabilities go into one
-    vector that is reduced once, so the mean is the same pairwise sum over
-    the same values. Only the matmuls may differ in the last bits from one
-    product over the stacked rows, since BLAS picks its kernel by matrix
-    size.
+    activations are held at a time. The largest shard runs first, which
+    sizes the workspace once; the others run on row-prefix views of its
+    buffers. The label probabilities go into one vector, each shard's at
+    its row offset, that is reduced once, so the mean is the same pairwise
+    sum over the same values. Only the matmuls may differ in the last bits
+    from one product over the stacked rows, since BLAS picks its kernel by
+    matrix size.
     """
-    picked = np.empty(sum(s.labels.shape[0] for s in shards))
+    sizes = [s.labels.shape[0] for s in shards]
+    offsets = np.cumsum([0, *sizes])
+    picked = np.empty(offsets[-1])
     ws: Workspace = {}
-    start = 0
-    for shard in shards:
-        stop = start + shard.labels.shape[0]
+    for i in sorted(range(len(shards)), key=lambda i: -sizes[i]):
+        shard = shards[i]
         p = softmax(forward(params, shard.features, ws)[0], ws)
-        np.take(p, _label_index(shard.labels, p.shape[1]), out=picked[start:stop])
-        start = stop
+        np.take(p.T, _label_index(shard.labels), out=picked[offsets[i] : offsets[i + 1]])
     return float(-_mean(safe_log(picked)))
 
 
@@ -453,7 +436,7 @@ def assign_difficulty_tiers(shard, warmup: ModelParams, num_tiers: int):
     if num_tiers > n:
         raise ValueError(f"num_tiers {num_tiers} exceeds sample count {n}")
     p = softmax(logits(warmup, shard.features))
-    conf = np.take(p, _label_index(shard.labels, p.shape[1]))
+    conf = np.take(p.T, _label_index(shard.labels))
     # stable sort on -conf keeps index order among ties
     order = np.argsort(-conf, kind="stable")
     tiers = np.empty(n, dtype=np.int64)

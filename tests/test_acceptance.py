@@ -345,7 +345,7 @@ def test_criterion_8_numerical_suite():
         for point in (1, 2, 3):
             arch = Arch(6, 3, hidden)
             params = init_params(arch, point)
-            _, grad = _ce_step(params, shard.features, _label_index(shard.labels, 3), None)
+            _, grad = _ce_step(params, shard.features, _label_index(shard.labels), None)
             coords = stream(point, "acc8-coords").choice(
                 arch.param_count, size=min(50, arch.param_count), replace=False
             )

@@ -150,21 +150,21 @@ def test_stacked_matmul_equals_2d_product_slice_by_slice(hidden, k):
     rng = stream(hidden, "stacked-matmul", k)
     arch = Arch(6, 3, hidden)
     thetas = rng.normal(0.0, 1.0, (k, arch.param_count))
-    x = rng.normal(0.0, 1.0, (257, 6))
+    x = np.asfortranarray(rng.normal(0.0, 1.0, (257, 6)))
     layers = _unpack_stacked(arch, thetas)
     for i in range(k):
         for stacked, single in zip(layers, _unpack(arch, thetas[i])):
             assert np.shares_memory(stacked[i], thetas) and np.array_equal(stacked[i], single)
-    w_first = layers[0]
-    out = np.matmul(x, w_first)
+    w_first = layers[0].transpose(0, 2, 1)
+    out = np.matmul(w_first, x.T)
     for i in range(k):
-        assert np.array_equal(out[i], x @ w_first[i])
+        assert np.array_equal(out[i], w_first[i] @ x.T)
     if hidden:
-        h = rng.normal(0.0, 1.0, (k, 257, hidden))
-        w_second = layers[2]
-        out = np.matmul(h, w_second)
+        h = rng.normal(0.0, 1.0, (k, hidden, 257))
+        w_second = layers[2].transpose(0, 2, 1)
+        out = np.matmul(w_second, h)
         for i in range(k):
-            assert np.array_equal(out[i], h[i] @ w_second[i])
+            assert np.array_equal(out[i], w_second[i] @ h[i])
 
 
 @pytest.mark.parametrize("hidden", [0, 2, 8])
@@ -176,11 +176,12 @@ def test_forward_stacked_equals_forward_per_model(hidden, classes):
     x = rng.normal(0.0, 1.0, (301, 5))
     labels = rng.integers(0, classes, 301)
     shard = DatasetShard(x, labels, classes)
-    z = forward_stacked(arch, thetas, x)
+    z = forward_stacked(arch, thetas, shard.features)
+    assert z.shape == (len(thetas), classes, 301) and z.flags.c_contiguous
     accs = stacked_accuracy(arch, thetas, shard, {})
     for i, theta in enumerate(thetas):
         params = ModelParams(arch, theta.copy())
-        assert np.array_equal(z[i], logits(params, x))
+        assert np.array_equal(z[i], logits(params, shard.features).T)
         assert accs[i] == evaluate(params, shard)[1]
 
 

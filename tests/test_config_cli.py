@@ -228,7 +228,6 @@ def test_config_that_would_fail_in_run_experiment_is_rejected(preset, path, valu
         ("metrics.clinical_w3", 0.1),  # weights sum to 0.9
         ("metrics.physician_acceptance", 1.5),
         ("metrics.regulatory_compliance", -0.1),
-        ("metrics.convergence_burn_in", -1),
         ("metrics.cei_beta", float("inf")),
         ("metrics.put_lambda", float("nan")),
         ("metrics.physician_acceptance", float("nan")),
@@ -316,7 +315,6 @@ def test_metrics_block_at_its_limits_parses():
         "cei_alpha": 0.0, "cei_beta": 0.0, "put_lambda": 0.0,
         "clinical_w1": 1.0, "clinical_w2": 0.0, "clinical_w3": 0.0,
         "physician_acceptance": 0.0, "regulatory_compliance": 1.0,
-        "convergence_burn_in": 0,
     }
     assert config_from_dict(d).metrics.clinical_w1 == 1.0
     d["metrics"] = {"clinical_w1": 0.1, "clinical_w2": 0.2, "clinical_w3": 0.7}

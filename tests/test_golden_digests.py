@@ -56,74 +56,74 @@ GOLDEN = {
     "smoke": (
         lambda: config.preset_smoke(7),
         6,
-        "6515f32a5c73fe71a83c43f633c099cc9c589cbddca7d7da1cc7e0d92ee17a7b",
-        "126c2ead021b95c6d06e89264579b7cd17a4cdf22f00a646366ae06a95300b18",
+        "930371b0a4286d8ebd07b9d57508f8f2fa0a19397df6f9022aabe9c33f240c4d",
+        "6f2b2c6056d2e4dd41c38251984c17b5bcbce57258bdd6d29708ac39c24a3d5c",
     ),
     "default": (
         lambda: config.preset_default(7),
         2,
-        "d48c6ffb335f239b74795e415e8aa43ee556524e2a11b5077cc5e08bab9d1135",
-        "9b426c603f94e2629d51ff3db8ae9f67f0d563ff81a400fd0c0e58d5df0d1622",
+        "a60e5b9e553995f8636b53c2d07090f2e43f658aff76f585477e95a9b04612bd",
+        "b180271088486a65ab16db5adbe0558e3a951494e974f83b95b0ea3a08f93d11",
     ),
     "scale40": (
         lambda: config.preset_scale(40, 7),
         2,
-        "b1358b91555398fc1a5f0f27e605a841e06ebe1eefee5922551136cc2706c4bf",
-        "622ae18b27d7ef40432adb1f5542bfecf779a0713aeab5bd0b7c2832c6f46f9a",
+        "a134a4029d499fb7729d31547cfa752d7fd5800c0439e6506c960e3b1d40453e",
+        "547583c4c14b71fd87850bfe4edac6e4de43b164510d3de4d81c3e337a5d35d5",
     ),
     "privacy": (
         lambda: config.preset_privacy(7),
         4,
-        "49cbba1dfd7ee09a5fe9205836e71f4c1b0512960c46c01890ceebced740805b",
-        "45dc62dd3ae78ce4f5ed1775998f5109a62a6eca6910e92fae80b1db9ee905ad",
+        "30574a445df9f1e1c6af317599ec2c2d05914a2765cb6c91f4f36de6671af736",
+        "305cb2a927fd3ce9a777a1e377aa201c86ece0f5167442fe53bbb8d17e700867",
     ),
     "convex": (
         lambda: config.preset_convex(7),
         4,
-        "68b2bc31a350c1254de0d5ee248225390cf6510231e2e10e50b06e781e057a6f",
-        "354b184a0ffa08d7675728a222b3339ddd2da2f6326b93a11130e21876790ded",
+        "cd1793fd26b62a68dcfb100e0e611223b41577d5a19aa537f2d5f23e6024cb9c",
+        "15b1acf783973ca3cfa3ff94ef588fc626f13dd342cfe667b3c7097b770db8a9",
     ),
     "default_fedavg": (
         lambda: config.preset_default(7, "fedavg"),
         2,
-        "53b0d86f15242dc93bacb4dbcfa97b887b2a69653fb1b8a87b61c981b771b698",
-        "0e2e01b9cc8727dc6945ac5338bfe02082a58bbb12ab479710dee0bb483e6730",
+        "89916f3976d85db41b257bd52ad003a937036ab911c254db9d129d84b41bb659",
+        "e756016029d7ad3245afccd5f99c6636cd6af143896aa44e8fd412e12c38f756",
     ),
     "default_static": (
         lambda: config.preset_default(7, "static_messenger"),
         2,
-        "9b5ce066a6b2338907974218a965a92144df86363ffe2b393544565935b0b039",
-        "f339db947b09337d0a2e5f9beb765ada4fc013ef088c832d21d70f3e9596b5eb",
+        "6653e30f4d52d3a2d331c6d5fee7802de1deb1a84dc80435bf2153bac39cc2dd",
+        "a40e40fbb614a1c4b675a9d83b296469eef104c042b843214388b037931eed6f",
     ),
     "smoke_uniform": (
         variant(lambda: config.preset_smoke(7), {"algorithm": "uniform_weight_affl"}),
         4,
-        "059ab6974093d23bb5515706fe5ed808acd8b57b2df8f883bf34b4530b097712",
-        "3b17eb0420c8cbc66a7df1649468b619bc37e425d70614c9705b4c72d3514394",
+        "25379353803f5ea2fa95bbb38e425c430d8b41b3639a581d809a25cb43845408",
+        "32a3b1677cee60effeabfb8f798c1edd015ce5c8458c64dba4edb7c307090a6f",
     ),
     "robustness_affl": (
         lambda: config.preset_robustness(7),
         2,
-        "42b9034b7733ac4857a1fd4de66c24d52eed2e5c6c681e9d7f0ea387be9fd138",
-        "93b44e374084a6c14138094d152244510348ee6ebdd1c79596046fc4e38b269e",
+        "09ba62fdfad7bc9d77ef1ceb57673e59d536d9d35d07863cc213374888bbee6f",
+        "9fe1ee42fe625024aa69422596fc1dd0750131d893f70e868237b9bdb62d45df",
     ),
     "robustness_fedavg": (
         lambda: config.preset_robustness(7, algorithm="fedavg"),
         2,
-        "dd5f1788d43496323344ac896230b3b5b273f549404deb9491bcb4c052c5ff94",
-        "9b182375d9506b6ec1d3ac43e6a8863cc291352455ca1d88bb3469f469ca0b36",
+        "4980ef2083879d657d7308552e78c48cdac2aa7b78a4cc9846aff69126e84c84",
+        "1e94cce85e36ac5adbcda95767d7fc200b8805dd6174cf93dd2b7492cd101b75",
     ),
     "smoke_label_flip_median": (
         smoke_attack("label_flip", robust_method="coordinate_median"),
         3,
-        "ec6ab111709bc1b8c39efc3caac221f9419565a2e937e67e68b19195583792cb",
-        "d6a2511c0186fd39b17289745a1617bae0582cdb1e42bb00b62392d836c41382",
+        "8dd8c1b938ccfba01b4e70c20859a082e1ce7e55b7b4e4cbd682a3a95597b4eb",
+        "6906bed1a8a258d80f28db6e0b817e46563cf3e1ca22321fa519cc66216c605f",
     ),
     "smoke_large_norm_static": (
         smoke_attack("large_norm", algorithm="static_messenger"),
         3,
-        "1f85bcaa7ae953f61cd2b9ce8be21885a5ddb9e668a69fac5fed6059a482c7d9",
-        "b0676f4813f41590534e228df7ca68ff088c632f50669c9926e9304a4a7c411e",
+        "8bfe177c8213cfb2f24c1c6bb2b49b30a54ce21176b9b6d7290adabf85d18c3b",
+        "d0b01f6f3869c58d2687616dbddb7d4380410d5625ada24b84b802ce254baa7c",
     ),
     "scale20_dropout_load_aware": (
         variant(
@@ -131,44 +131,44 @@ GOLDEN = {
             {"dropout_rate": 0.6, "load_aware_sampling": True, "sample_rate": 0.5},
         ),
         3,
-        "f7d5edd281063ace5b0a75dc7d0767bf7e74b818ce00b0066cade51b3610f2ec",
-        "1daffb2bb6d2eb4c28557c0917cbfc15063f524ab0e4ea1bebb3d754d27e7b77",
+        "84a61ceadc1d1cb8dc6e7eebfba0ab46193271e368b15e188b9b0d1330873ec3",
+        "f3ca71ff16111b06b96ee6c8129a0cb336af50bdcd5c0624e71bd095ebf89946",
     ),
     "smoke_dropout90_affl": (
         variant(lambda: config.preset_smoke(7), {"dropout_rate": 0.9}),
         4,
         "1728e0ef949415804793bb822d595737a37efd872bb42b0ef26725a820b68fbf",
-        "4615b932e6e9a1d2ec0c5e8d0084e568e46d783bdd7bc05cbf650728f6411ae6",
+        "c53299fff4074eda2bb2538e265971c17f2f3a42c1c2340e3d44e847e005f897",
     ),
     "smoke_dropout90_fedavg": (
         variant(lambda: config.preset_smoke(7), {"dropout_rate": 0.9, "algorithm": "fedavg"}),
         4,
         "6f5a2f73b9fcae356f2d1c7c4d522fe34a30c288c90ad57c2261790fd9533637",
-        "c4a726874ac9ec389f85016200674c3e48ebfe72a2515dc99e5320013709a31a",
+        "018fe632b5df154a731333d213bc2722a22a3c2041dcde8e774aac6330ac7a10",
     ),
     "privacy_fedavg": (
         variant(lambda: config.preset_privacy(7), {"algorithm": "fedavg"}),
         3,
-        "508b40f2423904bf669bb4712705fbbe47f7dfb46a8c8842f3de0f3d9e8edf6a",
-        "0793a046d3665c10f784db84986a08910a06f0f6c06d3afaf6518f8d8fd67db5",
+        "4551f09f26e57205cff2d03670b8df89c3f1a2e1719f6a3464d92f3653a98a23",
+        "2d52e85f7815156f9854171076e9695a7403324de32b448b6ce0cbcb54a7acd8",
     ),
     "multimodal": (
         lambda: config.preset_multimodal(7),
         2,
-        "64dd4fb7d8cb8f5c47e8766d77ecaf34470517d1ad4cf76e746e58a13081accb",
-        "716f53ba3e23eb84eb9c804e35ad09b8a0999e321214ab6e96c9f94bfc85c8d0",
+        "a4fd10c4f2a8d9a0b31328a9c4df8650fe991ff1e73b0fea44210c6371b58eef",
+        "d14c3bde21972f84441887a12be87821fa99801f573d20964709384bd50cd9da",
     ),
     "default_adapt1": (
         variant(lambda: config.preset_default(7), {"adapt_interval": 1}),
         3,
-        "f113ba9391e806b600447a394d4d68a83bf0456a6c2ac5a334d7fb8630474af6",
-        "33af7591b2f2df9b67d5831e8ce1ed9dd96121e74ec6b7a5d6699cc12f161d2d",
+        "19fd66665f91ddbf9163fa9da4912af30301e687af1482138ee358833a0804ef",
+        "11e56bc87f868d08e43764466dc4a0cfd538f28086cff9c2945541f50f40a475",
     ),
     "smoke_fedavg_zero_rounds": (
         variant(lambda: config.preset_smoke(7), {"algorithm": "fedavg"}),
         0,
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "7bac26bdc6185300d64d5feb8fe69fc728b64db4e88de392ca82f9aeeb3f82d3",
+        "ed9553859937da74b231b332187a66b0e7d8b0919d1d1af8de4106c06b59a35a",
     ),
 }
 

@@ -1,6 +1,9 @@
 """Round loop: sampling, attacks, composition, determinism, baselines."""
 
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -282,6 +285,41 @@ def test_run_identical_at_different_thread_counts(monkeypatch, tmp_path):
         )
     assert outputs["1"][0] == outputs["8"][0]
     assert outputs["1"][1] == outputs["8"][1]
+
+
+BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+# prints the sha256 of rounds.jsonl of preset_default(1007) run for 2 rounds
+DEFAULT_DIGEST_SCRIPT = """
+import hashlib, sys, tempfile
+from afflsim.config import config_from_dict, preset_default
+from afflsim.harness import run_experiment, write_run_outputs
+data = {**preset_default(1007), "max_rounds": 2, "target_accuracy": None}
+with tempfile.TemporaryDirectory() as outdir:
+    paths = write_run_outputs(run_experiment(config_from_dict(data)), outdir)
+    print(hashlib.sha256(open(paths["rounds"], "rb").read()).hexdigest())
+"""
+
+
+def test_default_run_does_not_depend_on_the_blas_thread_variables():
+    """A default-sized run logs the same bits with the BLAS thread variables
+    unset, where OpenBLAS may take every core, and with them at 1: the
+    products of shards this size gave different bits at 1 and 2 threads
+    until run_experiment held BLAS at one thread."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    digests = []
+    for threads in (None, "1"):
+        env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+        env["PYTHONPATH"] = os.pathsep.join([os.path.join(src, "src"), env.get("PYTHONPATH", "")])
+        if threads is not None:
+            env.update(dict.fromkeys(BLAS_THREAD_VARS, threads))
+        result = subprocess.run(
+            [sys.executable, "-c", DEFAULT_DIGEST_SCRIPT],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        digests.append(result.stdout.strip())
+    assert len(digests[0]) == 64
+    assert digests[0] == digests[1]
 
 
 def test_reruns_are_byte_identical(tmp_path):

@@ -9,16 +9,22 @@ from afflsim.harness import init_state
 from afflsim.models import (
     Arch,
     ModelParams,
+    _argmax_is_label,
     _ce_step,
     _label_index,
+    accuracy,
     assign_difficulty_tiers,
+    backprop,
     cross_entropy,
     evaluate,
+    forward,
+    forward_stacked,
     init_params,
     logits,
     pooled_cross_entropy,
     safe_log,
     softmax,
+    stacked_accuracy,
     train_local,
 )
 from afflsim.rng import stream
@@ -53,7 +59,7 @@ def test_gradients_match_finite_differences(hidden, point_seed):
     arch = Arch(6, 3, hidden)
     shard = small_shard()
     params = init_params(arch, point_seed)
-    _, grad = _ce_step(params, shard.features, _label_index(shard.labels, 3), None)
+    _, grad = _ce_step(params, shard.features, _label_index(shard.labels), None)
     rng = stream(point_seed, "fd-coords")
     coords = rng.choice(arch.param_count, size=min(50, arch.param_count), replace=False)
     fd = fd_gradient(params, shard, coords)
@@ -242,18 +248,22 @@ def test_non_finite_loss_raises():
 
 
 def reference_softmax(z):
-    """The row-wise softmax as first written: one max, exp and sum per row."""
-    z = z - z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    """Softmax of the rows of z, on a C-contiguous (C, n) transpose, reduced down axis 0."""
+    e = np.exp(np.ascontiguousarray(z.T) - z.T.max(axis=0))
+    return (e / e.sum(axis=0)).T
+
+
+def column_major_normals(seed, rows, classes, scale):
+    return np.asfortranarray(stream(rows, seed, classes).normal(0.0, scale, (rows, classes)))
 
 
 @pytest.mark.parametrize("classes", range(2, 10))
 @pytest.mark.parametrize("rows", [1, 2, 31, 32, 33, 1280, 12000])
 def test_softmax_bit_identical_to_reference(classes, rows):
-    z = stream(rows, "softmax", classes).normal(0.0, 4.0, (rows, classes))
+    z = column_major_normals("softmax", rows, classes, 4.0)
     snapshot = z.copy()
     out = softmax(z)
+    assert out.flags.f_contiguous
     assert np.array_equal(out, reference_softmax(z))
     assert np.array_equal(z, snapshot)  # input untouched
 
@@ -272,7 +282,7 @@ def test_softmax_one_dim_is_single_row(classes):
 def test_softmax_extreme_logits_and_tied_maxima(classes):
     rows = 64
     rng = stream(1, "softmax-extreme", classes)
-    z = rng.choice([-700.0, 0.0, 700.0], size=(rows, classes))
+    z = np.asfortranarray(rng.choice([-700.0, 0.0, 700.0], size=(rows, classes)))
     z[::4] = 700.0  # every entry ties for the max
     z[1::4, :2] = 699.5  # two-way tie below a larger max elsewhere in the row
     z[1::4, -1] = 700.0
@@ -282,3 +292,104 @@ def test_softmax_extreme_logits_and_tied_maxima(classes):
     assert np.array_equal(out, reference_softmax(z))
     assert np.all(np.isfinite(out))
     assert np.array_equal(z, snapshot)
+
+
+# -- column-major layout ------------------------------------------------------
+
+
+def test_shard_features_are_column_major_and_held_once():
+    shard = small_shard(n=30)
+    assert shard.features.flags.f_contiguous
+    tiered = shard.with_tiers(np.arange(30) % 2, 2)
+    flipped = tiered.with_labels((tiered.labels + 1) % 3)
+    for derived in (tiered, flipped):
+        assert derived.features is shard.features
+    fused = shard.with_features(np.ascontiguousarray(shard.features[:, :4]))
+    assert fused.features.flags.f_contiguous
+    assert fused.features.shape == (30, 4)
+
+
+@pytest.mark.parametrize("hidden", [0, 8])
+def test_kernels_are_correct_on_row_major_inputs(hidden):
+    """The kernels take inputs of any layout; only the rounding may move."""
+    shard = small_shard(seed=3, n=257, classes=4)
+    params = init_params(Arch(6, 4, hidden), seed=3)
+    row_major = np.ascontiguousarray(shard.features)
+    assert not row_major.flags.f_contiguous
+    z, h = forward(params, shard.features)
+    z_c, _ = forward(params, row_major)
+    np.testing.assert_allclose(z_c, z, rtol=1e-12, atol=1e-12)
+    p = softmax(z)
+    p_c = softmax(np.ascontiguousarray(z))
+    np.testing.assert_allclose(p_c, p, rtol=1e-12, atol=1e-15)
+    delta = (p - np.eye(4)[shard.labels]) / 257
+    grad = backprop(params, shard.features, delta, h)
+    h_c = None if h is None else np.ascontiguousarray(h)
+    grad_c = backprop(params, row_major, np.ascontiguousarray(delta), h_c)
+    np.testing.assert_allclose(grad_c, grad, rtol=1e-12, atol=1e-12)
+    trained = train_local(params, shard, 5, 0.5)
+    at_label = _label_index(shard.labels)
+    np.testing.assert_allclose(
+        _ce_step(trained, row_major, at_label, None)[1],
+        _ce_step(trained, shard.features, at_label, None)[1],
+        rtol=1e-12, atol=1e-12,
+    )
+
+
+def test_workspace_serves_shorter_shards_from_its_leading_rows():
+    large = small_shard(seed=7, n=300, classes=4)
+    small = small_shard(seed=8, n=37, classes=4)
+    params = init_params(Arch(6, 4, 8), seed=7)
+    ws = {}
+    forward(params, large.features, ws)
+    buffers = {name: buf for name, buf in ws.items()}
+    z, h = forward(params, small.features, ws)
+    assert all(ws[name] is buf for name, buf in buffers.items())
+    assert np.shares_memory(z, buffers["logits"]) and z.shape == (37, 4)
+    z_fresh, h_fresh = forward(params, small.features)
+    assert np.array_equal(z, z_fresh) and np.array_equal(h, h_fresh)
+    assert np.array_equal(softmax(z, ws), softmax(z_fresh))
+
+
+def test_pooled_cross_entropy_equals_fresh_forwards_per_shard():
+    """The largest shard runs first; the others, on the leading rows of its
+    buffers, give the bits of a fresh forward."""
+    shards = [small_shard(seed=s, n=n, classes=4) for s, n in ((1, 40), (2, 300), (3, 41))]
+    params = init_params(Arch(6, 4, 8), seed=9)
+    picked = [
+        softmax(logits(params, s.features))[np.arange(len(s.labels)), s.labels] for s in shards
+    ]
+    fresh = float(-np.mean(safe_log(np.concatenate(picked))))
+    assert pooled_cross_entropy(params, shards) == fresh
+
+
+def argmax_cases():
+    """Class-major logits (k, C, n) with ties, infinities and NaNs."""
+    rng = stream(11, "argmax-cases")
+    values = np.array([-np.inf, -1.0, 0.0, -0.0, 1.0, 2.0, np.inf, np.nan])
+    for classes in (2, 3, 4, 9):
+        yield rng.choice(values, size=(5, classes, 400))
+        yield rng.normal(0.0, 1.0, (5, classes, 400))
+
+
+@pytest.mark.parametrize("z", list(argmax_cases()), ids=lambda z: f"C{z.shape[1]}")
+def test_argmax_is_label_equals_numpy_argmax(z):
+    labels = stream(z.shape[1], "argmax-labels").integers(0, z.shape[1], z.shape[2])
+    want = np.argmax(z, axis=1) == labels
+    assert np.array_equal(_argmax_is_label(z, labels), want)
+    assert accuracy(z[0].T, labels) == float(np.mean(want[0]))
+
+
+def test_stacked_accuracy_ties_and_non_finite_logits_match_argmax():
+    arch = Arch(3, 3, 0)
+    thetas = np.zeros((5, arch.param_count))  # zero weights: the logits are the biases
+    thetas[1, -3:] = [0.0, 1.0, 1.0]  # classes 1 and 2 tie: the first wins
+    thetas[2, -3:] = [-np.inf, -np.inf, 0.0]
+    thetas[3, -3:] = [0.0, np.nan, np.inf]  # the first NaN is the maximum
+    thetas[4, -3:] = [np.inf, 0.0, np.nan]  # a NaN beats an earlier inf
+    features = stream(12, "stacked-ties").normal(0.0, 1.0, (50, 3))
+    shard = DatasetShard(features, np.repeat([0, 1, 2], [10, 15, 25]), 3)
+    z = forward_stacked(arch, thetas, shard.features)
+    want = np.mean(np.argmax(z, axis=1) == shard.labels, axis=-1)
+    assert np.array_equal(stacked_accuracy(arch, thetas, shard), want)
+    assert want.tolist() == [10 / 50, 15 / 50, 25 / 50, 15 / 50, 25 / 50]

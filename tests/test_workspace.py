@@ -1,9 +1,10 @@
-"""Workspace kernels and training calls against the old allocating expressions.
+"""Workspace kernels and training calls against allocating expressions.
 
 Each kernel and step loop writes its temporaries into a workspace that
-one training call reuses on every step. The oracles below are the
-expressions as they were before that change, each allocating fresh
-arrays; every comparison is exact (bit for bit), because the golden run
+one training call reuses on every step. The oracles below state each
+kernel as allocating expressions on column-major inputs: products and
+softmax on the (width, n) transposes, and bias gradients as column
+sums. Every comparison is exact (bit for bit), because the golden run
 digests depend on it.
 """
 
@@ -36,19 +37,23 @@ from afflsim.rng import stream
 # -- oracles: the allocating expressions -------------------------------------
 
 
+def column_major(a):
+    return np.asfortranarray(a)
+
+
 def reference_softmax(z):
-    z = z - z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    """Softmax of the rows of z, on a C-contiguous (C, n) transpose, reduced down axis 0."""
+    e = np.exp(np.ascontiguousarray(z.T) - z.T.max(axis=0))
+    return (e / e.sum(axis=0)).T
 
 
 def reference_forward(params, features):
     if params.arch.hidden == 0:
         w, b = _unpack(params.arch, params.theta)
-        return features @ w + b, None
+        return (w.T @ features.T + b[:, None]).T, None
     w1, b1, w2, b2 = _unpack(params.arch, params.theta)
-    hidden = np.tanh(features @ w1 + b1)
-    return hidden @ w2 + b2, hidden
+    hidden_t = np.tanh(w1.T @ features.T + b1[:, None])
+    return (w2.T @ hidden_t + b2[:, None]).T, hidden_t.T
 
 
 def reference_backprop(params, features, out_delta, hidden):
@@ -62,7 +67,7 @@ def reference_backprop(params, features, out_delta, hidden):
     gw1, gb1, gw2, gb2 = _unpack(params.arch, grad)
     gw2[:] = hidden.T @ out_delta
     gb2[:] = out_delta.sum(axis=0)
-    hid_delta = (out_delta @ w2.T) * (1.0 - hidden**2)
+    hid_delta = (w2 @ out_delta.T).T * (1.0 - hidden**2)
     gw1[:] = features.T @ hid_delta
     gb1[:] = hid_delta.sum(axis=0)
     return grad
@@ -94,7 +99,7 @@ def reference_inject_knowledge(client, messenger, shard, pi, steps, lr):
     current = client.copy()
     for _ in range(steps):
         z, hidden = reference_forward(current, shard.features)
-        delta = w[:, None] * (reference_softmax(z) - p_m)
+        delta = ((reference_softmax(z) - p_m).T * w).T
         grad = reference_backprop(current, shard.features, delta, hidden)
         grad *= lr
         current.theta -= grad
@@ -104,7 +109,7 @@ def reference_inject_knowledge(client, messenger, shard, pi, steps, lr):
 def reference_distill_to_messenger(messenger, client, shard, lambda_kl, steps, lr):
     n = shard.sample_count
     p_c = reference_softmax(reference_forward(client, shard.features)[0])
-    onehot = np.zeros((n, shard.num_classes))
+    onehot = column_major(np.zeros((n, shard.num_classes)))
     onehot[np.arange(n), shard.labels] = 1.0
     current = messenger.copy()
     for _ in range(steps):
@@ -163,7 +168,7 @@ def test_forward_bit_identical_with_and_without_workspace(hidden, n):
 def test_backprop_bit_identical_with_and_without_workspace(hidden, n):
     shard = make_shard(n)
     params = init_params(Arch(10, 4, hidden), 3)
-    delta = stream(n, "delta").normal(0, 0.1, (n, 4))
+    delta = column_major(stream(n, "delta").normal(0, 0.1, (n, 4)))
     _, hid = reference_forward(params, shard.features)
     snapshots = (delta.copy(), None if hid is None else hid.copy(), params.theta.copy())
     expected = reference_backprop(params, shard.features, delta, hid)
@@ -180,15 +185,15 @@ def test_backprop_bit_identical_with_and_without_workspace(hidden, n):
 @pytest.mark.parametrize("classes", range(2, 10))
 @pytest.mark.parametrize("rows", [1, 2, 31, 1280, 12000])
 def test_softmax_into_workspace_bit_identical(classes, rows):
-    z = stream(rows, "softmax-ws", classes).normal(0.0, 4.0, (rows, classes))
+    z = column_major(stream(rows, "softmax-ws", classes).normal(0.0, 4.0, (rows, classes)))
     snapshot = z.copy()
-    ws = {"probs": np.full((rows, classes), np.nan)}
+    ws = {"probs": column_major(np.full((rows, classes), np.nan))}
     expected = reference_softmax(z)
     out = softmax(z, ws)
     assert out is ws["probs"]
     assert np.array_equal(out, expected)
     # a second input into the same buffers
-    z2 = -z[::-1].copy()
+    z2 = column_major(-z[::-1])
     assert np.array_equal(softmax(z2, ws), reference_softmax(z2))
     assert np.array_equal(z, snapshot)
 
@@ -207,7 +212,7 @@ def test_ce_step_bit_identical(hidden):
     params = init_params(Arch(10, 4, hidden), 4)
     loss_ref, grad_ref = reference_ce_step(params, shard.features, shard.labels)
     for w in (None, {}):
-        loss, grad = _ce_step(params, shard.features, _label_index(shard.labels, 4), w)
+        loss, grad = _ce_step(params, shard.features, _label_index(shard.labels), w)
         assert loss == loss_ref
         assert np.array_equal(grad, grad_ref)
 
@@ -256,7 +261,7 @@ def test_distill_to_messenger_bit_identical(client_hidden, messenger_hidden, ste
 def test_distill_toward_teacher_bit_identical(hidden):
     shard = make_shard(120)
     params = init_params(Arch(10, 4, hidden), 10)
-    teacher = softmax(stream(11, "teacher").normal(0, 2, (120, 4)))
+    teacher = softmax(column_major(stream(11, "teacher").normal(0, 2, (120, 4))))
     out, _ = _distill_toward_teacher(params, shard.features, teacher, 8, 0.8)
     expected = reference_distill_toward_teacher(params, shard.features, teacher, 8, 0.8)
     assert np.array_equal(out.theta, expected.theta)
