@@ -35,6 +35,7 @@ from afflsim.models import (  # noqa: E402
     _ce_step,
     _label_index,
     _unpack,
+    backprop,
     forward,
     score,
     softmax,
@@ -283,6 +284,29 @@ def test_flat_label_index_reads_and_writes_like_fancy_indexing(problem, layout):
 # -- training kernels on every input layout ----------------------------------
 
 NARROW = settings(PROPERTY, max_examples=25)
+
+
+# row counts on both sides of numpy's pairwise-summation unroll (8) and
+# block (128), which the column sums of the bias gradients run through
+@pytest.mark.parametrize("width", range(1, 10))
+@pytest.mark.parametrize("rows", [1, 8, 9, 128, 129, 499, 1500])
+@pytest.mark.parametrize("layout", ["F", "C", "col_slice"])
+def test_kernels_on_narrow_arrays_equal_the_allocating_versions(width, rows, layout):
+    rng = np.random.default_rng(rows * 10 + width)
+    # width is the class count of the softmax and the hidden width of the MLP
+    z = laid_out(scaled_normals(rng, (rows, width), -2, 3), layout, rng)
+    assert same_bits(softmax(z, {}), allocating_softmax(z))
+    features = laid_out(rng.standard_normal((rows, width)), layout, rng)
+    for hidden in (0, width):
+        arch = Arch(width, max(width, 2), hidden)
+        params = ModelParams(arch, rng.standard_normal(arch.param_count))
+        z, hid = forward(params, features, {})
+        want_z, want_hid = allocating_forward(params, features)
+        assert same_bits(z, want_z)
+        assert hid is None if want_hid is None else same_bits(hid, want_hid)
+        delta = laid_out(scaled_normals(rng, z.shape, -2, 3), layout, rng)
+        grad = backprop(params, features, delta, hid, {})
+        assert same_bits(grad, allocating_backprop(params, features, delta, want_hid))
 
 
 @NARROW
