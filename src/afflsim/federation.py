@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .models import Arch
+from .models import Arch, with_ones_column
 from .rng import stream
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -41,9 +41,11 @@ HONEST = "honest"
 class DatasetShard:
     """One institution's data: features, labels, modality layout, tiers.
 
-    features are stored column-major, the layout of every model kernel's
-    activations (see models), converted once here; a copy that is already
-    column-major is kept as it is.
+    features are stored as the first columns of a column-major [X | 1]
+    array, the layout of every model kernel's activations, whose ones
+    column carries each layer's bias (see models.with_ones_column). They
+    are converted once here; features that already lead such an array,
+    as a derived shard's do, are kept as they are.
     """
 
     features: np.ndarray
@@ -54,10 +56,11 @@ class DatasetShard:
     num_tiers: int = 0
 
     def __post_init__(self):
-        self.features = np.asfortranarray(self.features, dtype=np.float64)
+        self.features = np.asarray(self.features, dtype=np.float64)
         self.labels = np.asarray(self.labels, dtype=np.int64)
         if self.features.ndim != 2 or self.features.shape[0] != self.labels.shape[0]:
             raise ValueError("features and labels disagree on sample count")
+        self.features = with_ones_column(self.features)
         if self.labels.size and (self.labels.min() < 0 or self.labels.max() >= self.num_classes):
             raise ValueError("label ids must lie in [0, num_classes)")
         if not self.modality_blocks:

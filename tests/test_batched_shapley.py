@@ -19,8 +19,7 @@ from afflsim.harness import COALITION_BLOCK, coalition_value_fn
 from afflsim.models import (
     Arch,
     ModelParams,
-    _unpack,
-    _unpack_stacked,
+    _layers,
     evaluate,
     forward_stacked,
     init_params,
@@ -150,18 +149,20 @@ def test_stacked_matmul_equals_2d_product_slice_by_slice(hidden, k):
     rng = stream(hidden, "stacked-matmul", k)
     arch = Arch(6, 3, hidden)
     thetas = rng.normal(0.0, 1.0, (k, arch.param_count))
-    x = np.asfortranarray(rng.normal(0.0, 1.0, (257, 6)))
-    layers = _unpack_stacked(arch, thetas)
+    # [X | 1], column-major, as the kernels multiply it
+    x = np.asfortranarray(np.column_stack([rng.normal(0.0, 1.0, (257, 6)), np.ones(257)]))
+    layers = _layers(arch, thetas)
     for i in range(k):
-        for stacked, single in zip(layers, _unpack(arch, thetas[i])):
+        for stacked, single in zip(layers, _layers(arch, thetas[i])):
             assert np.shares_memory(stacked[i], thetas) and np.array_equal(stacked[i], single)
     w_first = layers[0].transpose(0, 2, 1)
     out = np.matmul(w_first, x.T)
     for i in range(k):
         assert np.array_equal(out[i], w_first[i] @ x.T)
     if hidden:
-        h = rng.normal(0.0, 1.0, (k, hidden, 257))
-        w_second = layers[2].transpose(0, 2, 1)
+        h = rng.normal(0.0, 1.0, (k, hidden + 1, 257))
+        h[:, -1] = 1.0
+        w_second = layers[1].transpose(0, 2, 1)
         out = np.matmul(w_second, h)
         for i in range(k):
             assert np.array_equal(out[i], w_second[i] @ h[i])

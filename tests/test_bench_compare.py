@@ -1,6 +1,7 @@
 """tools/bench_compare.py summaries, from one pair to ten."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -60,3 +61,25 @@ def test_summarize_counts_ties_for_neither_side():
     run_s = bench_compare.summarize(pairs)["run_s"]
     assert run_s["change_wins"] == 1
     assert run_s["pairs"] == 3
+
+
+def test_each_side_keeps_its_own_environment(tmp_path, monkeypatch):
+    def fake_run_bench(checkout, workload, seed, trace, seconds):
+        result = {"seed": seed, "correct": True, "failed": 0, "attempted": 6,
+                  "metrics": {"round_p50_s": 1.0 if checkout.name == "parent" else 0.9}}
+        return result, {"git_commit": checkout.name, "seed": seed}
+
+    monkeypatch.setattr(bench_compare, "run_bench", fake_run_bench)
+    out = tmp_path / "BENCH_test.json"
+    dirs = []
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+        dirs += [f"--{side}", str(tmp_path / side)]
+    assert bench_compare.main([*dirs, "--out", str(out), "--workload", "smoke:3", "--trace"]) == 0
+    written = json.loads(out.read_text())
+    # the third pair runs the change last; the parent's block is still there
+    assert written["env"] == {
+        "parent": {"git_commit": "parent", "seed": 303},
+        "change": {"git_commit": "change", "seed": 303},
+    }
+    assert written["workloads"]["smoke"]["end_to_end"]["round_p50_s"]["change_wins"] == 3

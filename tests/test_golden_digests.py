@@ -56,73 +56,73 @@ GOLDEN = {
     "smoke": (
         lambda: config.preset_smoke(7),
         6,
-        "930371b0a4286d8ebd07b9d57508f8f2fa0a19397df6f9022aabe9c33f240c4d",
+        "2763db0ae9838f6cc675c5e60fb786b1342c2453786ffe2391818de374fe3fce",
         "6f2b2c6056d2e4dd41c38251984c17b5bcbce57258bdd6d29708ac39c24a3d5c",
     ),
     "default": (
         lambda: config.preset_default(7),
         2,
-        "a60e5b9e553995f8636b53c2d07090f2e43f658aff76f585477e95a9b04612bd",
+        "d105813228e4ed2d2b98a91018467f71d40d8205d0caf4a9adc55e6ac7c7f4b0",
         "b180271088486a65ab16db5adbe0558e3a951494e974f83b95b0ea3a08f93d11",
     ),
     "scale40": (
         lambda: config.preset_scale(40, 7),
         2,
-        "a134a4029d499fb7729d31547cfa752d7fd5800c0439e6506c960e3b1d40453e",
+        "47f14c54582ac07526b66eb2dfb7f29b76de9d03447ce4233e13f66e0ea7baa7",
         "547583c4c14b71fd87850bfe4edac6e4de43b164510d3de4d81c3e337a5d35d5",
     ),
     "privacy": (
         lambda: config.preset_privacy(7),
         4,
-        "30574a445df9f1e1c6af317599ec2c2d05914a2765cb6c91f4f36de6671af736",
+        "4462e1f4e1d65a85056d57dceb83f23cbd8195d1b29423e2bf990e14bccb8dcc",
         "305cb2a927fd3ce9a777a1e377aa201c86ece0f5167442fe53bbb8d17e700867",
     ),
     "convex": (
         lambda: config.preset_convex(7),
         4,
-        "cd1793fd26b62a68dcfb100e0e611223b41577d5a19aa537f2d5f23e6024cb9c",
+        "151ef63c2ea00a2e84deeb8434873c84d48cf2aa28a2ab36e9534e1eee89df98",
         "15b1acf783973ca3cfa3ff94ef588fc626f13dd342cfe667b3c7097b770db8a9",
     ),
     "default_fedavg": (
         lambda: config.preset_default(7, "fedavg"),
         2,
-        "89916f3976d85db41b257bd52ad003a937036ab911c254db9d129d84b41bb659",
+        "04330f2aa9aafa07e79ac3eeea724db85842b0701cf442cf3fce03dfe637455f",
         "e756016029d7ad3245afccd5f99c6636cd6af143896aa44e8fd412e12c38f756",
     ),
     "default_static": (
         lambda: config.preset_default(7, "static_messenger"),
         2,
-        "6653e30f4d52d3a2d331c6d5fee7802de1deb1a84dc80435bf2153bac39cc2dd",
+        "49216215e566312564615490f99d6c126c73a5d0a81c66c053c15d77b09027ea",
         "a40e40fbb614a1c4b675a9d83b296469eef104c042b843214388b037931eed6f",
     ),
     "smoke_uniform": (
         variant(lambda: config.preset_smoke(7), {"algorithm": "uniform_weight_affl"}),
         4,
-        "25379353803f5ea2fa95bbb38e425c430d8b41b3639a581d809a25cb43845408",
+        "5ee1743c7fe0cc9989dc52fbbfb0443529f2d25cefbc0e8ac380988829d12d67",
         "32a3b1677cee60effeabfb8f798c1edd015ce5c8458c64dba4edb7c307090a6f",
     ),
     "robustness_affl": (
         lambda: config.preset_robustness(7),
         2,
-        "09ba62fdfad7bc9d77ef1ceb57673e59d536d9d35d07863cc213374888bbee6f",
+        "d0a4235d4c28c055b657938e2455a2e94747238b8311dd908d999c09a6619db9",
         "9fe1ee42fe625024aa69422596fc1dd0750131d893f70e868237b9bdb62d45df",
     ),
     "robustness_fedavg": (
         lambda: config.preset_robustness(7, algorithm="fedavg"),
         2,
-        "4980ef2083879d657d7308552e78c48cdac2aa7b78a4cc9846aff69126e84c84",
+        "5536fbc358237af380180ea946409f39d9d721272798833be664c4a8e256d43b",
         "1e94cce85e36ac5adbcda95767d7fc200b8805dd6174cf93dd2b7492cd101b75",
     ),
     "smoke_label_flip_median": (
         smoke_attack("label_flip", robust_method="coordinate_median"),
         3,
-        "8dd8c1b938ccfba01b4e70c20859a082e1ce7e55b7b4e4cbd682a3a95597b4eb",
+        "9b39f91459f72750aefcbfa381fe38fab6ef9ac4a7d369a37c904b540dfa4c6f",
         "6906bed1a8a258d80f28db6e0b817e46563cf3e1ca22321fa519cc66216c605f",
     ),
     "smoke_large_norm_static": (
         smoke_attack("large_norm", algorithm="static_messenger"),
         3,
-        "8bfe177c8213cfb2f24c1c6bb2b49b30a54ce21176b9b6d7290adabf85d18c3b",
+        "2105f43557ec96ffc5b20f081720bd857ef3aade8eb1fc5a63420776e79a03f3",
         "d0b01f6f3869c58d2687616dbddb7d4380410d5625ada24b84b802ce254baa7c",
     ),
     "scale20_dropout_load_aware": (
@@ -131,7 +131,7 @@ GOLDEN = {
             {"dropout_rate": 0.6, "load_aware_sampling": True, "sample_rate": 0.5},
         ),
         3,
-        "84a61ceadc1d1cb8dc6e7eebfba0ab46193271e368b15e188b9b0d1330873ec3",
+        "4edcdfe2e499a827712e9622e1e02695ecddfae7a105d0b5ea592bbf1d4097d3",
         "f3ca71ff16111b06b96ee6c8129a0cb336af50bdcd5c0624e71bd095ebf89946",
     ),
     "smoke_dropout90_affl": (
@@ -149,19 +149,19 @@ GOLDEN = {
     "privacy_fedavg": (
         variant(lambda: config.preset_privacy(7), {"algorithm": "fedavg"}),
         3,
-        "4551f09f26e57205cff2d03670b8df89c3f1a2e1719f6a3464d92f3653a98a23",
+        "dbbf268a3efe07d8cfb10dd383adfa130c9942fc77d749cb4593a09c186a9d85",
         "2d52e85f7815156f9854171076e9695a7403324de32b448b6ce0cbcb54a7acd8",
     ),
     "multimodal": (
         lambda: config.preset_multimodal(7),
         2,
-        "a4fd10c4f2a8d9a0b31328a9c4df8650fe991ff1e73b0fea44210c6371b58eef",
+        "1ce6c9f62ac037f697b99d11e05819ebcdccfa61ac993fb8cd0f3ddec6e03a06",
         "d14c3bde21972f84441887a12be87821fa99801f573d20964709384bd50cd9da",
     ),
     "default_adapt1": (
         variant(lambda: config.preset_default(7), {"adapt_interval": 1}),
         3,
-        "19fd66665f91ddbf9163fa9da4912af30301e687af1482138ee358833a0804ef",
+        "86e7386e76b4408424eeb2b78c152bbfa4a8b962ee7c58eb08830a8a78e74f8c",
         "11e56bc87f868d08e43764466dc4a0cfd538f28086cff9c2945541f50f40a475",
     ),
     "smoke_fedavg_zero_rounds": (

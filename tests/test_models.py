@@ -10,7 +10,7 @@ from afflsim.models import (
     Arch,
     ModelParams,
     _argmax_is_label,
-    _ce_step,
+    _descend,
     _label_index,
     accuracy,
     assign_difficulty_tiers,
@@ -59,7 +59,8 @@ def test_gradients_match_finite_differences(hidden, point_seed):
     arch = Arch(6, 3, hidden)
     shard = small_shard()
     params = init_params(arch, point_seed)
-    _, grad = _ce_step(params, shard.features, _label_index(shard.labels), None)
+    # the gradient training applies: one step at learning rate 1
+    grad = params.theta - train_local(params, shard, 1, 1.0).theta
     rng = stream(point_seed, "fd-coords")
     coords = rng.choice(arch.param_count, size=min(50, arch.param_count), replace=False)
     fd = fd_gradient(params, shard, coords)
@@ -297,16 +298,41 @@ def test_softmax_extreme_logits_and_tied_maxima(classes):
 # -- column-major layout ------------------------------------------------------
 
 
+def ones_column_of(features):
+    """The column-major (n, d + 1) array whose first d columns features are."""
+    n, d = features.shape
+    assert features.base is not None and features.base.shape == (d + 1, n)
+    full = features.base.T
+    assert full.flags.f_contiguous and np.shares_memory(full, features)
+    assert np.array_equal(full[:, :d], features) and np.all(full[:, d] == 1.0)
+    return full
+
+
 def test_shard_features_are_column_major_and_held_once():
     shard = small_shard(n=30)
-    assert shard.features.flags.f_contiguous
+    assert shard.features.flags.f_contiguous and shard.features.shape == (30, 6)
+    full = ones_column_of(shard.features)
     tiered = shard.with_tiers(np.arange(30) % 2, 2)
     flipped = tiered.with_labels((tiered.labels + 1) % 3)
     for derived in (tiered, flipped):
         assert derived.features is shard.features
+        assert ones_column_of(derived.features) is not None
     fused = shard.with_features(np.ascontiguousarray(shard.features[:, :4]))
     assert fused.features.flags.f_contiguous
     assert fused.features.shape == (30, 4)
+    assert not np.shares_memory(ones_column_of(fused.features), full)
+
+
+def test_features_that_lead_no_ones_column_are_copied_into_a_shard():
+    rng = stream(4, "ones-column")
+    wide = rng.normal(0.0, 1.0, (7, 20)).T  # an F-ordered (20, 7): the view below leads
+    lookalike = wide[:, :6]  # ... a 7th column that is not ones
+    shard = DatasetShard(lookalike, rng.integers(0, 3, 20), 3)
+    assert not np.shares_memory(shard.features, wide)
+    assert np.array_equal(shard.features, lookalike)
+    ones_column_of(shard.features)
+    empty = DatasetShard(np.empty((0, 3)), np.empty(0, dtype=np.int64), 2)
+    assert empty.features.shape == (0, 3)
 
 
 @pytest.mark.parametrize("hidden", [0, 8])
@@ -327,13 +353,76 @@ def test_kernels_are_correct_on_row_major_inputs(hidden):
     h_c = None if h is None else np.ascontiguousarray(h)
     grad_c = backprop(params, row_major, np.ascontiguousarray(delta), h_c)
     np.testing.assert_allclose(grad_c, grad, rtol=1e-12, atol=1e-12)
-    trained = train_local(params, shard, 5, 0.5)
-    at_label = _label_index(shard.labels)
-    np.testing.assert_allclose(
-        _ce_step(trained, row_major, at_label, None)[1],
-        _ce_step(trained, shard.features, at_label, None)[1],
-        rtol=1e-12, atol=1e-12,
+
+
+@pytest.mark.parametrize("hidden", [0, 8])
+@pytest.mark.parametrize("with_ws", [False, True])
+def test_kernels_on_a_bare_array_equal_the_shard_path(hidden, with_ws):
+    """Features that lead no [X | 1] are copied into one, column-major: the
+    same products as on a shard's own, bit for bit."""
+    shard = small_shard(seed=5, n=203, classes=4)
+    params = init_params(Arch(6, 4, hidden), seed=5)
+    trained = train_local(params, shard, 3, 0.5)
+    n = shard.sample_count
+    target = np.eye(4)[shard.labels] * (0.5 / n)
+    want = _descend(trained, shard.features, 2, 0.5 / n, target)
+    bare_inputs = (
+        np.ascontiguousarray(shard.features),
+        np.asfortranarray(shard.features.copy()),
+        np.asfortranarray(np.column_stack([shard.features, shard.features]))[:, :6],
     )
+    for bare in bare_inputs:
+        ws = {} if with_ws else None
+        for _ in range(2):  # the second pass reuses the first one's buffers
+            z, hid = forward(trained, bare, ws)
+            z_ref, hid_ref = forward(trained, shard.features)
+            assert np.array_equal(z, z_ref)
+            assert hid is None if hidden == 0 else np.array_equal(hid, hid_ref)
+            delta = softmax(z_ref)
+            assert np.array_equal(
+                backprop(trained, bare, delta, hid_ref, ws),
+                backprop(trained, shard.features, delta, hid_ref),
+            )
+        stepped = _descend(trained, bare, 2, 0.5 / n, target, ws)
+        assert np.array_equal(stepped.theta, want.theta)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+def test_train_local_raises_exactly_when_a_label_probability_is_nan():
+    """The check is on softmax row sums: a row's probabilities are all NaN
+    exactly when its sum is, so that is when some label probability is."""
+    shard = small_shard(seed=6, n=12, classes=3)
+    arch = Arch(6, 3, 0)
+    weights = stream(6, "nan-guard").normal(0.0, 1.0, (6, 3))
+    cases = {
+        "finite": ([0.0, 0.0, 0.0], None),
+        "-inf bias": ([-np.inf, 0.0, 1.0], None),  # label 0 gets probability 0
+        "two -inf": ([-np.inf, -np.inf, 1.0], None),
+        "all -inf": ([-np.inf, -np.inf, -np.inf], None),
+        "+inf bias": ([np.inf, 0.0, 0.0], None),
+        "nan bias": ([0.0, np.nan, 0.0], None),
+        "nan row": ([0.0, 0.0, 0.0], np.nan),
+        "inf row": ([0.0, 0.0, 0.0], np.inf),
+    }
+    raised = {}
+    for name, (bias, row_value) in cases.items():
+        features = shard.features.copy()
+        if row_value is not None:
+            features[4, 2] = row_value
+        case = DatasetShard(features, shard.labels, 3)
+        params = ModelParams(arch, np.concatenate([weights.ravel(), bias]))
+        p = softmax(logits(params, case.features))
+        expect = bool(np.isnan(p[np.arange(12), case.labels]).any())
+        try:
+            train_local(params, case, 1, 0.5)
+            raised[name] = (False, expect)
+        except FloatingPointError as err:
+            assert "non-finite training loss" in str(err)
+            raised[name] = (True, expect)
+    assert all(got == expect for got, expect in raised.values()), raised
+    assert [name for name, (got, _) in raised.items() if got] == [
+        "all -inf", "+inf bias", "nan bias", "nan row", "inf row"
+    ]
 
 
 def test_workspace_serves_shorter_shards_from_its_leading_rows():
@@ -342,9 +431,11 @@ def test_workspace_serves_shorter_shards_from_its_leading_rows():
     params = init_params(Arch(6, 4, 8), seed=7)
     ws = {}
     forward(params, large.features, ws)
-    buffers = {name: buf for name, buf in ws.items()}
+    # the scratch buffers; the other entries hold the input that ws last saw
+    buffers = {name: buf for name, buf in ws.items() if name not in ("features", "features_ones")}
     z, h = forward(params, small.features, ws)
     assert all(ws[name] is buf for name, buf in buffers.items())
+    assert ws["features"] is small.features
     assert np.shares_memory(z, buffers["logits"]) and z.shape == (37, 4)
     z_fresh, h_fresh = forward(params, small.features)
     assert np.array_equal(z, z_fresh) and np.array_equal(h, h_fresh)

@@ -32,9 +32,8 @@ from afflsim.messenger import (  # noqa: E402
 from afflsim.models import (  # noqa: E402
     Arch,
     ModelParams,
-    _ce_step,
     _label_index,
-    _unpack,
+    _layers,
     backprop,
     forward,
     score,
@@ -180,15 +179,20 @@ def laid_out(a: np.ndarray, layout: str, rng) -> np.ndarray:
     return base[:, 1 : 1 + w]
 
 
+def ones_extended(features):
+    """[features | 1], column-major, as the kernels copy features of any layout."""
+    return np.asfortranarray(np.column_stack([features, np.ones(features.shape[0])]))
+
+
 def allocating_forward(params, features):
-    """forward as allocating products on the (width, n) transposes."""
-    arch = params.arch
-    if arch.hidden == 0:
-        w, b = _unpack(arch, params.theta)
-        return (w.T @ features.T + b[:, None]).T, None
-    w1, b1, w2, b2 = _unpack(arch, params.theta)
-    hidden_t = np.tanh(w1.T @ features.T + b1[:, None])
-    return (w2.T @ hidden_t + b2[:, None]).T, hidden_t.T
+    """forward as allocating products of each [W; b] on the (width, n) transposes."""
+    x = ones_extended(features)
+    if params.arch.hidden == 0:
+        (wb,) = _layers(params.arch, params.theta)
+        return (wb.T @ x.T).T, None
+    w1, w2 = _layers(params.arch, params.theta)
+    hidden_t = np.vstack([np.tanh(w1.T @ x.T), np.ones(x.shape[0])])
+    return (w2.T @ hidden_t).T, hidden_t.T
 
 
 def allocating_softmax(z):
@@ -198,35 +202,36 @@ def allocating_softmax(z):
 
 
 def allocating_backprop(params, features, delta, hidden):
-    """backprop with copied matmul results and sum(axis=0)."""
+    """backprop with copied matmul results."""
+    x = ones_extended(features)
     grad = np.empty(params.param_count)
+    layers = _layers(params.arch, grad)
     if params.arch.hidden == 0:
-        gw, gb = _unpack(params.arch, grad)
-        gw[:] = features.T @ delta
-        gb[:] = delta.sum(axis=0)
+        layers[0][:] = x.T @ delta
         return grad
-    w2 = _unpack(params.arch, params.theta)[2]
-    gw1, gb1, gw2, gb2 = _unpack(params.arch, grad)
-    gw2[:] = hidden.T @ delta
-    gb2[:] = delta.sum(axis=0)
+    h = params.arch.hidden
+    w2 = _layers(params.arch, params.theta)[1][:h]
+    layers[1][:] = hidden.T @ delta
     hid_delta = (w2 @ delta.T).T
-    hid_delta *= 1.0 - hidden * hidden
-    gw1[:] = features.T @ hid_delta
-    gb1[:] = hid_delta.sum(axis=0)
+    hid_delta *= 1.0 - hidden[:, :h] * hidden[:, :h]
+    layers[0][:] = x.T @ hid_delta
     return grad
 
 
-def fancy_ce_step(params, features, labels):
-    """_ce_step with fancy label indexing, np.mean and the allocating kernels."""
-    n = features.shape[0]
+def allocating_step(params, features, scale, target):
+    """A training step's gradient times the learning rate, softmax(z) * scale - target."""
     z, hidden = allocating_forward(params, features)
-    p = allocating_softmax(z)
-    idx = np.arange(n)
-    loss = float(-np.mean(np.log(np.maximum(p[idx, labels], 1e-300))))
-    delta = p
-    delta[idx, labels] -= 1.0
-    delta /= n
-    return loss, allocating_backprop(params, features, delta, hidden)
+    e = np.exp(np.ascontiguousarray(z.T) - z.T.max(axis=0))
+    delta = (e * (scale / e.sum(axis=0)) - target.T).T
+    return allocating_backprop(params, features, delta, hidden)
+
+
+def fancy_train_step(params, features, labels, lr):
+    """train_local's step with a fancy-indexed target and the allocating kernels."""
+    n = features.shape[0]
+    target = np.zeros((n, params.arch.num_classes))
+    target[np.arange(n), labels] = lr / n
+    return allocating_step(params, features, lr / n, target)
 
 
 # short shards, and tall ones like rural and regional clients'
@@ -249,17 +254,6 @@ def classification_problems(draw):
 
 
 @PROPERTY
-@given(classification_problems(), st.booleans())
-def test_ce_step_equals_the_fancy_index_version(problem, with_ws):
-    params, features, labels = problem
-    at_label = _label_index(labels)
-    loss, grad = _ce_step(params, features, at_label, {} if with_ws else None)
-    want_loss, want_grad = fancy_ce_step(params, features, labels)
-    assert same_bits(loss, want_loss)
-    assert same_bits(grad, want_grad)
-
-
-@PROPERTY
 @given(classification_problems(), st.sampled_from(["C", "F", "col_slice", "row_step"]))
 def test_flat_label_index_reads_and_writes_like_fancy_indexing(problem, layout):
     params, features, labels = problem
@@ -271,7 +265,7 @@ def test_flat_label_index_reads_and_writes_like_fancy_indexing(problem, layout):
     loss, acc = score(z, p, labels)
     assert same_bits(loss, want)
     assert acc == float(np.mean(np.argmax(z, axis=1) == labels))
-    # the update _ce_step applies, on a p that need not be contiguous
+    # a read, update and write at the labels, on a p that need not be contiguous
     expected = p.copy()
     expected[np.arange(n), labels] -= 1.0
     at_label = _label_index(labels)
@@ -287,7 +281,7 @@ NARROW = settings(PROPERTY, max_examples=25)
 
 
 # row counts on both sides of numpy's pairwise-summation unroll (8) and
-# block (128), which the column sums of the bias gradients run through
+# block (128), and of the blocking of the products that sum the bias terms
 @pytest.mark.parametrize("width", range(1, 10))
 @pytest.mark.parametrize("rows", [1, 8, 9, 128, 129, 499, 1500])
 @pytest.mark.parametrize("layout", ["F", "C", "col_slice"])
@@ -346,7 +340,7 @@ def test_train_local_equals_steps_of_the_fancy_index_version(problem, steps, wit
     trained = train_local(params, shard, steps, 0.5, {} if with_ws else None)
     current = params.copy()
     for _ in range(steps):
-        current.theta -= fancy_ce_step(current, shard.features, labels)[1] * 0.5
+        current.theta -= fancy_train_step(current, shard.features, labels, 0.5)
     assert same_bits(trained.theta, current.theta)
 
 
@@ -373,41 +367,31 @@ def tiered_problems(draw):
 
 
 def allocating_inject_knowledge(client, messenger, shard, pi, steps, lr):
-    """inject_knowledge as written with delta *= w[:, None] at each step."""
-    w = _tier_sample_weights(shard, pi)
+    """inject_knowledge with scale lr * w and target lr * w * p_m, allocating."""
+    scale = lr * _tier_sample_weights(shard, pi)
     p_m = allocating_softmax(allocating_forward(messenger, shard.features)[0])
+    target = p_m * scale[:, None]
     current = client.copy()
     for _ in range(steps):
-        z, hidden = allocating_forward(current, shard.features)
-        delta = allocating_softmax(z)
-        delta -= p_m
-        delta *= w[:, None]
-        grad = allocating_backprop(current, shard.features, delta, hidden)
-        grad *= lr
-        current.theta -= grad
+        current.theta -= allocating_step(current, shard.features, scale, target)
     return current
 
 
 def allocating_distill_to_messenger(messenger, client, shard, lambda_kl, steps, lr):
     """distill_to_messenger as written with np.isfinite over every logit."""
     n = shard.sample_count
+    per_row = lr / max(n, 1)
     p_c = allocating_softmax(allocating_forward(client, shard.features)[0])
-    onehot = np.asfortranarray(np.zeros((n, shard.num_classes)))
+    onehot = np.zeros((n, shard.num_classes))
     onehot[np.arange(n), shard.labels] = 1.0
+    target = (p_c * lambda_kl + onehot) * per_row
     current = messenger.copy()
     for _ in range(steps):
-        z, hidden = allocating_forward(current, shard.features)
-        if not np.all(np.isfinite(z)):
+        if not np.all(np.isfinite(allocating_forward(current, shard.features)[0])):
             raise FloatingPointError("non-finite distillation loss")
-        p_m = allocating_softmax(z)
-        delta = p_m - onehot
-        kl_delta = p_m - p_c
-        kl_delta *= lambda_kl
-        delta += kl_delta
-        delta /= n
-        grad = allocating_backprop(current, shard.features, delta, hidden)
-        grad *= lr
-        current.theta -= grad
+        current.theta -= allocating_step(
+            current, shard.features, per_row * (1.0 + lambda_kl), target
+        )
     return current
 
 

@@ -2,10 +2,13 @@
 
 Each kernel and step loop writes its temporaries into a workspace that
 one training call reuses on every step. The oracles below state each
-kernel as allocating expressions on column-major inputs: products and
-softmax on the (width, n) transposes, and bias gradients as column
-sums. Every comparison is exact (bit for bit), because the golden run
-digests depend on it.
+kernel as allocating expressions on column-major inputs: products on the
+(width, n) transposes, with every layer's bias riding in its [W; b]
+against a ones column, softmax on the transposes, and every training
+step's logit delta as softmax(z) * scale - target. Every comparison with
+them is exact (bit for bit), because the golden run digests depend on
+it. The textbook deltas, softmax - onehot, the KL term and the tier
+weights, are checked against the training calls to 1e-12.
 """
 
 import numpy as np
@@ -21,9 +24,7 @@ from afflsim.messenger import (
 )
 from afflsim.models import (
     Arch,
-    _ce_step,
-    _label_index,
-    _unpack,
+    _layers,
     backprop,
     forward,
     init_params,
@@ -33,12 +34,20 @@ from afflsim.models import (
 )
 from afflsim.rng import stream
 
+# the workspace entries that hold a kernel's input rather than its scratch
+INPUT_ENTRIES = ("features", "features_ones")
+
 
 # -- oracles: the allocating expressions -------------------------------------
 
 
 def column_major(a):
     return np.asfortranarray(a)
+
+
+def ones_extended(a):
+    """[a | 1], column-major."""
+    return column_major(np.column_stack([a, np.ones(a.shape[0])]))
 
 
 def reference_softmax(z):
@@ -48,90 +57,75 @@ def reference_softmax(z):
 
 
 def reference_forward(params, features):
+    """(logits, [H | 1] or None)."""
+    x = ones_extended(features)
     if params.arch.hidden == 0:
-        w, b = _unpack(params.arch, params.theta)
-        return (w.T @ features.T + b[:, None]).T, None
-    w1, b1, w2, b2 = _unpack(params.arch, params.theta)
-    hidden_t = np.tanh(w1.T @ features.T + b1[:, None])
-    return (w2.T @ hidden_t + b2[:, None]).T, hidden_t.T
+        (wb,) = _layers(params.arch, params.theta)
+        return (wb.T @ x.T).T, None
+    w1, w2 = _layers(params.arch, params.theta)
+    hidden_t = np.vstack([np.tanh(w1.T @ x.T), np.ones(x.shape[0])])
+    return (w2.T @ hidden_t).T, hidden_t.T
 
 
 def reference_backprop(params, features, out_delta, hidden):
+    x = ones_extended(features)
     grad = np.empty_like(params.theta)
+    layers = _layers(params.arch, grad)
     if params.arch.hidden == 0:
-        gw, gb = _unpack(params.arch, grad)
-        gw[:] = features.T @ out_delta
-        gb[:] = out_delta.sum(axis=0)
+        layers[0][:] = x.T @ out_delta
         return grad
-    _, _, w2, _ = _unpack(params.arch, params.theta)
-    gw1, gb1, gw2, gb2 = _unpack(params.arch, grad)
-    gw2[:] = hidden.T @ out_delta
-    gb2[:] = out_delta.sum(axis=0)
-    hid_delta = (w2 @ out_delta.T).T * (1.0 - hidden**2)
-    gw1[:] = features.T @ hid_delta
-    gb1[:] = hid_delta.sum(axis=0)
+    h = params.arch.hidden
+    w2 = _layers(params.arch, params.theta)[1][:h]
+    layers[1][:] = hidden.T @ out_delta
+    hid_delta = (w2 @ out_delta.T).T * (1.0 - hidden[:, :h] ** 2)
+    layers[0][:] = x.T @ hid_delta
     return grad
 
 
-def reference_ce_step(params, features, labels):
-    n = features.shape[0]
+def reference_step(params, features, scale, target):
+    """One step's gradient, times the learning rate: delta = softmax(z) * scale - target."""
     z, hidden = reference_forward(params, features)
-    p = reference_softmax(z)
-    idx = np.arange(n)
-    loss = float(-np.mean(np.log(np.maximum(p[idx, labels], 1e-300))))
-    delta = p
-    delta[idx, labels] -= 1.0
-    return loss, reference_backprop(params, features, delta / n, hidden)
+    e = np.exp(np.ascontiguousarray(z.T) - z.T.max(axis=0))
+    delta = (e * (scale / e.sum(axis=0)) - target.T).T
+    return reference_backprop(params, features, delta, hidden)
+
+
+def reference_descend(params, features, steps, scale, target):
+    current = params.copy()
+    for _ in range(steps):
+        current.theta -= reference_step(current, features, scale, target)
+    return current
+
+
+def onehot(shard):
+    out = np.zeros((shard.sample_count, shard.num_classes))
+    out[np.arange(shard.sample_count), shard.labels] = 1.0
+    return out
 
 
 def reference_train_local(params, shard, steps, lr):
-    current = params.copy()
-    for _ in range(steps):
-        _, grad = reference_ce_step(current, shard.features, shard.labels)
-        grad *= lr
-        current.theta -= grad
-    return current
+    scale = lr / shard.sample_count
+    return reference_descend(params, shard.features, steps, scale, onehot(shard) * scale)
 
 
 def reference_inject_knowledge(client, messenger, shard, pi, steps, lr):
-    w = _tier_sample_weights(shard, pi)
+    scale = lr * _tier_sample_weights(shard, pi)
     p_m = reference_softmax(reference_forward(messenger, shard.features)[0])
-    current = client.copy()
-    for _ in range(steps):
-        z, hidden = reference_forward(current, shard.features)
-        delta = ((reference_softmax(z) - p_m).T * w).T
-        grad = reference_backprop(current, shard.features, delta, hidden)
-        grad *= lr
-        current.theta -= grad
-    return current
+    return reference_descend(client, shard.features, steps, scale, p_m * scale[:, None])
 
 
 def reference_distill_to_messenger(messenger, client, shard, lambda_kl, steps, lr):
-    n = shard.sample_count
+    per_row = lr / shard.sample_count
     p_c = reference_softmax(reference_forward(client, shard.features)[0])
-    onehot = column_major(np.zeros((n, shard.num_classes)))
-    onehot[np.arange(n), shard.labels] = 1.0
-    current = messenger.copy()
-    for _ in range(steps):
-        z, hidden = reference_forward(current, shard.features)
-        p_m = reference_softmax(z)
-        delta = ((p_m - onehot) + lambda_kl * (p_m - p_c)) / n
-        grad = reference_backprop(current, shard.features, delta, hidden)
-        grad *= lr
-        current.theta -= grad
-    return current
+    target = (p_c * lambda_kl + onehot(shard)) * per_row
+    return reference_descend(
+        messenger, shard.features, steps, per_row * (1.0 + lambda_kl), target
+    )
 
 
 def reference_distill_toward_teacher(params, features, teacher_probs, steps, lr):
-    current = params.copy()
-    n = features.shape[0]
-    for _ in range(steps):
-        z, hidden = reference_forward(current, features)
-        delta = (reference_softmax(z) - teacher_probs) / n
-        grad = reference_backprop(current, features, delta, hidden)
-        grad *= lr
-        current.theta -= grad
-    return current
+    scale = lr / features.shape[0]
+    return reference_descend(params, features, steps, scale, teacher_probs * scale)
 
 
 def make_shard(n, d=10, classes=4, tiers=3, seed=0):
@@ -207,14 +201,34 @@ def test_softmax_one_dim_into_workspace(classes):
 
 
 @pytest.mark.parametrize("hidden", [0, 24])
-def test_ce_step_bit_identical(hidden):
+def test_training_steps_match_the_textbook_deltas(hidden):
+    """One step of each training loss applies lr * backprop of its unfused
+    delta: softmax - onehot, plus lambda * (p_m - p_c) for distillation,
+    the tier weights times softmax - p_m for injection, and softmax -
+    teacher for the capacity probe."""
     shard = make_shard(500)
+    n = shard.sample_count
     params = init_params(Arch(10, 4, hidden), 4)
-    loss_ref, grad_ref = reference_ce_step(params, shard.features, shard.labels)
-    for w in (None, {}):
-        loss, grad = _ce_step(params, shard.features, _label_index(shard.labels), w)
-        assert loss == loss_ref
-        assert np.array_equal(grad, grad_ref)
+    other = init_params(Arch(10, 4, 8), 5)
+    lr, lam, pi = 0.7, 0.6, np.array([0.5, 0.3, 0.2])
+    z, hid = forward(params, shard.features)
+    p = softmax(z).copy()
+    p_other = softmax(logits(other, shard.features))
+    w = _tier_sample_weights(shard, pi)[:, None]
+    teacher = softmax(column_major(stream(11, "teacher").normal(0, 2, (n, 4))))
+    cases = [
+        (train_local(params, shard, 1, lr), (p - onehot(shard)) / n),
+        (inject_knowledge(params, other, shard, pi, 1, lr), w * (p - p_other)),
+        (
+            distill_to_messenger(params, other, shard, lam, 1, lr),
+            ((p - onehot(shard)) + lam * (p - p_other)) / n,
+        ),
+        (_distill_toward_teacher(params, shard.features, teacher, 1, lr)[0], (p - teacher) / n),
+    ]
+    for stepped, delta in cases:
+        want = lr * backprop(params, shard.features, delta, hid)
+        got = params.theta - stepped.theta
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
 
 # -- training calls ----------------------------------------------------------
@@ -319,7 +333,10 @@ def test_client_step_workspaces_bit_identical_and_unaliased(client_hidden, messe
     assert np.array_equal(variant.theta, variant_ref.theta)
     assert np.array_equal(z, z_ref)
     assert np.array_equal(probs, reference_softmax(z_ref))
-    client_bufs, messenger_bufs = list(client_ws.values()), list(messenger_ws.values())
+    client_bufs, messenger_bufs = (
+        [buf for name, buf in ws.items() if name not in INPUT_ENTRIES]
+        for ws in (client_ws, messenger_ws)
+    )
     for out in (trained, injected, variant):
         assert not any(np.shares_memory(out.theta, b) for b in client_bufs + messenger_bufs)
     assert not any(np.shares_memory(a, b) for a in client_bufs for b in messenger_bufs)

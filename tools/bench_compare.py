@@ -20,7 +20,9 @@ the side's sources: one BLAS thread, pinned to one core. Pair k uses seed
 records each side's ``run_wall_s`` (``run_experiment`` alone),
 ``wall_s`` (the whole process) and ``peak_rss_mb``.
 
-For each end-to-end metric the file records every run's value, each
+The file keeps each side's environment block (its ``git_commit``, Python,
+numpy and BLAS) under ``env.parent`` and ``env.change``. For each
+end-to-end metric it records every run's value, each
 side's median and quartiles, how many pairs the change won (lower is
 better for every end-to-end metric; ties count for neither side), and
 whether the medians differ by more than the parent's interquartile range.
@@ -140,12 +142,14 @@ def main(argv: list[str] | None = None) -> int:
         "seconds": args.seconds,
         "workloads": {},
     }
+    # each side's environment block, as its own perfbench runs print it
+    env = out["env"] = {}
     started = time.time()
     for spec in args.workload:
         name, count = spec.split(":")
 
         def bench_side(side: str, seed: int) -> dict:
-            result, out["env"] = run_bench(dirs[side], name, seed, False, args.seconds)
+            result, env[side] = run_bench(dirs[side], name, seed, False, args.seconds)
             return result
 
         pairs = run_pairs(name, int(count), args.first_seed, bench_side, "round_p50_s")
