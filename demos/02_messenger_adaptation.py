@@ -44,7 +44,7 @@ clients = [
     train_local(init_params(p.arch, 10 + p.id), s, steps=60, lr=0.5)
     for p, s in zip(profiles, shards)
 ]
-teacher = np.mean([logits(c, probe.features) for c in clients], axis=0)
+teacher = np.mean([logits(c, probe.design) for c in clients], axis=0)
 
 templates = (Arch(10, 4, 2), Arch(10, 4, 8), Arch(10, 4, 18))
 protocol = ProtocolBlock(grid_hidden=(2, 8, 18), lambda1=0.01, probe_steps=60, probe_lr=0.8)

@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """End-to-end run: the adaptive protocol against its baselines.
 
-Uses a reduced copy of the default 12-institution scenario so the whole
-demo finishes in about a minute, then prints the round-by-round race and
-the final fairness picture.
+Uses a reduced copy of the default 12-institution scenario, 12 rounds of
+each algorithm, so the whole demo finishes in a few seconds, then prints
+the round-by-round race and the final fairness picture. The affl run's
+outputs go to runs/demo-affl under the current directory.
 """
 
 import numpy as np

@@ -9,7 +9,8 @@ Gaussians, optionally laid out in per-modality column blocks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import copy
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -41,11 +42,10 @@ HONEST = "honest"
 class DatasetShard:
     """One institution's data: features, labels, modality layout, tiers.
 
-    features are stored as the first columns of a column-major [X | 1]
-    array, the layout of every model kernel's activations, whose ones
-    column carries each layer's bias (see models.with_ones_column). They
-    are converted once here; features that already lead such an array,
-    as a derived shard's do, are kept as they are.
+    design, the column-major [X | 1] that every model kernel takes, is
+    built once from the given features (models.with_ones_column), which
+    are kept as its leading columns. with_labels and with_tiers share it;
+    with_features builds a new one.
     """
 
     features: np.ndarray
@@ -54,13 +54,17 @@ class DatasetShard:
     modality_blocks: tuple[tuple[int, tuple[int, int]], ...] = ()
     difficulty_tiers: np.ndarray | None = None
     num_tiers: int = 0
+    design: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=np.float64)
+        self.design = with_ones_column(self.features)
+        self.features = self.design[:, :-1]
+        self._validate()
+
+    def _validate(self):
         self.labels = np.asarray(self.labels, dtype=np.int64)
-        if self.features.ndim != 2 or self.features.shape[0] != self.labels.shape[0]:
+        if self.features.shape[0] != self.labels.shape[0]:
             raise ValueError("features and labels disagree on sample count")
-        self.features = with_ones_column(self.features)
         if self.labels.size and (self.labels.min() < 0 or self.labels.max() >= self.num_classes):
             raise ValueError("label ids must lie in [0, num_classes)")
         if not self.modality_blocks:
@@ -85,15 +89,22 @@ class DatasetShard:
         counts = np.bincount(self.labels, minlength=self.num_classes)
         return counts / counts.sum()
 
+    def _sharing_design(self, **changes) -> "DatasetShard":
+        """replace(self, **changes) that keeps this shard's design, not a copy of it."""
+        shard = copy.copy(self)
+        vars(shard).update(changes)
+        shard._validate()
+        return shard
+
     def with_tiers(self, tiers: np.ndarray, num_tiers: int) -> "DatasetShard":
-        return replace(self, difficulty_tiers=tiers, num_tiers=num_tiers)
+        return self._sharing_design(difficulty_tiers=tiers, num_tiers=num_tiers)
 
     def with_features(self, features: np.ndarray) -> "DatasetShard":
         blocks = ((0, (0, features.shape[1])),)
         return replace(self, features=features, modality_blocks=blocks)
 
     def with_labels(self, labels: np.ndarray) -> "DatasetShard":
-        return replace(self, labels=labels)
+        return self._sharing_design(labels=labels)
 
     def modality_columns(self, modality: int) -> slice:
         for mid, (start, stop) in self.modality_blocks:

@@ -467,9 +467,7 @@ def _sample_cohort(state: SimState, round_index: int) -> tuple[list[int], list[i
 
 def probe_teacher_logits(state: SimState, cohort: list[int]) -> np.ndarray:
     """Averaged client logits on the probe shard (the probe teacher)."""
-    stacked = [
-        models.logits(state.client_params[i], state.probe.features) for i in cohort
-    ]
+    stacked = [models.logits(state.client_params[i], state.probe.design) for i in cohort]
     return np.mean(stacked, axis=0)
 
 
@@ -607,8 +605,8 @@ def _client_step(
         # free the tower's buffers before the client's final forward and
         # distillation allocate, so that they reuse that memory
         del client_ws
-        # train_shard shares the features of shards[i]; label_flip changes only labels
-        z = models.logits(params, train_shard.features)
+        # train_shard shares the design of shards[i]; label_flip changes only labels
+        z = models.logits(params, train_shard.design)
         probs = models.softmax(z)
         variant = msg.distill_to_messenger(
             base, params, train_shard, p.lambda_kl, p.distill_steps, p.distill_lr, fwd, probs,

@@ -11,7 +11,6 @@ multi-modal fusion.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -22,6 +21,7 @@ from .models import (
     Arch,
     ModelParams,
     Workspace,
+    _all_finite,
     _descend,
     _label_index,
     _layers,
@@ -113,7 +113,7 @@ def resize_params(params: ModelParams, new_arch: Arch, seed: int) -> ModelParams
 
 def _distill_toward_teacher(
     params: ModelParams,
-    features: np.ndarray,
+    design: np.ndarray,
     teacher_probs: np.ndarray,
     steps: int,
     lr: float,
@@ -122,9 +122,9 @@ def _distill_toward_teacher(
 
     The step's scale is lr/n and its target lr * teacher_probs / n.
     """
-    scale = lr / max(features.shape[0], 1)
-    current = _descend(params, features, steps, scale, teacher_probs * scale)
-    p = softmax(logits(current, features))
+    scale = lr / max(design.shape[0], 1)
+    current = _descend(params, design, steps, scale, teacher_probs * scale)
+    p = softmax(logits(current, design))
     kl = float(
         np.mean(np.sum(teacher_probs * (safe_log(teacher_probs) - safe_log(p)), axis=1))
     )
@@ -165,7 +165,7 @@ def select_capacity(
     for template in templates:
         candidate = resize_params(current, template, seed)
         _, kl = _distill_toward_teacher(
-            candidate, probe_shard.features, teacher_probs, protocol.probe_steps, protocol.probe_lr
+            candidate, probe_shard.design, teacher_probs, protocol.probe_steps, protocol.probe_lr
         )
         comm_cost = template.param_count / max_pc
         penalty_scale = 1.0 - template.param_count / max_pc
@@ -195,7 +195,7 @@ def messenger_forward(
     workspace of that client's distillation, which overwrites it only
     after its first step has used it.
     """
-    z, hidden = forward(messenger, shard.features, ws)
+    z, hidden = forward(messenger, shard.design, ws)
     return MessengerForward(z, hidden, softmax(z, ws))
 
 
@@ -238,7 +238,7 @@ def inject_knowledge(
     if messenger_fwd is None:
         messenger_fwd = messenger_forward(messenger, shard)
     target = messenger_fwd.probs * scale[:, None]
-    return _descend(client, shard.features, steps, scale, target, ws)
+    return _descend(client, shard.design, steps, scale, target, ws)
 
 
 def distill_to_messenger(
@@ -261,14 +261,14 @@ def distill_to_messenger(
     messenger_fwd, if given, must be messenger_forward(messenger, shard);
     its logits and hidden units stand in for the first step's forward
     pass. client_probs, if given, must be
-    softmax(logits(client, shard.features)). Neither is written. ws, if
+    softmax(logits(client, shard.design)). Neither is written. ws, if
     given, is the messenger workspace the steps use. messenger_fwd may
     live in it, as the first step reads its logits and hidden units
     before any step writes them; the steps then overwrite it.
     client_probs may not live in ws.
     """
     n = shard.sample_count
-    p_c = softmax(logits(client, shard.features)) if client_probs is None else client_probs
+    p_c = softmax(logits(client, shard.design)) if client_probs is None else client_probs
     ws = {} if ws is None else ws
     if any(np.may_share_memory(p_c, buf) for buf in ws.values()):
         raise ValueError("client_probs lives in the workspace distillation overwrites")
@@ -279,15 +279,13 @@ def distill_to_messenger(
     target *= per_row
     first = None if messenger_fwd is None else messenger_fwd[:2]
     return _descend(
-        messenger, shard.features, steps, per_row * (1.0 + lambda_kl), target, ws, first,
+        messenger, shard.design, steps, per_row * (1.0 + lambda_kl), target, ws, first,
         _check_logits,
     )
 
 
-def _check_logits(z: np.ndarray, row_sums: np.ndarray) -> None:
-    # max and min propagate NaN, so both are finite exactly when every
-    # logit is; initial=0.0 lets an empty shard pass
-    if not (math.isfinite(z.max(initial=0.0)) and math.isfinite(z.min(initial=0.0))):
+def _check_logits(z: np.ndarray, row_max: np.ndarray) -> None:
+    if not _all_finite(z):
         raise FloatingPointError("non-finite distillation loss")
 
 

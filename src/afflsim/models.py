@@ -16,9 +16,9 @@ instead of once per step. Arrays a kernel returns then live in the
 workspace and are overwritten by the next step; without a workspace each
 kernel takes fresh arrays from np.empty.
 
-Activations are column-major, and every layer is one product. Shard
-features are stored as the first d columns of a column-major [X | 1]
-array (with_ones_column, which federation.DatasetShard calls), and every
+Activations are column-major, and every layer is one product. The
+kernels take a shard's design matrix, its column-major [X | 1] array
+(with_ones_column, which federation.DatasetShard calls once), and every
 (n, width) array a kernel allocates, hidden units, logits, probabilities
 and deltas, is the transpose of a C-contiguous (width, n) array, so that
 a feature, hidden unit or class is one contiguous column of a tall array
@@ -26,7 +26,7 @@ only 2-24 columns wide:
 
 - theta holds each layer as a row-major [W; b] matrix, the weight rows
   over the bias row (ModelParams.layers), so a layer's forward is one
-  product with the ones-extended input, np.matmul(Wb.T, X1.T, out=Z.T),
+  product with its ones-extended input, np.matmul(Wb.T, X1.T, out=Z.T),
   and its weight-and-bias gradient is one product X1.T @ delta: the bias
   terms are summed inside BLAS;
 - an MLP's hidden buffer [H | 1] carries its own ones column, and is
@@ -35,10 +35,6 @@ only 2-24 columns wide:
   np.add.reduce(axis=1), which add the columns left to right;
 - the probability of each row's label is at the flat indices
   labels * n + rows of p.T, read and written through np.take and np.put.
-
-A kernel finds the [X | 1] array that its features lead once per
-workspace. Features that lead no such array (any other layout, or a
-slice) are copied into one, which gives the same bits as the shard path.
 
 Every training loss takes the same step (_descend): its logit delta,
 already times the learning rate, is softmax(z) * scale - target. The
@@ -184,56 +180,21 @@ def _buffer(
     return buf
 
 
-def _ones_extension(x: np.ndarray) -> np.ndarray | None:
-    """The column-major [x | 1] array whose leading columns x is, or None."""
-    base = x.base
-    n, d = x.shape
-    if (
-        base is None
-        or base.shape != (d + 1, n)
-        or base.dtype != x.dtype
-        or not base.flags.c_contiguous
-        or x.strides != (base.itemsize, base.strides[0])
-        or x.ctypes.data != base.ctypes.data
-        or not (base[d] == 1.0).all()
-    ):
-        return None
-    return base.T
-
-
 def with_ones_column(features: np.ndarray) -> np.ndarray:
-    """features as the first d columns of a column-major [X | 1] array.
-
-    Returns an F-contiguous (n, d) view, whose [X | 1] the kernels find
-    and multiply by. Features that already lead such an array are
-    returned as they are, so that derived shards share one array.
-    """
-    features = np.asarray(features, dtype=np.float64)
-    if _ones_extension(features) is not None:
-        return features
-    return _augmented(features, None)[:, : features.shape[1]]
-
-
-def _augmented(features: np.ndarray, ws: Workspace | None) -> np.ndarray:
-    """The column-major [X | 1] of 2-D features.
-
-    The one they lead is found once per workspace, which holds it as
-    ws["features_ones"] beside the features it belongs to; other features
-    are copied into one.
-    """
-    if ws is not None and ws.get("features") is features:
-        return ws["features_ones"]
+    """A new column-major [X | 1] of 2-D features X: the design matrix every kernel takes."""
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError(f"features shape {x.shape} is not (rows, columns)")
-    found = _ones_extension(x)
-    if found is None:
-        copy = _buffer(ws, "features_copy", (x.shape[0], x.shape[1] + 1), ones=True)
-        copy[:, :-1] = x
-        return copy
-    if ws is not None:
-        ws["features"], ws["features_ones"] = features, found
-    return found
+    design = _buffer(None, "design", (x.shape[0], x.shape[1] + 1), ones=True)
+    design[:, :-1] = x
+    return design
+
+
+def _checked(arch: Arch, design: np.ndarray) -> np.ndarray:
+    """design, if it is an (n, in_dim + 1) [X | 1] for arch."""
+    if design.ndim != 2 or design.shape[1] != arch.in_dim + 1:
+        raise ValueError(f"design shape {design.shape} is not [X | 1] for in_dim {arch.in_dim}")
+    return design
 
 
 def _label_index(labels: np.ndarray) -> np.ndarray:
@@ -256,10 +217,12 @@ def safe_log(p: np.ndarray) -> np.ndarray:
     return np.log(np.maximum(p, 1e-300))
 
 
-def _exp_rows(z: np.ndarray, ws: Workspace | None) -> tuple[np.ndarray, np.ndarray]:
-    """(exp(z - row max), row sums) of a 2-D z: softmax before its division."""
+def _exp_rows(z: np.ndarray, ws: Workspace | None, check=None) -> tuple[np.ndarray, np.ndarray]:
+    """(exp(z - m), row sums) of 2-D z, m its row maxes, after check(z, m): softmax undivided."""
     e = _buffer(ws, "probs", z.shape)
     m = np.maximum.reduce(z, axis=1, out=_buffer(ws, "row_max", z.shape[:1]))
+    if check is not None:
+        check(z, m)
     np.subtract(z, m[:, None], out=e)
     np.exp(e, out=e)
     return e, np.add.reduce(e, axis=1, out=_buffer(ws, "row_sum", z.shape[:1]))
@@ -278,18 +241,14 @@ def softmax(z: np.ndarray, ws: Workspace | None = None) -> np.ndarray:
 
 
 def forward(
-    params: ModelParams, features: np.ndarray, ws: Workspace | None = None
+    params: ModelParams, design: np.ndarray, ws: Workspace | None = None
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """(logits, hidden or None); hidden feeds backprop.
+    """(logits, hidden or None) on a design matrix [X | 1]; hidden feeds backprop.
 
     hidden is an MLP's [H | 1]: its tanh units and a trailing ones column.
     """
     arch = params.arch
-    x = _augmented(features, ws)
-    if x.shape[1] != arch.in_dim + 1:
-        raise ValueError(
-            f"features shape {np.shape(features)} incompatible with in_dim {arch.in_dim}"
-        )
+    x = _checked(arch, design)
     z = _buffer(ws, "logits", (x.shape[0], arch.num_classes))
     if arch.hidden == 0:
         np.matmul(params.layers[0].T, x.T, out=z.T)
@@ -303,12 +262,12 @@ def forward(
     return z, hidden
 
 
-def logits(params: ModelParams, features: np.ndarray) -> np.ndarray:
-    return forward(params, features)[0]
+def logits(params: ModelParams, design: np.ndarray) -> np.ndarray:
+    return forward(params, design)[0]
 
 
 def forward_stacked(
-    arch: Arch, thetas: np.ndarray, features: np.ndarray, ws: Workspace | None = None
+    arch: Arch, thetas: np.ndarray, design: np.ndarray, ws: Workspace | None = None
 ) -> np.ndarray:
     """Class-major logits (k, C, n) of k models of one architecture.
 
@@ -316,10 +275,10 @@ def forward_stacked(
 
     One np.matmul per layer over the whole stack. A stacked matmul runs
     the same 2-D product per slice, so slice i equals
-    logits(ModelParams(arch, thetas[i]), features).T bit for bit.
+    logits(ModelParams(arch, thetas[i]), design).T bit for bit.
     """
     k = thetas.shape[0]
-    x = _augmented(features, ws)
+    x = _checked(arch, design)
     n = x.shape[0]
     # a column-major (n, width, k) buffer is a C-contiguous (k, width, n) one
     z = _buffer(ws, "stacked_logits", (n, arch.num_classes, k)).T
@@ -338,7 +297,7 @@ def forward_stacked(
 
 def backprop(
     params: ModelParams,
-    features: np.ndarray,
+    design: np.ndarray,
     out_delta: np.ndarray,
     hidden: np.ndarray | None,
     ws: Workspace | None = None,
@@ -346,13 +305,13 @@ def backprop(
     """Gradient of any loss w.r.t. theta given dLoss/dlogits (n x C).
 
     Shared by every training loss: they differ only in the output delta.
-    hidden is forward()'s [H | 1] for these params and features (None for
+    hidden is forward()'s [H | 1] for these params and design (None for
     logistic models). Each layer's weight-and-bias gradient is one
     product of its [input | 1] with its delta. Reads out_delta and hidden,
     never writes them.
     """
     arch = params.arch
-    x = _augmented(features, ws)
+    x = _checked(arch, design)
     grad = _buffer(ws, "grad", params.theta.shape)
     if arch.hidden == 0:
         np.matmul(x.T, out_delta, out=_layers(arch, grad)[0])
@@ -373,7 +332,7 @@ def backprop(
 
 def _descend(
     params: ModelParams,
-    features: np.ndarray,
+    design: np.ndarray,
     steps: int,
     scale: float | np.ndarray,
     target: np.ndarray,
@@ -387,28 +346,30 @@ def _descend(
     the learning rate, softmax(z) * scale - target: scale is a scalar or
     an n-vector, one value per row, and target is (n, C). first, if given,
     is the first step's (logits, hidden) in place of its forward; ws, if
-    given, is the workspace the steps use. check(z, row_sums), if given,
-    sees each step's logits and softmax row sums before the delta.
+    given, is the workspace the steps use. check(z, row_max), if given,
+    sees each step's logits and their row maxes before the exponentials.
     """
     current = params.copy()
     theta = current.theta
     ws = {} if ws is None else ws
     for step in range(steps):
-        z, hidden = first if step == 0 and first is not None else forward(current, features, ws)
-        e, s = _exp_rows(z, ws)
-        if check is not None:
-            check(z, s)
+        z, hidden = first if step == 0 and first is not None else forward(current, design, ws)
+        e, s = _exp_rows(z, ws, check)
         np.divide(scale, s, out=s)
         delta = np.multiply(e, s[:, None], out=e)
         delta -= target
-        theta -= backprop(current, features, delta, hidden, ws)
+        theta -= backprop(current, design, delta, hidden, ws)
     return current
 
 
-def _check_label_probs(z: np.ndarray, row_sums: np.ndarray) -> None:
-    # the probabilities of a row are all NaN exactly when its sum is NaN,
-    # and finite otherwise: a NaN sum means a NaN label probability
-    if math.isnan(np.add.reduce(row_sums)):
+def _all_finite(a: np.ndarray) -> bool:
+    """Whether every entry of a is finite (max and min propagate NaN); an empty a is."""
+    return math.isfinite(a.max(initial=0.0)) and math.isfinite(a.min(initial=0.0))
+
+
+def _check_label_probs(z: np.ndarray, row_max: np.ndarray) -> None:
+    # a row's softmax is all NaN exactly when its max is not finite (z - max is NaN there)
+    if not _all_finite(row_max):
         raise FloatingPointError("non-finite training loss: a label probability is NaN")
 
 
@@ -427,7 +388,7 @@ def train_local(
     scale = lr / max(n, 1)
     target = np.zeros((params.arch.num_classes, n)).T
     np.put(target.T, _label_index(shard.labels), scale)
-    return _descend(params, shard.features, steps, scale, target, ws, check=_check_label_probs)
+    return _descend(params, shard.design, steps, scale, target, ws, check=_check_label_probs)
 
 
 def _argmax_is_label(z: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -466,7 +427,7 @@ def stacked_accuracy(
     arch: Arch, thetas: np.ndarray, shard, ws: Workspace | None = None
 ) -> np.ndarray:
     """accuracy() on a shard of each of the k models whose thetas are the rows of (k, P)."""
-    z = forward_stacked(arch, thetas, shard.features, ws)
+    z = forward_stacked(arch, thetas, shard.design, ws)
     return np.mean(_argmax_is_label(z, shard.labels), axis=-1)
 
 
@@ -478,7 +439,7 @@ def cross_entropy(p: np.ndarray, labels: np.ndarray) -> float:
 def pooled_cross_entropy(params: ModelParams, shards: list[DatasetShard]) -> float:
     """Mean cross-entropy over every row of every shard, one shard at a time.
 
-    The value of cross_entropy(softmax(logits(params, X)), y) for X and y
+    The value of cross_entropy(softmax(logits(params, X1)), y) for X1 and y
     the shards' rows stacked in order, without stacking them: each shard's
     forward and softmax write into one workspace, so only one shard's
     activations are held at a time. The largest shard runs first, which
@@ -495,7 +456,7 @@ def pooled_cross_entropy(params: ModelParams, shards: list[DatasetShard]) -> flo
     ws: Workspace = {}
     for i in sorted(range(len(shards)), key=lambda i: -sizes[i]):
         shard = shards[i]
-        p = softmax(forward(params, shard.features, ws)[0], ws)
+        p = softmax(forward(params, shard.design, ws)[0], ws)
         np.take(p.T, _label_index(shard.labels), out=picked[offsets[i] : offsets[i + 1]])
     return float(-_mean(safe_log(picked)))
 
@@ -507,9 +468,9 @@ def score(z: np.ndarray, p: np.ndarray, labels: np.ndarray) -> tuple[float, floa
 
 def evaluate(params: ModelParams, shard) -> tuple[float, float]:
     """(mean cross-entropy, argmax accuracy) on a shard."""
-    if shard.features.shape[0] == 0:
+    if shard.sample_count == 0:
         raise ValueError("cannot evaluate on an empty shard")
-    z = logits(params, shard.features)
+    z = logits(params, shard.design)
     return score(z, softmax(z), shard.labels)
 
 
@@ -520,12 +481,12 @@ def assign_difficulty_tiers(shard, warmup: ModelParams, num_tiers: int):
     class (ties broken by sample index) and cut into num_tiers groups of
     near-equal size; tier 0 holds the most confident samples.
     """
-    n = shard.features.shape[0]
+    n = shard.sample_count
     if num_tiers < 1:
         raise ValueError("num_tiers must be >= 1")
     if num_tiers > n:
         raise ValueError(f"num_tiers {num_tiers} exceeds sample count {n}")
-    p = softmax(logits(warmup, shard.features))
+    p = softmax(logits(warmup, shard.design))
     conf = np.take(p.T, _label_index(shard.labels))
     # stable sort on -conf keeps index order among ties
     order = np.argsort(-conf, kind="stable")

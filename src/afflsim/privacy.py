@@ -100,7 +100,7 @@ def noise_multiplier_for_budget(total_eps: float, rounds: int, delta: float) -> 
 
 
 def _per_sample_losses(model: ModelParams, shard: DatasetShard) -> np.ndarray:
-    p = softmax(logits(model, shard.features))
+    p = softmax(logits(model, shard.design))
     return -safe_log(p[np.arange(shard.sample_count), shard.labels])
 
 

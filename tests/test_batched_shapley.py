@@ -177,12 +177,12 @@ def test_forward_stacked_equals_forward_per_model(hidden, classes):
     x = rng.normal(0.0, 1.0, (301, 5))
     labels = rng.integers(0, classes, 301)
     shard = DatasetShard(x, labels, classes)
-    z = forward_stacked(arch, thetas, shard.features)
+    z = forward_stacked(arch, thetas, shard.design)
     assert z.shape == (len(thetas), classes, 301) and z.flags.c_contiguous
     accs = stacked_accuracy(arch, thetas, shard, {})
     for i, theta in enumerate(thetas):
         params = ModelParams(arch, theta.copy())
-        assert np.array_equal(z[i], logits(params, shard.features).T)
+        assert np.array_equal(z[i], logits(params, shard.design).T)
         assert accs[i] == evaluate(params, shard)[1]
 
 

@@ -1,9 +1,9 @@
-"""Demos 01-04 run to completion against the package's public names.
+"""Demos 01-05 run to completion against the package's public names.
 
-Each runs in a fresh interpreter with PYTHONPATH=src, so a demo that
-imports a deleted or renamed name fails here. Demo 05 runs a full
-protocol experiment (several seconds) and is left out to keep the suite
-short.
+Each runs in a fresh interpreter with PYTHONPATH set to the package
+source, from a temporary directory, so a demo that imports a deleted or
+renamed name fails here, and demo 05's run outputs land in that
+directory.
 """
 
 import os
@@ -14,18 +14,18 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-DEMOS = sorted((ROOT / "demos").glob("0[1-4]_*.py"))
+DEMOS = sorted((ROOT / "demos").glob("0[1-9]_*.py"))
 
 
-def test_the_four_quick_demos_are_found():
-    assert [d.name[:2] for d in DEMOS] == ["01", "02", "03", "04"]
+def test_the_five_demos_are_found():
+    assert [d.name[:2] for d in DEMOS] == ["01", "02", "03", "04", "05"]
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda d: d.stem)
-def test_demo_runs(demo):
+def test_demo_runs(demo, tmp_path):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.run(
-        [sys.executable, str(demo)], cwd=ROOT, env=env, capture_output=True, text=True,
+        [sys.executable, str(demo)], cwd=tmp_path, env=env, capture_output=True, text=True,
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr

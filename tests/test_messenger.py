@@ -28,6 +28,7 @@ from afflsim.models import (
     safe_log,
     softmax,
     train_local,
+    with_ones_column,
 )
 from afflsim.rng import stream
 
@@ -113,7 +114,7 @@ def test_tie_break_goes_to_smallest_index():
     shard = make_shard(tiers=0)
     templates, protocol, lambda2 = grid_for(shard, lambda1=0.0, lambda2=0.0, probe_steps=0)
     current = init_params(templates[0], 0)
-    teacher = logits(current, shard.features)
+    teacher = logits(current, shard.design)
     # zero probe steps + function-preserving resize: identical probe losses
     decision = select_capacity(
         templates, protocol, shard, teacher, 0.0, None, current, seed=1, lambda2=lambda2
@@ -205,8 +206,8 @@ def test_resize_preserves_function_and_grows():
     arch_big = Arch(5, 3, 9)
     params = init_params(arch_small, 2)
     grown = resize_params(params, arch_big, seed=7)
-    feats = stream(1, "resize-x").normal(0, 1, (20, 5))
-    assert logits(grown, feats) == pytest.approx(logits(params, feats), abs=1e-12)
+    x1 = with_ones_column(stream(1, "resize-x").normal(0, 1, (20, 5)))
+    assert logits(grown, x1) == pytest.approx(logits(params, x1), abs=1e-12)
     # new units must be trainable: after training, they move
     shard = make_shard(n=30, d=5, tiers=0)
     trained = train_local(grown, shard, steps=30, lr=0.5)
@@ -228,8 +229,8 @@ def injection_loss(
 ) -> float:
     """Sum over stages of pi_k * mean KL(messenger || client) on tier k."""
     w = _tier_sample_weights(shard, pi)
-    p_m = softmax(logits(messenger, shard.features))
-    p_c = softmax(logits(client, shard.features))
+    p_m = softmax(logits(messenger, shard.design))
+    p_c = softmax(logits(client, shard.design))
     per_sample = np.sum(p_m * (safe_log(p_m) - safe_log(p_c)), axis=1)
     return float(np.sum(w * per_sample))
 
@@ -252,8 +253,8 @@ def test_injection_one_hot_matches_restricted_distillation():
     from afflsim.models import softmax as sm
 
     mask = shard.difficulty_tiers == 1
-    p_m = sm(logits(mess, shard.features[mask]))
-    p_c = sm(logits(client, shard.features[mask]))
+    p_m = sm(logits(mess, shard.design[mask]))
+    p_c = sm(logits(client, shard.design[mask]))
     oracle = np.mean(np.sum(p_m * (np.log(p_m) - np.log(p_c)), axis=1))
     assert loss == pytest.approx(oracle, abs=1e-12)
 
@@ -309,8 +310,8 @@ def distillation_loss(
 ) -> float:
     """CE(messenger, labels) + lambda_kl * mean KL(client || messenger)."""
     n = shard.sample_count
-    p_m = softmax(logits(messenger, shard.features))
-    p_c = softmax(logits(client, shard.features))
+    p_m = softmax(logits(messenger, shard.design))
+    p_c = softmax(logits(client, shard.design))
     ce = float(-np.mean(safe_log(p_m[np.arange(n), shard.labels])))
     kl = float(np.mean(np.sum(p_c * (safe_log(p_c) - safe_log(p_m)), axis=1)))
     return ce + lambda_kl * kl
@@ -321,13 +322,13 @@ def distillation_grad(
 ) -> np.ndarray:
     """Gradient of distillation_loss w.r.t. the messenger parameters."""
     n = shard.sample_count
-    z, hidden = forward(messenger, shard.features)
+    z, hidden = forward(messenger, shard.design)
     p_m = softmax(z)
-    p_c = softmax(logits(client, shard.features))
+    p_c = softmax(logits(client, shard.design))
     onehot = np.zeros((n, shard.num_classes))
     onehot[np.arange(n), shard.labels] = 1.0
     delta = ((p_m - onehot) + lambda_kl * (p_m - p_c)) / n
-    return backprop(messenger, shard.features, delta, hidden)
+    return backprop(messenger, shard.design, delta, hidden)
 
 
 def test_distill_lambda_zero_equals_plain_ce_training():

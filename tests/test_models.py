@@ -26,6 +26,7 @@ from afflsim.models import (
     softmax,
     stacked_accuracy,
     train_local,
+    with_ones_column,
 )
 from afflsim.rng import stream
 
@@ -159,7 +160,7 @@ def test_safe_log_floors_zero_with_the_inline_bits():
 def test_cross_entropy_is_the_loss_evaluate_reports():
     shard = small_shard(seed=4, n=57, classes=4)
     params = init_params(Arch(6, 4, 8), seed=4)
-    p = softmax(logits(params, shard.features))
+    p = softmax(logits(params, shard.design))
     picked = p[np.arange(shard.labels.shape[0]), shard.labels]
     fancy = float(-np.mean(np.log(np.maximum(picked, 1e-300))))
     loss = cross_entropy(p, shard.labels)
@@ -182,7 +183,7 @@ def test_pooled_cross_entropy_is_the_row_weighted_mean(hidden):
     large = small_shard(seed=6, n=300, classes=4, separation=3.0)
     params = init_params(Arch(6, 4, hidden), seed=5)
     pooled = stacked([small, large])
-    reference = cross_entropy(softmax(logits(params, pooled.features)), pooled.labels)
+    reference = cross_entropy(softmax(logits(params, pooled.design)), pooled.labels)
     loss = pooled_cross_entropy(params, [small, large])
     assert loss == pytest.approx(reference, rel=1e-15, abs=0.0)
     mean_of_means = (evaluate(params, small)[0] + evaluate(params, large)[0]) / 2
@@ -194,7 +195,7 @@ def test_pooled_cross_entropy_bit_identical_on_smoke_shards():
     state = init_state(config_from_dict(preset_smoke(7)))
     pooled = stacked(state.shards)
     for model in (state.messenger, state.client_params[0]):
-        reference = cross_entropy(softmax(logits(model, pooled.features)), pooled.labels)
+        reference = cross_entropy(softmax(logits(model, pooled.design)), pooled.labels)
         assert pooled_cross_entropy(model, state.shards) == reference
 
 
@@ -217,7 +218,7 @@ def test_tiers_rank_by_confidence():
     shard = DatasetShard(feats, np.zeros(4, dtype=int), 2)
     theta = np.array([1.0, 0.0, 0.0, 0.0])  # W = [[1, 0]], b = 0
     warmup = ModelParams(Arch(1, 2, 0), theta)
-    p = softmax(logits(warmup, feats))
+    p = softmax(logits(warmup, shard.design))
     assert p[:, 0] == pytest.approx(conf, abs=1e-12)
     tiered = assign_difficulty_tiers(shard, warmup, 2)
     assert tiered.difficulty_tiers.tolist() == [0, 1, 0, 1]
@@ -298,58 +299,122 @@ def test_softmax_extreme_logits_and_tied_maxima(classes):
 # -- column-major layout ------------------------------------------------------
 
 
-def ones_column_of(features):
-    """The column-major (n, d + 1) array whose first d columns features are."""
+def is_design_of(design, features):
+    """Whether design is a column-major [features | 1] whose leading columns features are."""
     n, d = features.shape
-    assert features.base is not None and features.base.shape == (d + 1, n)
-    full = features.base.T
-    assert full.flags.f_contiguous and np.shares_memory(full, features)
-    assert np.array_equal(full[:, :d], features) and np.all(full[:, d] == 1.0)
-    return full
+    return (
+        design.shape == (n, d + 1)
+        and design.flags.f_contiguous
+        and np.shares_memory(design, features)
+        and np.array_equal(design[:, :d], features)
+        and np.all(design[:, d] == 1.0)
+    )
 
 
-def test_shard_features_are_column_major_and_held_once():
+def test_shard_design_is_column_major_and_shared_by_derived_shards():
     shard = small_shard(n=30)
-    assert shard.features.flags.f_contiguous and shard.features.shape == (30, 6)
-    full = ones_column_of(shard.features)
+    assert is_design_of(shard.design, shard.features)
+    assert shard.features.shape == (30, 6)
     tiered = shard.with_tiers(np.arange(30) % 2, 2)
     flipped = tiered.with_labels((tiered.labels + 1) % 3)
     for derived in (tiered, flipped):
-        assert derived.features is shard.features
-        assert ones_column_of(derived.features) is not None
+        assert derived.design is shard.design
+        assert is_design_of(derived.design, derived.features)
+    assert np.array_equal(flipped.labels, (shard.labels + 1) % 3)
+    assert tiered.num_tiers == 2 and flipped.difficulty_tiers is tiered.difficulty_tiers
     fused = shard.with_features(np.ascontiguousarray(shard.features[:, :4]))
-    assert fused.features.flags.f_contiguous
+    assert is_design_of(fused.design, fused.features)
     assert fused.features.shape == (30, 4)
-    assert not np.shares_memory(ones_column_of(fused.features), full)
+    assert not np.shares_memory(fused.design, shard.design)
 
 
-def test_features_that_lead_no_ones_column_are_copied_into_a_shard():
-    rng = stream(4, "ones-column")
-    wide = rng.normal(0.0, 1.0, (7, 20)).T  # an F-ordered (20, 7): the view below leads
-    lookalike = wide[:, :6]  # ... a 7th column that is not ones
-    shard = DatasetShard(lookalike, rng.integers(0, 3, 20), 3)
-    assert not np.shares_memory(shard.features, wide)
-    assert np.array_equal(shard.features, lookalike)
-    ones_column_of(shard.features)
+def test_derived_shards_are_checked_like_new_ones():
+    shard = small_shard(n=30)
+    with pytest.raises(ValueError, match="sample count"):
+        shard.with_labels(shard.labels[:-1])
+    with pytest.raises(ValueError, match="label ids"):
+        shard.with_labels(shard.labels + 3)
+    with pytest.raises(ValueError, match="tier ids"):
+        shard.with_tiers(np.full(30, 2), 2)
+
+
+LAYOUTS = ("C", "F", "row_slice", "row_step", "col_slice")
+
+
+def laid_out(a, layout):
+    """a in one of LAYOUTS, its neighbours in any base array random."""
+    n, w = a.shape
+    rng = stream(n, "laid-out", w)
+    if layout == "C":
+        return np.ascontiguousarray(a)
+    if layout == "F":
+        return np.asfortranarray(a)
+    if layout == "row_slice":
+        base = rng.normal(0.0, 1.0, (n + 5, w))
+        base[2 : 2 + n] = a
+        return base[2 : 2 + n]
+    if layout == "row_step":
+        base = rng.normal(0.0, 1.0, (2 * n, w))
+        base[::2] = a
+        return base[::2]
+    # an F-ordered base with a seventh column after the view: not ones
+    base = np.asfortranarray(rng.normal(0.0, 1.0, (n, w + 1)))
+    base[:, :w] = a
+    return base[:, :w]
+
+
+def test_shard_design_copies_features_of_any_layout():
+    shard = small_shard(seed=4, n=20)
+    for layout in LAYOUTS:
+        x = laid_out(shard.features, layout)
+        built = DatasetShard(x, shard.labels, 3)
+        assert is_design_of(built.design, built.features)
+        assert not np.shares_memory(built.design, x)
+        assert built.design.tobytes(order="A") == shard.design.tobytes(order="A")
+        assert np.array_equal(with_ones_column(x), shard.design)
     empty = DatasetShard(np.empty((0, 3)), np.empty(0, dtype=np.int64), 2)
-    assert empty.features.shape == (0, 3)
+    assert empty.features.shape == (0, 3) and empty.design.shape == (0, 4)
+
+
+@pytest.mark.parametrize("hidden", [0, 8])
+def test_kernels_reject_features_without_the_ones_column(hidden):
+    shard = small_shard(seed=2, n=25)
+    arch = Arch(6, 3, hidden)
+    params = init_params(arch, seed=2)
+    thetas = np.stack([params.theta, params.theta])
+    z, h = forward(params, shard.design)
+    target = np.zeros((25, 3))
+    calls = {
+        "forward": lambda x: forward(params, x),
+        "logits": lambda x: logits(params, x),
+        "backprop": lambda x: backprop(params, x, z, h),
+        "forward_stacked": lambda x: forward_stacked(arch, thetas, x),
+        "_descend": lambda x: _descend(params, x, 1, 0.1, target),
+        "_descend from a given forward": lambda x: _descend(params, x, 1, 0.1, target, None, (z, h)),
+    }
+    for name, call in calls.items():
+        call(shard.design)
+        with pytest.raises(ValueError, match="in_dim 6"):
+            call(shard.features)
+        with pytest.raises(ValueError, match="in_dim 6"):
+            call(np.ascontiguousarray(shard.features))
 
 
 @pytest.mark.parametrize("hidden", [0, 8])
 def test_kernels_are_correct_on_row_major_inputs(hidden):
-    """The kernels take inputs of any layout; only the rounding may move."""
+    """The kernels take a design matrix of any layout; only the rounding may move."""
     shard = small_shard(seed=3, n=257, classes=4)
     params = init_params(Arch(6, 4, hidden), seed=3)
-    row_major = np.ascontiguousarray(shard.features)
+    row_major = np.ascontiguousarray(shard.design)
     assert not row_major.flags.f_contiguous
-    z, h = forward(params, shard.features)
+    z, h = forward(params, shard.design)
     z_c, _ = forward(params, row_major)
     np.testing.assert_allclose(z_c, z, rtol=1e-12, atol=1e-12)
     p = softmax(z)
     p_c = softmax(np.ascontiguousarray(z))
     np.testing.assert_allclose(p_c, p, rtol=1e-12, atol=1e-15)
     delta = (p - np.eye(4)[shard.labels]) / 257
-    grad = backprop(params, shard.features, delta, h)
+    grad = backprop(params, shard.design, delta, h)
     h_c = None if h is None else np.ascontiguousarray(h)
     grad_c = backprop(params, row_major, np.ascontiguousarray(delta), h_c)
     np.testing.assert_allclose(grad_c, grad, rtol=1e-12, atol=1e-12)
@@ -358,30 +423,26 @@ def test_kernels_are_correct_on_row_major_inputs(hidden):
 @pytest.mark.parametrize("hidden", [0, 8])
 @pytest.mark.parametrize("with_ws", [False, True])
 def test_kernels_on_a_bare_array_equal_the_shard_path(hidden, with_ws):
-    """Features that lead no [X | 1] are copied into one, column-major: the
-    same products as on a shard's own, bit for bit."""
+    """with_ones_column of features in any layout gives the kernels the
+    same products as on a shard's own design, bit for bit."""
     shard = small_shard(seed=5, n=203, classes=4)
     params = init_params(Arch(6, 4, hidden), seed=5)
     trained = train_local(params, shard, 3, 0.5)
     n = shard.sample_count
     target = np.eye(4)[shard.labels] * (0.5 / n)
-    want = _descend(trained, shard.features, 2, 0.5 / n, target)
-    bare_inputs = (
-        np.ascontiguousarray(shard.features),
-        np.asfortranarray(shard.features.copy()),
-        np.asfortranarray(np.column_stack([shard.features, shard.features]))[:, :6],
-    )
-    for bare in bare_inputs:
+    want = _descend(trained, shard.design, 2, 0.5 / n, target)
+    for layout in LAYOUTS:
+        bare = with_ones_column(laid_out(shard.features, layout))
         ws = {} if with_ws else None
         for _ in range(2):  # the second pass reuses the first one's buffers
             z, hid = forward(trained, bare, ws)
-            z_ref, hid_ref = forward(trained, shard.features)
+            z_ref, hid_ref = forward(trained, shard.design)
             assert np.array_equal(z, z_ref)
             assert hid is None if hidden == 0 else np.array_equal(hid, hid_ref)
             delta = softmax(z_ref)
             assert np.array_equal(
                 backprop(trained, bare, delta, hid_ref, ws),
-                backprop(trained, shard.features, delta, hid_ref),
+                backprop(trained, shard.design, delta, hid_ref),
             )
         stepped = _descend(trained, bare, 2, 0.5 / n, target, ws)
         assert np.array_equal(stepped.theta, want.theta)
@@ -411,7 +472,7 @@ def test_train_local_raises_exactly_when_a_label_probability_is_nan():
             features[4, 2] = row_value
         case = DatasetShard(features, shard.labels, 3)
         params = ModelParams(arch, np.concatenate([weights.ravel(), bias]))
-        p = softmax(logits(params, case.features))
+        p = softmax(logits(params, case.design))
         expect = bool(np.isnan(p[np.arange(12), case.labels]).any())
         try:
             train_local(params, case, 1, 0.5)
@@ -430,14 +491,12 @@ def test_workspace_serves_shorter_shards_from_its_leading_rows():
     small = small_shard(seed=8, n=37, classes=4)
     params = init_params(Arch(6, 4, 8), seed=7)
     ws = {}
-    forward(params, large.features, ws)
-    # the scratch buffers; the other entries hold the input that ws last saw
-    buffers = {name: buf for name, buf in ws.items() if name not in ("features", "features_ones")}
-    z, h = forward(params, small.features, ws)
+    forward(params, large.design, ws)
+    buffers = dict(ws)
+    z, h = forward(params, small.design, ws)
     assert all(ws[name] is buf for name, buf in buffers.items())
-    assert ws["features"] is small.features
     assert np.shares_memory(z, buffers["logits"]) and z.shape == (37, 4)
-    z_fresh, h_fresh = forward(params, small.features)
+    z_fresh, h_fresh = forward(params, small.design)
     assert np.array_equal(z, z_fresh) and np.array_equal(h, h_fresh)
     assert np.array_equal(softmax(z, ws), softmax(z_fresh))
 
@@ -448,7 +507,7 @@ def test_pooled_cross_entropy_equals_fresh_forwards_per_shard():
     shards = [small_shard(seed=s, n=n, classes=4) for s, n in ((1, 40), (2, 300), (3, 41))]
     params = init_params(Arch(6, 4, 8), seed=9)
     picked = [
-        softmax(logits(params, s.features))[np.arange(len(s.labels)), s.labels] for s in shards
+        softmax(logits(params, s.design))[np.arange(len(s.labels)), s.labels] for s in shards
     ]
     fresh = float(-np.mean(safe_log(np.concatenate(picked))))
     assert pooled_cross_entropy(params, shards) == fresh
@@ -480,7 +539,7 @@ def test_stacked_accuracy_ties_and_non_finite_logits_match_argmax():
     thetas[4, -3:] = [np.inf, 0.0, np.nan]  # a NaN beats an earlier inf
     features = stream(12, "stacked-ties").normal(0.0, 1.0, (50, 3))
     shard = DatasetShard(features, np.repeat([0, 1, 2], [10, 15, 25]), 3)
-    z = forward_stacked(arch, thetas, shard.features)
+    z = forward_stacked(arch, thetas, shard.design)
     want = np.mean(np.argmax(z, axis=1) == shard.labels, axis=-1)
     assert np.array_equal(stacked_accuracy(arch, thetas, shard), want)
     assert want.tolist() == [10 / 50, 15 / 50, 25 / 50, 15 / 50, 25 / 50]

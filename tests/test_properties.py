@@ -4,7 +4,8 @@ Shapley efficiency, convex fair weights, robust aggregates inside the
 coordinate-wise range of their inputs, and clipped updates inside the clip
 norm. The column-major kernels and training steps in models equal
 allocating numpy expressions on the same inputs bit for bit, whatever the
-inputs' layout, and the flat-index label gathers equal fancy indexing.
+layout of the features that with_ones_column extends into their design
+matrix, and the flat-index label gathers equal fancy indexing.
 
 Examples are derandomized and few, so the suite stays deterministic and
 fast.
@@ -39,6 +40,7 @@ from afflsim.models import (  # noqa: E402
     score,
     softmax,
     train_local,
+    with_ones_column,
 )
 from afflsim.privacy import clip_update  # noqa: E402
 
@@ -180,7 +182,7 @@ def laid_out(a: np.ndarray, layout: str, rng) -> np.ndarray:
 
 
 def ones_extended(features):
-    """[features | 1], column-major, as the kernels copy features of any layout."""
+    """[features | 1], column-major, as with_ones_column builds it from any layout."""
     return np.asfortranarray(np.column_stack([features, np.ones(features.shape[0])]))
 
 
@@ -257,7 +259,7 @@ def classification_problems(draw):
 @given(classification_problems(), st.sampled_from(["C", "F", "col_slice", "row_step"]))
 def test_flat_label_index_reads_and_writes_like_fancy_indexing(problem, layout):
     params, features, labels = problem
-    z = forward(params, features)[0]
+    z = forward(params, with_ones_column(features))[0]
     rng = np.random.default_rng(len(labels))
     p = laid_out(softmax(z), layout, rng)
     n = len(labels)
@@ -294,12 +296,12 @@ def test_kernels_on_narrow_arrays_equal_the_allocating_versions(width, rows, lay
     for hidden in (0, width):
         arch = Arch(width, max(width, 2), hidden)
         params = ModelParams(arch, rng.standard_normal(arch.param_count))
-        z, hid = forward(params, features, {})
+        z, hid = forward(params, with_ones_column(features), {})
         want_z, want_hid = allocating_forward(params, features)
         assert same_bits(z, want_z)
         assert hid is None if want_hid is None else same_bits(hid, want_hid)
         delta = laid_out(scaled_normals(rng, z.shape, -2, 3), layout, rng)
-        grad = backprop(params, features, delta, hid, {})
+        grad = backprop(params, with_ones_column(features), delta, hid, {})
         assert same_bits(grad, allocating_backprop(params, features, delta, want_hid))
 
 
@@ -309,7 +311,7 @@ def test_forward_equals_the_allocating_version(problem, layout, with_ws):
     params, features, _ = problem
     rng = np.random.default_rng(features.shape[0])
     features = laid_out(features, layout, rng)
-    z, hidden = forward(params, features, {} if with_ws else None)
+    z, hidden = forward(params, with_ones_column(features), {} if with_ws else None)
     want_z, want_hidden = allocating_forward(params, features)
     assert same_bits(z, want_z)
     assert hidden is None if want_hidden is None else same_bits(hidden, want_hidden)

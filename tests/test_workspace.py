@@ -34,9 +34,6 @@ from afflsim.models import (
 )
 from afflsim.rng import stream
 
-# the workspace entries that hold a kernel's input rather than its scratch
-INPUT_ENTRIES = ("features", "features_ones")
-
 
 # -- oracles: the allocating expressions -------------------------------------
 
@@ -149,12 +146,12 @@ def test_forward_bit_identical_with_and_without_workspace(hidden, n):
     ws = {}
     for run in range(2):  # the second call reuses the first call's buffers
         other = init_params(Arch(10, 4, hidden), 2 + run)
-        forward(other, shard.features, ws)
+        forward(other, shard.design, ws)
         for w in (None, ws):
-            z, h = forward(params, shard.features, w)
+            z, h = forward(params, shard.design, w)
             assert np.array_equal(z, z_ref)
             assert (h is None) if hidden == 0 else np.array_equal(h, h_ref)
-    assert ws["logits"] is forward(params, shard.features, ws)[0]
+    assert ws["logits"] is forward(params, shard.design, ws)[0]
 
 
 @pytest.mark.parametrize("hidden", [0, 24])
@@ -168,7 +165,7 @@ def test_backprop_bit_identical_with_and_without_workspace(hidden, n):
     expected = reference_backprop(params, shard.features, delta, hid)
     ws = {}
     for w in (None, ws, ws):
-        grad = backprop(params, shard.features, delta, hid, w)
+        grad = backprop(params, shard.design, delta, hid, w)
         assert np.array_equal(grad, expected)
     assert np.array_equal(delta, snapshots[0])
     if hid is not None:
@@ -211,9 +208,9 @@ def test_training_steps_match_the_textbook_deltas(hidden):
     params = init_params(Arch(10, 4, hidden), 4)
     other = init_params(Arch(10, 4, 8), 5)
     lr, lam, pi = 0.7, 0.6, np.array([0.5, 0.3, 0.2])
-    z, hid = forward(params, shard.features)
+    z, hid = forward(params, shard.design)
     p = softmax(z).copy()
-    p_other = softmax(logits(other, shard.features))
+    p_other = softmax(logits(other, shard.design))
     w = _tier_sample_weights(shard, pi)[:, None]
     teacher = softmax(column_major(stream(11, "teacher").normal(0, 2, (n, 4))))
     cases = [
@@ -223,10 +220,10 @@ def test_training_steps_match_the_textbook_deltas(hidden):
             distill_to_messenger(params, other, shard, lam, 1, lr),
             ((p - onehot(shard)) + lam * (p - p_other)) / n,
         ),
-        (_distill_toward_teacher(params, shard.features, teacher, 1, lr)[0], (p - teacher) / n),
+        (_distill_toward_teacher(params, shard.design, teacher, 1, lr)[0], (p - teacher) / n),
     ]
     for stepped, delta in cases:
-        want = lr * backprop(params, shard.features, delta, hid)
+        want = lr * backprop(params, shard.design, delta, hid)
         got = params.theta - stepped.theta
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
@@ -265,7 +262,7 @@ def test_distill_to_messenger_bit_identical(client_hidden, messenger_hidden, ste
     mess = init_params(Arch(10, 4, messenger_hidden), 9)
     expected = reference_distill_to_messenger(mess, client, shard, 0.7, steps, 0.5).theta
     fwd = messenger_forward(mess, shard)
-    probs = softmax(logits(client, shard.features))
+    probs = softmax(logits(client, shard.design))
     for args in ((), (fwd,), (None, probs), (fwd, probs)):
         out = distill_to_messenger(mess, client, shard, 0.7, steps, 0.5, *args)
         assert np.array_equal(out.theta, expected)
@@ -276,7 +273,7 @@ def test_distill_toward_teacher_bit_identical(hidden):
     shard = make_shard(120)
     params = init_params(Arch(10, 4, hidden), 10)
     teacher = softmax(column_major(stream(11, "teacher").normal(0, 2, (120, 4))))
-    out, _ = _distill_toward_teacher(params, shard.features, teacher, 8, 0.8)
+    out, _ = _distill_toward_teacher(params, shard.design, teacher, 8, 0.8)
     expected = reference_distill_toward_teacher(params, shard.features, teacher, 8, 0.8)
     assert np.array_equal(out.theta, expected.theta)
 
@@ -288,8 +285,8 @@ def test_shared_inputs_are_never_written(messenger_hidden):
     client = init_params(Arch(10, 4, 12), 12)
     mess = init_params(Arch(10, 4, messenger_hidden), 13)
     fwd = messenger_forward(mess, shard)
-    probs = softmax(logits(client, shard.features))
-    shared = [a for a in (*fwd, probs, client.theta, mess.theta, shard.features) if a is not None]
+    probs = softmax(logits(client, shard.design))
+    shared = [a for a in (*fwd, probs, client.theta, mess.theta, shard.design) if a is not None]
     snapshots = [a.copy() for a in shared]
     outputs = [
         train_local(client, shard, 3, 0.5),
@@ -323,7 +320,7 @@ def test_client_step_workspaces_bit_identical_and_unaliased(client_hidden, messe
     trained = train_local(client, shard, 3, 0.5, client_ws)
     fwd = messenger_forward(mess, shard, messenger_ws)
     injected = inject_knowledge(trained, mess, shard, pi, 3, 0.4, fwd, client_ws)
-    z, _ = forward(injected, shard.features, client_ws)
+    z, _ = forward(injected, shard.design, client_ws)
     probs = softmax(z, client_ws)
     assert z is client_ws["logits"] and probs is client_ws["probs"]
     variant = distill_to_messenger(mess, injected, shard, 0.7, 3, 0.5, fwd, probs, messenger_ws)
@@ -333,10 +330,7 @@ def test_client_step_workspaces_bit_identical_and_unaliased(client_hidden, messe
     assert np.array_equal(variant.theta, variant_ref.theta)
     assert np.array_equal(z, z_ref)
     assert np.array_equal(probs, reference_softmax(z_ref))
-    client_bufs, messenger_bufs = (
-        [buf for name, buf in ws.items() if name not in INPUT_ENTRIES]
-        for ws in (client_ws, messenger_ws)
-    )
+    client_bufs, messenger_bufs = (list(ws.values()) for ws in (client_ws, messenger_ws))
     for out in (trained, injected, variant):
         assert not any(np.shares_memory(out.theta, b) for b in client_bufs + messenger_bufs)
     assert not any(np.shares_memory(a, b) for a in client_bufs for b in messenger_bufs)
@@ -347,6 +341,6 @@ def test_client_probs_in_the_distillation_workspace_is_rejected():
     client = init_params(Arch(10, 4, 8), 16)
     mess = init_params(Arch(10, 4, 0), 17)
     ws = {}
-    probs = softmax(logits(client, shard.features), ws)
+    probs = softmax(logits(client, shard.design), ws)
     with pytest.raises(ValueError, match="client_probs"):
         distill_to_messenger(mess, client, shard, 0.7, 2, 0.5, None, probs, ws)
