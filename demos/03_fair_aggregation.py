@@ -41,9 +41,12 @@ def value(subset):
     return evaluate(agg, state.validation)[1]
 
 
-def value_fn(subsets):
-    """shapley_estimate collects every coalition it needs and values them in one call."""
-    return [value(subset) for subset in subsets]
+def value_fn(members):
+    """shapley_estimate collects every coalition it needs and values them in one call.
+
+    Row k of members is coalition k; column j is true when client j is a member.
+    """
+    return [value(tuple(np.flatnonzero(row))) for row in members]
 
 
 ids = list(range(6))

@@ -26,6 +26,13 @@ SCHEMA_VERSION = 1
 
 ALGORITHMS = ("affl", "fedavg", "static_messenger", "uniform_weight_affl")
 
+# Ceiling of protocol.local_lr, inject_lr, distill_lr and lambda_kl. A
+# distillation step is lr * (1 + lambda_kl) times a bounded gradient, and
+# the presets' products and DP norms overflow once that factor nears 1e154.
+# With all four at 1e76 together every preset runs (seeds 7-12); at 1e77
+# the privacy preset does not.
+MAX_STEP_FACTOR = 1e76
+
 
 class ConfigError(ValueError):
     """Raised for unknown keys, bad values, or unreadable config files."""
@@ -173,6 +180,12 @@ class ProtocolBlock:
                      "het_alpha", "het_beta", "het_gamma"):
             if not getattr(self, name) >= 0:
                 raise ConfigError(f"protocol.{name} must be nonnegative")
+        for name in ("local_lr", "inject_lr", "distill_lr", "lambda_kl"):
+            if getattr(self, name) > MAX_STEP_FACTOR:
+                raise ConfigError(
+                    f"protocol.{name} must be at most {MAX_STEP_FACTOR:g}, "
+                    f"got {getattr(self, name)!r}"
+                )
         het_sum = self.het_alpha + self.het_beta + self.het_gamma
         if abs(het_sum - 1.0) > 1e-9:
             raise ConfigError(

@@ -3,11 +3,14 @@
 Shapley values feed size-debiased aggregation weights; trimmed-mean or
 coordinate-median consensus tolerates Byzantine variants; the fairness gap
 and Gini coefficient monitor equity round over round.
+
+A coalition is a row of a boolean membership matrix over cohort
+positions. shapley_estimate builds every coalition its walks (or exact
+mode) need as one such matrix and values it with one value_fn call.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 from typing import Callable
 
@@ -30,18 +33,17 @@ def shapley_estimate(
     """Per-client Shapley values of a coalition value function.
 
     exact mode enumerates all 2^n coalitions (n <= EXACT_MAX_CLIENTS);
-    monte_carlo averages marginal contributions over num_perms permutations
-    drawn from counter-based streams, so estimates are identical at any
-    parallelism. Every coalition the estimate needs is collected first,
-    each distinct one once, and value_fn is called once with the list of
-    them: each a tuple of client ids in ascending order, the empty tuple
-    included. It must return one finite value per coalition, in order, so
-    a caller can value them all in one batch (the harness stacks a round's
-    variants into one matrix and evaluates blocks of coalition means in one
-    stacked forward).
+    monte_carlo averages marginal contributions over num_perms permutation
+    walks drawn from counter-based streams, so estimates are identical at
+    any parallelism. value_fn is called once, with a boolean (K, n)
+    membership matrix: one row per coalition, column j true when
+    cohort_ids[j] is a member. The rows are every coalition the estimate
+    needs, each distinct one once, the empty one first. It must return K
+    finite values in row order, so a caller can value them all in one
+    batch (the harness averages a round's variants for a block of rows in
+    one product and evaluates the block in one stacked forward).
     """
-    ids = list(cohort_ids)
-    n = len(ids)
+    n = len(cohort_ids)
     if n == 0:
         raise ValueError("empty cohort")
     if mode == "exact":
@@ -52,62 +54,52 @@ def shapley_estimate(
     elif num_perms < 1:
         raise ValueError("num_perms must be >= 1")
 
-    # coalitions are keyed by a bitmask over cohort positions
-    coalitions: list[tuple[int, ...]] = [()]
-    phi = np.zeros(n)
+    positions = np.arange(n)
     if mode == "exact":
-        # coalition `mask` sits at index mask: the coalition without its
-        # lowest position, plus that position's id
-        for mask in range(1, 1 << n):
-            low = mask & -mask
-            members = list(coalitions[mask ^ low])
-            bisect.insort(members, ids[low.bit_length() - 1])
-            coalitions.append(tuple(members))
-        v = _values(value_fn, coalitions)
+        # row `mask` holds the positions of mask's set bits
+        members = (np.arange(1 << n)[:, None] >> positions & 1).astype(bool)
+        v = _values(value_fn, members)
         fact = [math.factorial(k) for k in range(n + 1)]
-        for mask in range(1 << n):
-            size = mask.bit_count()
-            v_s = v[mask]
-            weight = fact[size] * fact[n - size - 1] / fact[n]
-            for j in range(n):
-                if not mask >> j & 1:
-                    phi[j] += weight * (v[mask | 1 << j] - v_s)
-        return phi
+        weight = np.array([fact[s] * fact[n - s - 1] / fact[n] for s in range(n)])
+        # column j: the masks without bit j, ascending (a zero bit inserted at j)
+        r = np.arange(1 << (n - 1))[:, None]
+        low = (1 << positions) - 1
+        without = (r & ~low) << 1 | r & low
+        sizes = np.count_nonzero(members, axis=1)
+        terms = weight[sizes[without]] * (v[without | 1 << positions] - v[without])
+        return _sum_in_order(terms)
 
-    slot = {0: 0}
-    walks = []
-    for p in range(num_perms):
-        order = stream(seed, "shapley-perm", p).permutation(n)
-        mask = 0
-        members: list[int] = []
-        slots = [0]
-        for j in order:
-            mask |= 1 << int(j)
-            bisect.insort(members, ids[j])
-            if mask not in slot:
-                slot[mask] = len(coalitions)
-                coalitions.append(tuple(members))
-            slots.append(slot[mask])
-        walks.append((order, slots))
-    v = _values(value_fn, coalitions)
-    for order, slots in walks:
-        v_prev = v[slots[0]]
-        for j, s in zip(order, slots[1:]):
-            v_new = v[s]
-            phi[j] += v_new - v_prev
-            v_prev = v_new
-    return phi / num_perms
+    walks = np.stack([stream(seed, "shapley-perm", p).permutation(n) for p in range(num_perms)])
+    # step[p, j]: when walk p adds position j; its prefix k holds the positions added before k
+    step = np.argsort(walks, axis=1)
+    prefixes = (step[:, None, :] < np.arange(n + 1)[:, None]).reshape(-1, n)
+    # distinct prefixes in first-seen order; walk 0's empty prefix is the first row
+    _, first, inverse = np.unique(
+        np.packbits(prefixes, axis=1), axis=0, return_index=True, return_inverse=True
+    )
+    seen = np.argsort(first)
+    row_of = np.empty_like(seen)
+    row_of[seen] = np.arange(len(seen))
+    rows = row_of[inverse.reshape(-1)].reshape(num_perms, n + 1)
+    v = _values(value_fn, prefixes[first[seen]])
+    gains = v[rows[:, 1:]] - v[rows[:, :-1]]
+    return _sum_in_order(np.take_along_axis(gains, step, axis=1)) / num_perms
 
 
-def _values(value_fn: Callable, coalitions: list[tuple[int, ...]]) -> list[float]:
-    """value_fn's values of the coalitions, checked for count and finiteness."""
-    values = [float(v) for v in value_fn(coalitions)]
-    if len(values) != len(coalitions):
-        raise ValueError(f"value_fn returned {len(values)} values for {len(coalitions)} coalitions")
-    for v in values:
-        if not math.isfinite(v):
-            raise FloatingPointError(f"value_fn returned non-finite {v}")
+def _values(value_fn: Callable, members: np.ndarray) -> np.ndarray:
+    """value_fn's values of the membership rows, checked for count and finiteness."""
+    values = np.asarray(value_fn(members), dtype=np.float64)
+    if values.shape != (len(members),):
+        raise ValueError(f"value_fn returned {values.size} values for {len(members)} coalitions")
+    bad = ~np.isfinite(values)
+    if bad.any():
+        raise FloatingPointError(f"value_fn returned non-finite {values[bad][0]}")
     return values
+
+
+def _sum_in_order(terms: np.ndarray) -> np.ndarray:
+    """Column sums of terms, each added row after row onto 0.0, as a running total would be."""
+    return 0.0 + np.add.accumulate(terms, axis=0)[-1]
 
 
 def fair_weights(

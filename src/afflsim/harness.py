@@ -492,42 +492,34 @@ def coalition_value_fn(
     base: ModelParams,
     validation: DatasetShard,
 ):
-    """Shapley value function of one round: coalitions -> validation accuracies.
+    """Shapley value function of one round: membership rows -> validation accuracies.
 
-    A non-empty coalition is worth the accuracy of the uniform average of
-    its members' variants, the same arithmetic as aggregate_messengers
-    followed by evaluate; the empty coalition is worth base's accuracy.
-    The variants are checked and stacked once (cohort holds one id per
-    variant). Each coalition gathers its rows in the order of its ids, the
-    order in which aggregate_messengers would stack them, and writes its
-    mean into one row of a block of thetas; each block of COALITION_BLOCK
-    coalitions is evaluated in one stacked forward.
+    value_fn(members) takes shapley_estimate's boolean (K, len(cohort))
+    membership matrix, column j standing for variants[j], the upload of
+    cohort[j]. A non-empty coalition is worth the accuracy of the uniform
+    average of its members' variants; the empty coalition is worth base's
+    accuracy. The variants are checked and stacked once. Each block of
+    COALITION_BLOCK averages is one product (members / sizes) @ stacked,
+    written into one theta buffer per call, and is evaluated in one
+    stacked forward.
     """
     _, v_empty = models.evaluate(base, validation)
     arch, stacked = fair._stack_variants(variants)
-    row = {i: r for r, i in enumerate(cohort)}
 
-    def value_fn(subsets: list[tuple[int, ...]]) -> np.ndarray:
-        values = np.full(len(subsets), v_empty)
-        filled = [k for k, subset in enumerate(subsets) if subset]
-        members = np.empty_like(stacked)
-        thetas = np.empty((min(len(filled), COALITION_BLOCK), arch.param_count))
-        uniform: dict[int, np.ndarray] = {}
+    def value_fn(members: np.ndarray) -> np.ndarray:
+        sizes = np.count_nonzero(members, axis=1)
+        values = np.full(len(members), v_empty)
+        filled = np.flatnonzero(sizes)
+        k = min(len(filled), COALITION_BLOCK)
+        uniform = np.empty((k, len(stacked)))
+        thetas = np.empty((k, arch.param_count))
         ws: models.Workspace = {}
         for start in range(0, len(filled), COALITION_BLOCK):
             block = filled[start : start + COALITION_BLOCK]
-            for r, k in enumerate(block):
-                size = len(subsets[k])
-                if size not in uniform:
-                    uniform[size] = np.full(size, 1.0 / size)
-                # every index comes from row, so "clip" never clips; it
-                # lets take write into members without a buffered copy
-                rows = np.take(
-                    stacked, [row[i] for i in subsets[k]], axis=0, out=members[:size], mode="clip"
-                )
-                # one gemv per coalition: a (k, n) @ stacked GEMM differs in the last bits
-                np.matmul(uniform[size], rows, out=thetas[r])
-            values[block] = models.stacked_accuracy(arch, thetas[: len(block)], validation, ws)
+            r = len(block)
+            np.divide(members[block], sizes[block, None], out=uniform[:r])
+            np.matmul(uniform[:r], stacked, out=thetas[:r])
+            values[block] = models.stacked_accuracy(arch, thetas[:r], validation, ws)
         return values
 
     return value_fn

@@ -43,7 +43,11 @@ training call fixes scale (a scalar, or one value per row) and the
 and the messenger's losses are in messenger. The softmax's division by
 the row sum and the scale become one n-vector divide, the exponentials
 are multiplied by it and the target subtracted, and a step ends with
-theta -= grad.
+theta -= grad. A training call binds what no step changes once (the
+design check, the softmax buffers and their column views); each step
+calls forward and backprop, whose own per-call work is a dict lookup
+per buffer (an exact-shape hit returns at once) and, for the gradient,
+layer views kept on the model being trained.
 """
 
 from __future__ import annotations
@@ -114,9 +118,17 @@ class ModelParams:
         Built once per theta array: training updates theta in place, so
         the views stay valid from step to step.
         """
-        cached = self.__dict__.get("_layers")
-        if cached is None or cached[0] is not self.theta:
-            cached = self.__dict__["_layers"] = (self.theta, _layers(self.arch, self.theta))
+        return self._views("_layers", self.theta)
+
+    def _views(self, slot: str, flat: np.ndarray) -> tuple[np.ndarray, ...]:
+        """_layers(self.arch, flat), kept in slot until it is asked for another array.
+
+        backprop keeps its gradient buffer's views in a second slot, so a
+        training call's steps reuse one set of views of each.
+        """
+        cached = self.__dict__.get(slot)
+        if cached is None or cached[0] is not flat:
+            cached = self.__dict__[slot] = (flat, _layers(self.arch, flat))
         return cached[1]
 
     def copy(self) -> "ModelParams":
@@ -170,8 +182,11 @@ def _buffer(
     """
     if ws is not None:
         buf = ws.get(name)
-        if buf is not None and buf.shape[1:] == shape[1:] and buf.shape[0] >= shape[0]:
-            return buf if buf.shape[0] == shape[0] else buf[: shape[0]]
+        if buf is not None:
+            if buf.shape == shape:
+                return buf
+            if buf.shape[1:] == shape[1:] and buf.shape[0] > shape[0]:
+                return buf[: shape[0]]
     buf = np.empty(shape[::-1]).T
     if ones:
         buf[:, -1] = 1.0
@@ -217,17 +232,6 @@ def safe_log(p: np.ndarray) -> np.ndarray:
     return np.log(np.maximum(p, 1e-300))
 
 
-def _exp_rows(z: np.ndarray, ws: Workspace | None, check=None) -> tuple[np.ndarray, np.ndarray]:
-    """(exp(z - m), row sums) of 2-D z, m its row maxes, after check(z, m): softmax undivided."""
-    e = _buffer(ws, "probs", z.shape)
-    m = np.maximum.reduce(z, axis=1, out=_buffer(ws, "row_max", z.shape[:1]))
-    if check is not None:
-        check(z, m)
-    np.subtract(z, m[:, None], out=e)
-    np.exp(e, out=e)
-    return e, np.add.reduce(e, axis=1, out=_buffer(ws, "row_sum", z.shape[:1]))
-
-
 def softmax(z: np.ndarray, ws: Workspace | None = None) -> np.ndarray:
     """Row-wise stable softmax (1-D input treated as a single row).
 
@@ -235,7 +239,12 @@ def softmax(z: np.ndarray, ws: Workspace | None = None) -> np.ndarray:
     the output is column-major.
     """
     z = np.asarray(z, dtype=np.float64)
-    out, s = _exp_rows(z[None, :] if z.ndim == 1 else z, ws)
+    rows = z[None, :] if z.ndim == 1 else z
+    out = _buffer(ws, "probs", rows.shape)
+    m = np.maximum.reduce(rows, axis=1, out=_buffer(ws, "row_max", rows.shape[:1]))
+    np.subtract(rows, m[:, None], out=out)
+    np.exp(out, out=out)
+    s = np.add.reduce(out, axis=1, out=_buffer(ws, "row_sum", rows.shape[:1]))
     out /= s[:, None]
     return out[0] if z.ndim == 1 else out
 
@@ -313,11 +322,12 @@ def backprop(
     arch = params.arch
     x = _checked(arch, design)
     grad = _buffer(ws, "grad", params.theta.shape)
+    layers = params._views("_grad_layers", grad)
     if arch.hidden == 0:
-        np.matmul(x.T, out_delta, out=_layers(arch, grad)[0])
+        np.matmul(x.T, out_delta, out=layers[0])
         return grad
     h = arch.hidden
-    g1, g2 = _layers(arch, grad)
+    g1, g2 = layers
     np.matmul(hidden.T, out_delta, out=g2)
     hid_delta = _buffer(ws, "hid_delta", (x.shape[0], h))
     np.matmul(params.layers[1][:h], out_delta.T, out=hid_delta.T)
@@ -348,23 +358,41 @@ def _descend(
     is the first step's (logits, hidden) in place of its forward; ws, if
     given, is the workspace the steps use. check(z, row_max), if given,
     sees each step's logits and their row maxes before the exponentials.
+
+    What is constant across steps is bound once per call: the design
+    check, and softmax's buffers (as softmax names them) with their
+    column views. Each step still calls forward and backprop through this
+    module, so a wrapper installed on them sees every step.
     """
     current = params.copy()
     theta = current.theta
+    x = _checked(current.arch, design)
     ws = {} if ws is None else ws
+    n = x.shape[0]
+    e = _buffer(ws, "probs", (n, current.arch.num_classes))
+    m = _buffer(ws, "row_max", (n,))
+    s = _buffer(ws, "row_sum", (n,))
+    m_col, s_col = m[:, None], s[:, None]
     for step in range(steps):
-        z, hidden = first if step == 0 and first is not None else forward(current, design, ws)
-        e, s = _exp_rows(z, ws, check)
+        z, hidden = first if step == 0 and first is not None else forward(current, x, ws)
+        np.maximum.reduce(z, axis=1, out=m)
+        if check is not None:
+            check(z, m)
+        np.subtract(z, m_col, out=e)
+        np.exp(e, out=e)
+        np.add.reduce(e, axis=1, out=s)
         np.divide(scale, s, out=s)
-        delta = np.multiply(e, s[:, None], out=e)
-        delta -= target
-        theta -= backprop(current, design, delta, hidden, ws)
+        np.multiply(e, s_col, out=e)
+        e -= target
+        theta -= backprop(current, x, e, hidden, ws)
     return current
 
 
 def _all_finite(a: np.ndarray) -> bool:
     """Whether every entry of a is finite (max and min propagate NaN); an empty a is."""
-    return math.isfinite(a.max(initial=0.0)) and math.isfinite(a.min(initial=0.0))
+    return math.isfinite(np.maximum.reduce(a, axis=None, initial=0.0)) and math.isfinite(
+        np.minimum.reduce(a, axis=None, initial=0.0)
+    )
 
 
 def _check_label_probs(z: np.ndarray, row_max: np.ndarray) -> None:

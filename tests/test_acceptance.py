@@ -165,8 +165,9 @@ def test_criterion_3_shapley_oracle():
         agg = aggregate_messengers([variants[i] for i in subset], uniform)
         return evaluate(agg, state.validation)[1]
 
-    def value_fn(subsets):
-        return [value(subset) for subset in subsets]
+    def value_fn(members):
+        # cohort position j is client j
+        return [value(tuple(np.flatnonzero(row))) for row in members]
 
     ids = list(range(6))
     exact = shapley_estimate(ids, value_fn, mode="exact")

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import os
 import re
 import time
@@ -11,11 +12,13 @@ import pytest
 
 from afflsim.cli import cmd_bench, cmd_compare, cmd_run, cmd_validate_config, main
 from afflsim.config import (
+    MAX_STEP_FACTOR,
     ConfigError,
     config_from_dict,
     load_config,
     preset_default,
     preset_multimodal,
+    preset_privacy,
     preset_smoke,
 )
 from afflsim.harness import load_summary, run_experiment
@@ -80,6 +83,30 @@ def test_value_that_would_fail_mid_run_is_rejected_naming_field(key, value):
     d["protocol"][key] = value
     with pytest.raises(ConfigError, match=f"protocol.{key}"):
         config_from_dict(d)
+
+
+STEP_FACTORS = ("local_lr", "inject_lr", "distill_lr", "lambda_kl")
+
+
+@pytest.mark.parametrize("key", STEP_FACTORS)
+@pytest.mark.parametrize("value", [1e77, 1e200, 1e300, float("inf")])
+def test_step_factor_above_its_ceiling_is_rejected_naming_field(key, value):
+    """Each of these made preset_smoke overflow in a matmul mid-run."""
+    d = preset_smoke(7)
+    d["protocol"][key] = value
+    with pytest.raises(ConfigError, match=f"protocol.{key} must be at most 1e"):
+        config_from_dict(d)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("preset", [preset_smoke, preset_default, preset_privacy])
+def test_step_factors_all_at_their_ceiling_run(preset):
+    """Over 2 rounds at 1e77, privacy overflows in its DP norm."""
+    d = {**preset(7), "max_rounds": 2}
+    d["protocol"].update({key: MAX_STEP_FACTOR for key in STEP_FACTORS})
+    log = run_experiment(config_from_dict(d))
+    assert len(log.records) == 2
+    assert all(math.isfinite(r.global_pool_loss) for r in log.records)
 
 
 def with_value(data: dict, path: str, value) -> dict:

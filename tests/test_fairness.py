@@ -28,38 +28,34 @@ def vec_params(values):
 
 
 # -- shapley -----------------------------------------------------------------
+# value_fn takes a boolean membership matrix: row k is coalition k, column j
+# true when the j-th cohort id is a member.
 
 
 def test_shapley_additive_value_function_exact():
-    contrib = {10: 1.0, 11: 2.0, 12: 3.0, 13: 4.0}
+    contrib = np.array([1.0, 2.0, 3.0, 4.0])
 
-    def v(subsets):
-        return [sum(contrib[i] for i in subset) for subset in subsets]
+    def v(members):
+        return members @ contrib
 
     phi = shapley_estimate([10, 11, 12, 13], v, mode="exact")
     assert phi == pytest.approx([1.0, 2.0, 3.0, 4.0], abs=1e-12)
 
 
 def test_shapley_efficiency_exact():
-    rng = stream(0, "eff")
-    table = {}
-
-    def v(subsets):
-        for subset in subsets:
-            key = frozenset(subset)
-            if key not in table:
-                table[key] = float(stream(1, "v", tuple(sorted(key))).uniform(0, 1))
-        return [table[frozenset(subset)] for subset in subsets]
+    def v(members):
+        masks = members @ (1 << np.arange(members.shape[1]))
+        return [float(stream(1, "v", int(mask)).uniform(0, 1)) for mask in masks]
 
     ids = list(range(6))
     phi = shapley_estimate(ids, v, mode="exact")
-    v_grand, v_empty = v([tuple(ids), ()])
+    v_grand, v_empty = v(np.array([[True] * 6, [False] * 6]))
     assert phi.sum() == pytest.approx(v_grand - v_empty, abs=1e-9)
 
 
 def test_shapley_symmetric_clients_equal_values():
-    def v(subsets):  # symmetric accuracy-like value: depends only on coalition size
-        return [0.5 + 0.1 * np.sqrt(len(subset)) for subset in subsets]
+    def v(members):  # symmetric accuracy-like value: depends only on coalition size
+        return 0.5 + 0.1 * np.sqrt(members.sum(axis=1))
 
     phi = shapley_estimate(list(range(5)), v, mode="monte_carlo", num_perms=2000, seed=3)
     assert np.abs(phi - phi.mean()).max() < 0.01
@@ -71,8 +67,8 @@ def test_shapley_mc_converges_to_exact():
     rng = stream(5, "mc-v")
     weights = rng.uniform(0, 1, 6)
 
-    def v(subsets):
-        return [sum(weights[i] for i in s) + 0.3 * np.sqrt(len(s)) for s in subsets]
+    def v(members):
+        return members @ weights + 0.3 * np.sqrt(members.sum(axis=1))
 
     ids = list(range(6))
     exact = shapley_estimate(ids, v, mode="exact")
@@ -84,8 +80,8 @@ def test_shapley_mc_converges_to_exact():
 
 
 def test_shapley_mc_deterministic_for_seed():
-    def v(subsets):
-        return [len(subset) ** 1.5 for subset in subsets]
+    def v(members):
+        return members.sum(axis=1) ** 1.5
 
     a = shapley_estimate([0, 1, 2], v, mode="monte_carlo", num_perms=50, seed=9)
     b = shapley_estimate([0, 1, 2], v, mode="monte_carlo", num_perms=50, seed=9)
@@ -94,13 +90,15 @@ def test_shapley_mc_deterministic_for_seed():
 
 def test_shapley_guards():
     with pytest.raises(ValueError):
-        shapley_estimate([], lambda s: [0.0] * len(s), mode="exact")
+        shapley_estimate([], lambda m: [0.0] * len(m), mode="exact")
     with pytest.raises(ValueError):
-        shapley_estimate(list(range(11)), lambda s: [0.0] * len(s), mode="exact")
+        shapley_estimate(list(range(11)), lambda m: [0.0] * len(m), mode="exact")
     with pytest.raises(FloatingPointError):
-        shapley_estimate([0, 1], lambda s: [float("nan")] * len(s), mode="exact")
+        shapley_estimate([0, 1], lambda m: [float("nan")] * len(m), mode="exact")
     with pytest.raises(ValueError, match="3 values for 4 coalitions"):
-        shapley_estimate([0, 1], lambda s: [0.0] * (len(s) - 1), mode="exact")
+        shapley_estimate([0, 1], lambda m: [0.0] * (len(m) - 1), mode="exact")
+    with pytest.raises(ValueError, match="8 values for 4 coalitions"):
+        shapley_estimate([0, 1], lambda m: np.zeros((len(m), 2)), mode="exact")
 
 
 # -- fair weights ------------------------------------------------------------

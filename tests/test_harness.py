@@ -11,9 +11,17 @@ import pytest
 
 from afflsim import messenger as msg
 from afflsim.config import config_from_dict, preset_default, preset_scale, preset_smoke
-from afflsim.fairness import aggregate_messengers, fair_weights, fairness_gap, monitor_and_adjust, shapley_estimate
+from afflsim.fairness import (
+    _stack_variants,
+    aggregate_messengers,
+    fair_weights,
+    fairness_gap,
+    monitor_and_adjust,
+    shapley_estimate,
+)
 from afflsim.federation import ClientProfile
 from afflsim.harness import (
+    COALITION_BLOCK,
     THREADS_ENV,
     AttackBlock,
     apply_attack_flags,
@@ -202,22 +210,47 @@ def first_round_variants(cfg, state):
     return cohort, variants
 
 
-def test_coalition_value_equals_aggregate_then_evaluate():
+def product_values(variants, base, validation, members):
+    """Coalition values as the harness defines them, one coalition at a time.
+
+    Each block of COALITION_BLOCK non-empty membership rows is averaged in
+    one product (rows / sizes) @ stacked and each mean evaluated on its
+    own; an empty row is worth base. The product sums every cohort
+    position in cohort order, so a mean may differ in its last bits from
+    aggregate_messengers over the members alone, and this oracle, not
+    aggregate-then-evaluate, is what the values equal bit for bit.
+    """
+    arch, stacked = _stack_variants(variants)
+    values = [evaluate(base, validation)[1]] * len(members)
+    filled = [k for k, row in enumerate(members) if row.any()]
+    for start in range(0, len(filled), COALITION_BLOCK):
+        block = filled[start : start + COALITION_BLOCK]
+        rows = members[block]
+        for k, theta in zip(block, (rows / rows.sum(axis=1, keepdims=True)) @ stacked):
+            values[k] = evaluate(ModelParams(arch, theta), validation)[1]
+    return values
+
+
+def test_coalition_value_equals_the_product_then_evaluate():
     cfg = smoke_cfg()
     state = init_state(cfg)
     cohort, variants = first_round_variants(cfg, state)
     value_fn = coalition_value_fn(cohort, variants, state.messenger, state.validation)
-    by_id = dict(zip(cohort, variants))
-    assert value_fn([()])[0] == evaluate(state.messenger, state.validation)[1]
+    n = len(cohort)
+    empty = np.zeros((1, n), dtype=bool)
+    assert value_fn(empty)[0] == evaluate(state.messenger, state.validation)[1]
     rng = stream(0, "coalitions")
-    subsets = [tuple(cohort)] + [(i,) for i in cohort]
-    for _ in range(30):
-        size = int(rng.integers(1, len(cohort) + 1))
-        subsets.append(tuple(sorted(int(i) for i in rng.choice(cohort, size, replace=False))))
-    for subset, value in zip(subsets, value_fn(subsets)):
-        uniform = np.full(len(subset), 1.0 / len(subset))
-        agg = aggregate_messengers([by_id[i] for i in subset], uniform)
-        assert value == evaluate(agg, state.validation)[1]
+    members = np.vstack([np.ones((1, n), dtype=bool), np.eye(n, dtype=bool)] + [empty] * 30)
+    for row in members[n + 1 :]:
+        row[rng.choice(n, int(rng.integers(1, n + 1)), replace=False)] = True
+    values = value_fn(members)
+    assert list(values) == product_values(variants, state.messenger, state.validation, members)
+    # the means are aggregate_messengers' to a few ulp
+    _, stacked = _stack_variants(variants)
+    for row in members:
+        picked = [v for v, member in zip(variants, row) if member]
+        agg = aggregate_messengers(picked, np.full(len(picked), 1.0 / len(picked)))
+        np.testing.assert_allclose((row / row.sum()) @ stacked, agg.theta, rtol=1e-13, atol=1e-15)
 
 
 def test_round_matches_scripted_composition_of_public_ops():
@@ -231,17 +264,9 @@ def test_round_matches_scripted_composition_of_public_ops():
     p = cfg.protocol
     t = 1
     cohort, variants = first_round_variants(cfg, state)
-    _, v_empty = evaluate(state.messenger, state.validation)
-    by_id = dict(zip(cohort, variants))
 
-    def value(subset):
-        if not subset:
-            return v_empty
-        u = np.full(len(subset), 1.0 / len(subset))
-        return evaluate(aggregate_messengers([by_id[i] for i in subset], u), state.validation)[1]
-
-    def value_fn(subsets):
-        return [value(subset) for subset in subsets]
+    def value_fn(members):
+        return product_values(variants, state.messenger, state.validation, members)
 
     phi = shapley_estimate(
         cohort, value_fn, mode=p.shapley_mode, num_perms=p.shapley_perms,

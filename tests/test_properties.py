@@ -43,6 +43,7 @@ from afflsim.models import (  # noqa: E402
     with_ones_column,
 )
 from afflsim.privacy import clip_update  # noqa: E402
+from afflsim.rng import stream  # noqa: E402
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -57,17 +58,69 @@ def games(draw):
     return ids, values
 
 
+class TableGame:
+    """A value_fn on membership rows: each row's value is drawn from a
+    stream keyed by its bitmask; every call's matrix is recorded."""
+
+    def __init__(self, n, seed):
+        self.bits = 1 << np.arange(n)
+        self.seed = seed
+        self.calls = []
+
+    def value(self, mask):
+        return float(stream(self.seed, "table-game", int(mask)).uniform(-1.0, 1.0))
+
+    def __call__(self, members):
+        self.calls.append(members.copy())
+        return [self.value(mask) for mask in members @ self.bits]
+
+
+def masks(members):
+    return (members @ (1 << np.arange(members.shape[1]))).tolist()
+
+
 @PROPERTY
 @given(games())
 def test_exact_shapley_is_efficient(game):
     ids, table = game
-    position = {i: j for j, i in enumerate(ids)}
 
-    def value_fn(subsets):
-        return [table[sum(1 << position[i] for i in s)] for s in subsets]
+    def value_fn(members):
+        return [table[mask] for mask in masks(members)]
 
     phi = shapley_estimate(ids, value_fn, mode="exact")
     assert abs(phi.sum() - (table[-1] - table[0])) <= 1e-9
+
+
+@PROPERTY
+@given(st.integers(1, 24), st.integers(1, 12), st.integers(0, 2**16), st.integers(0, 2**16))
+def test_monte_carlo_shapley_is_efficient_per_walk(n, perms, seed, table):
+    """Each walk's marginals telescope to v(full) - v(empty), so their mean does."""
+    game = TableGame(n, table)
+    phi = shapley_estimate(list(range(n)), game, "monte_carlo", perms, seed)
+    spread = game.value((1 << n) - 1) - game.value(0)
+    assert abs(phi.sum() - spread) <= 1e-12 * max(1.0, abs(spread))
+
+
+@PROPERTY
+@given(
+    st.integers(1, 9),
+    st.sampled_from(["exact", "monte_carlo"]),
+    st.integers(1, 12),
+    st.integers(0, 2**16),
+)
+def test_value_fn_sees_each_distinct_coalition_once_empty_first(n, mode, perms, seed):
+    game = TableGame(n, seed)
+    shapley_estimate(list(range(10, 10 + n)), game, mode, perms, seed)
+    (members,) = game.calls
+    assert members.dtype == bool and members.shape[1] == n
+    seen = masks(members)
+    assert seen[0] == 0 and len(set(seen)) == len(seen)
+    if mode == "exact":
+        assert seen == list(range(1 << n))
+    else:
+        walks = [stream(seed, "shapley-perm", p).permutation(n) for p in range(perms)]
+        prefixes = {sum(1 << int(j) for j in walk[:k]) for walk in walks for k in range(n + 1)}
+        assert set(seen) == prefixes
 
 
 @PROPERTY
