@@ -29,8 +29,8 @@ ALGORITHMS = ("affl", "fedavg", "static_messenger", "uniform_weight_affl")
 # Ceiling of protocol.local_lr, inject_lr, distill_lr and lambda_kl. A
 # distillation step is lr * (1 + lambda_kl) times a bounded gradient, and
 # the presets' products and DP norms overflow once that factor nears 1e154.
-# With all four at 1e76 together every preset runs (seeds 7-12); at 1e77
-# the privacy preset does not.
+# With all four at 1e76 together every preset runs (seeds 7-12); at 1e78
+# the smoke and default presets overflow in a matmul (seed 7).
 MAX_STEP_FACTOR = 1e76
 
 

@@ -583,26 +583,16 @@ def _client_step(
 
     def client_work(i: int) -> tuple[ModelParams, ModelParams, tuple[float, float]]:
         train_shard = state.train_shards[i]
-        # the client tower's training calls share one workspace, and the
-        # frozen messenger's forward and the distillation steps another
-        client_ws: models.Workspace = {}
-        messenger_ws: models.Workspace = {}
-        params = models.train_local(
-            state.client_params[i], train_shard, p.local_steps, p.local_lr, client_ws
-        )
-        fwd = msg.messenger_forward(base, train_shard, messenger_ws)
+        params = models.train_local(state.client_params[i], train_shard, p.local_steps, p.local_lr)
+        fwd = msg.messenger_forward(base, train_shard)
         params = msg.inject_knowledge(
-            params, base, train_shard, pi, p.inject_steps, p.inject_lr, fwd, client_ws
+            params, base, train_shard, pi, p.inject_steps, p.inject_lr, fwd
         )
-        # free the tower's buffers before the client's final forward and
-        # distillation allocate, so that they reuse that memory
-        del client_ws
         # train_shard shares the design of shards[i]; label_flip changes only labels
         z = models.logits(params, train_shard.design)
         probs = models.softmax(z)
         variant = msg.distill_to_messenger(
-            base, params, train_shard, p.lambda_kl, p.distill_steps, p.distill_lr, fwd, probs,
-            messenger_ws,
+            base, params, train_shard, p.lambda_kl, p.distill_steps, p.distill_lr, fwd, probs
         )
         return params, variant, models.score(z, probs, state.shards[i].labels)
 

@@ -20,7 +20,6 @@ from .federation import DatasetShard
 from .models import (
     Arch,
     ModelParams,
-    Workspace,
     _all_finite,
     _descend,
     _label_index,
@@ -185,18 +184,14 @@ class MessengerForward(NamedTuple):
     probs: np.ndarray
 
 
-def messenger_forward(
-    messenger: ModelParams, shard: DatasetShard, ws: Workspace | None = None
-) -> MessengerForward:
-    """A messenger's forward pass and softmax on a shard.
+def messenger_forward(messenger: ModelParams, shard: DatasetShard) -> MessengerForward:
+    """A messenger's forward pass and softmax on a shard, as new arrays.
 
-    Without a workspace the arrays are new, so the result can be shared.
-    The frozen messenger's forward is computed once per client, into the
-    workspace of that client's distillation, which overwrites it only
-    after its first step has used it.
+    The frozen messenger's forward is computed once per client and read
+    by both injection and distillation; neither writes it.
     """
-    z, hidden = forward(messenger, shard.design, ws)
-    return MessengerForward(z, hidden, softmax(z, ws))
+    z, hidden = forward(messenger, shard.design)
+    return MessengerForward(z, hidden, softmax(z))
 
 
 def _tier_sample_weights(shard: DatasetShard, pi: np.ndarray) -> np.ndarray:
@@ -223,22 +218,19 @@ def inject_knowledge(
     steps: int,
     lr: float,
     messenger_fwd: MessengerForward | None = None,
-    ws: Workspace | None = None,
 ) -> ModelParams:
     """Gradient steps on the curriculum-weighted distillation loss.
 
     Only the client tower moves; the messenger is frozen. The step's scale
     is lr * w, w the per-sample tier weights, and its target lr * w * p_m,
     p_m the messenger's probabilities. messenger_fwd, if given, must be
-    messenger_forward(messenger, shard); it is read before the first step.
-    ws, if given, is the client-tower workspace the steps use; train_local
-    on the same shard can share it.
+    messenger_forward(messenger, shard); it is read, never written.
     """
     scale = lr * _tier_sample_weights(shard, pi)
     if messenger_fwd is None:
         messenger_fwd = messenger_forward(messenger, shard)
     target = messenger_fwd.probs * scale[:, None]
-    return _descend(client, shard.design, steps, scale, target, ws)
+    return _descend(client, shard.design, steps, scale, target)
 
 
 def distill_to_messenger(
@@ -250,7 +242,6 @@ def distill_to_messenger(
     lr: float,
     messenger_fwd: MessengerForward | None = None,
     client_probs: np.ndarray | None = None,
-    ws: Workspace | None = None,
 ) -> ModelParams:
     """Train a per-client messenger variant; the client tower is frozen.
 
@@ -261,17 +252,10 @@ def distill_to_messenger(
     messenger_fwd, if given, must be messenger_forward(messenger, shard);
     its logits and hidden units stand in for the first step's forward
     pass. client_probs, if given, must be
-    softmax(logits(client, shard.design)). Neither is written. ws, if
-    given, is the messenger workspace the steps use. messenger_fwd may
-    live in it, as the first step reads its logits and hidden units
-    before any step writes them; the steps then overwrite it.
-    client_probs may not live in ws.
+    softmax(logits(client, shard.design)). Neither is written.
     """
     n = shard.sample_count
     p_c = softmax(logits(client, shard.design)) if client_probs is None else client_probs
-    ws = {} if ws is None else ws
-    if any(np.may_share_memory(p_c, buf) for buf in ws.values()):
-        raise ValueError("client_probs lives in the workspace distillation overwrites")
     per_row = lr / max(n, 1)
     target = p_c * lambda_kl  # column-major, as p_c
     at_label = _label_index(shard.labels)
@@ -279,8 +263,7 @@ def distill_to_messenger(
     target *= per_row
     first = None if messenger_fwd is None else messenger_fwd[:2]
     return _descend(
-        messenger, shard.design, steps, per_row * (1.0 + lambda_kl), target, ws, first,
-        _check_logits,
+        messenger, shard.design, steps, per_row * (1.0 + lambda_kl), target, first, _check_logits
     )
 
 

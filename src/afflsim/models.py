@@ -8,13 +8,14 @@ clipped, noised, averaged and trimmed coordinate-wise.
 All training is full batch, so a (params, shard, steps, lr) call is a pure
 deterministic function of its inputs.
 
-The kernels take an optional workspace, a dict of named scratch arrays.
-A training call passes one to every step (its caller's, or one it creates
-and drops on return), so the shard-sized temporaries of a step are
-allocated once per call, or once per sequence of calls on one shard,
-instead of once per step. Arrays a kernel returns then live in the
-workspace and are overwritten by the next step; without a workspace each
-kernel takes fresh arrays from np.empty.
+forward, backprop and the stacked kernels take an optional workspace, a
+dict of named scratch arrays that belongs to the one call looping over
+them: _descend makes one for a training call's steps and drops it on
+return, so a step's shard-sized temporaries are allocated once per call
+instead of once per step (the harness's Shapley value_fn keeps one for
+its blocks). Arrays a kernel returns then live in the workspace and are
+overwritten by the next step. Without a workspace each kernel takes
+fresh arrays from np.empty, and every other function returns new arrays.
 
 Activations are column-major, and every layer is one product. The
 kernels take a shard's design matrix, its column-major [X | 1] array
@@ -46,8 +47,8 @@ are multiplied by it and the target subtracted, and a step ends with
 theta -= grad. A training call binds what no step changes once (the
 design check, the softmax buffers and their column views); each step
 calls forward and backprop, whose own per-call work is a dict lookup
-per buffer (an exact-shape hit returns at once) and, for the gradient,
-layer views kept on the model being trained.
+per buffer in the call's workspace and, for the gradient, layer views
+kept on the model being trained.
 """
 
 from __future__ import annotations
@@ -174,19 +175,15 @@ def _buffer(
     """Uninitialized column-major float64 scratch of this shape.
 
     The first axis is the contiguous one: the array is the transpose of a
-    C-contiguous array of the reversed shape. ws[name] is reused when its
-    other axes match and it has at least shape[0] rows; a shorter request
-    gets its leading rows, whose columns are still contiguous. With ones,
-    the last column (index -1 of axis 1) is set to 1 when the array is
-    allocated; a reused one keeps it, as no kernel writes there.
+    C-contiguous array of the reversed shape. ws[name] is reused when it
+    has this shape. With ones, the last column (index -1 of axis 1) is set
+    to 1 when the array is allocated; a reused one keeps it, as no kernel
+    writes there.
     """
     if ws is not None:
         buf = ws.get(name)
-        if buf is not None:
-            if buf.shape == shape:
-                return buf
-            if buf.shape[1:] == shape[1:] and buf.shape[0] > shape[0]:
-                return buf[: shape[0]]
+        if buf is not None and buf.shape == shape:
+            return buf
     buf = np.empty(shape[::-1]).T
     if ones:
         buf[:, -1] = 1.0
@@ -232,20 +229,19 @@ def safe_log(p: np.ndarray) -> np.ndarray:
     return np.log(np.maximum(p, 1e-300))
 
 
-def softmax(z: np.ndarray, ws: Workspace | None = None) -> np.ndarray:
+def softmax(z: np.ndarray) -> np.ndarray:
     """Row-wise stable softmax (1-D input treated as a single row).
 
     The max and the sum run across the classes, column after column, and
-    the output is column-major.
+    the output is new and column-major.
     """
     z = np.asarray(z, dtype=np.float64)
     rows = z[None, :] if z.ndim == 1 else z
-    out = _buffer(ws, "probs", rows.shape)
-    m = np.maximum.reduce(rows, axis=1, out=_buffer(ws, "row_max", rows.shape[:1]))
+    out = _buffer(None, "probs", rows.shape)
+    m = np.maximum.reduce(rows, axis=1)
     np.subtract(rows, m[:, None], out=out)
     np.exp(out, out=out)
-    s = np.add.reduce(out, axis=1, out=_buffer(ws, "row_sum", rows.shape[:1]))
-    out /= s[:, None]
+    out /= np.add.reduce(out, axis=1)[:, None]
     return out[0] if z.ndim == 1 else out
 
 
@@ -346,7 +342,6 @@ def _descend(
     steps: int,
     scale: float | np.ndarray,
     target: np.ndarray,
-    ws: Workspace | None = None,
     first: tuple[np.ndarray, np.ndarray | None] | None = None,
     check=None,
 ) -> ModelParams:
@@ -355,23 +350,23 @@ def _descend(
     Each step applies theta -= backprop of the logit delta, already times
     the learning rate, softmax(z) * scale - target: scale is a scalar or
     an n-vector, one value per row, and target is (n, C). first, if given,
-    is the first step's (logits, hidden) in place of its forward; ws, if
-    given, is the workspace the steps use. check(z, row_max), if given,
-    sees each step's logits and their row maxes before the exponentials.
+    is the first step's (logits, hidden) in place of its forward.
+    check(z, row_max), if given, sees each step's logits and their row
+    maxes before the exponentials.
 
-    What is constant across steps is bound once per call: the design
-    check, and softmax's buffers (as softmax names them) with their
-    column views. Each step still calls forward and backprop through this
+    The steps share one workspace for forward and backprop, made here
+    and dropped on return. What is constant across steps is bound once
+    per call: the design check, and the softmax buffers with their column
+    views. Each step still calls forward and backprop through this
     module, so a wrapper installed on them sees every step.
     """
     current = params.copy()
     theta = current.theta
     x = _checked(current.arch, design)
-    ws = {} if ws is None else ws
+    ws: Workspace = {}
     n = x.shape[0]
-    e = _buffer(ws, "probs", (n, current.arch.num_classes))
-    m = _buffer(ws, "row_max", (n,))
-    s = _buffer(ws, "row_sum", (n,))
+    e = _buffer(None, "probs", (n, current.arch.num_classes))
+    m, s = np.empty(n), np.empty(n)
     m_col, s_col = m[:, None], s[:, None]
     for step in range(steps):
         z, hidden = first if step == 0 and first is not None else forward(current, x, ws)
@@ -401,13 +396,8 @@ def _check_label_probs(z: np.ndarray, row_max: np.ndarray) -> None:
         raise FloatingPointError("non-finite training loss: a label probability is NaN")
 
 
-def train_local(
-    params: ModelParams, shard, steps: int, lr: float, ws: Workspace | None = None
-) -> ModelParams:
-    """Full-batch cross-entropy gradient descent; input params untouched.
-
-    ws, if given, is the workspace the steps use (one is made otherwise).
-    """
+def train_local(params: ModelParams, shard, steps: int, lr: float) -> ModelParams:
+    """Full-batch cross-entropy gradient descent; input params untouched."""
     if steps < 0:
         raise ValueError("steps must be >= 0")
     if lr <= 0:
@@ -416,7 +406,7 @@ def train_local(
     scale = lr / max(n, 1)
     target = np.zeros((params.arch.num_classes, n)).T
     np.put(target.T, _label_index(shard.labels), scale)
-    return _descend(params, shard.design, steps, scale, target, ws, check=_check_label_probs)
+    return _descend(params, shard.design, steps, scale, target, check=_check_label_probs)
 
 
 def _argmax_is_label(z: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -468,23 +458,18 @@ def pooled_cross_entropy(params: ModelParams, shards: list[DatasetShard]) -> flo
     """Mean cross-entropy over every row of every shard, one shard at a time.
 
     The value of cross_entropy(softmax(logits(params, X1)), y) for X1 and y
-    the shards' rows stacked in order, without stacking them: each shard's
-    forward and softmax write into one workspace, so only one shard's
-    activations are held at a time. The largest shard runs first, which
-    sizes the workspace once; the others run on row-prefix views of its
-    buffers. The label probabilities go into one vector, each shard's at
-    its row offset, that is reduced once, so the mean is the same pairwise
-    sum over the same values. Only the matmuls may differ in the last bits
-    from one product over the stacked rows, since BLAS picks its kernel by
-    matrix size.
+    the shards' rows stacked in order, without stacking them: each shard
+    in turn gets a fresh forward and softmax, so only one shard's
+    activations are held at a time. The label probabilities go into one
+    vector, each shard's at its row offset, that is reduced once, so the
+    mean is the same pairwise sum over the same values. Only the matmuls
+    may differ in the last bits from one product over the stacked rows,
+    since BLAS picks its kernel by matrix size.
     """
-    sizes = [s.labels.shape[0] for s in shards]
-    offsets = np.cumsum([0, *sizes])
+    offsets = np.cumsum([0, *(s.labels.shape[0] for s in shards)])
     picked = np.empty(offsets[-1])
-    ws: Workspace = {}
-    for i in sorted(range(len(shards)), key=lambda i: -sizes[i]):
-        shard = shards[i]
-        p = softmax(forward(params, shard.design, ws)[0], ws)
+    for i, shard in enumerate(shards):
+        p = softmax(logits(params, shard.design))
         np.take(p.T, _label_index(shard.labels), out=picked[offsets[i] : offsets[i + 1]])
     return float(-_mean(safe_log(picked)))
 

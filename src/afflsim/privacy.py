@@ -9,6 +9,7 @@ attack measures how much a model leaks about its training members.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -56,13 +57,21 @@ class PrivacySpend:
 
 
 def clip_update(delta_params: np.ndarray, clip_norm: float) -> np.ndarray:
-    """Project onto the L2 ball of radius clip_norm."""
+    """Project onto the L2 ball of radius clip_norm.
+
+    Finite entries whose squared norm overflows get their norm from v
+    scaled by its largest magnitude, so they are clipped, not zeroed.
+    """
     if clip_norm <= 0:
         raise ValueError("clip_norm must be positive")
     v = np.asarray(delta_params, dtype=np.float64)
     if not np.all(np.isfinite(v)):
         raise ValueError("update contains non-finite values")
-    norm = float(np.linalg.norm(v))
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(v))
+    if math.isinf(norm):
+        largest = float(np.max(np.abs(v)))
+        norm = largest * float(np.linalg.norm(v / largest))
     if norm <= clip_norm:
         return v.copy()
     return v * (clip_norm / norm)

@@ -101,7 +101,7 @@ def test_step_factor_above_its_ceiling_is_rejected_naming_field(key, value):
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("preset", [preset_smoke, preset_default, preset_privacy])
 def test_step_factors_all_at_their_ceiling_run(preset):
-    """Over 2 rounds at 1e77, privacy overflows in its DP norm."""
+    """Over 2 rounds at 1e78, smoke and default overflow in a matmul."""
     d = {**preset(7), "max_rounds": 2}
     d["protocol"].update({key: MAX_STEP_FACTOR for key in STEP_FACTORS})
     log = run_experiment(config_from_dict(d))

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from afflsim.config import config_from_dict, preset_smoke
 from afflsim.federation import DatasetShard
 from afflsim.harness import init_state
@@ -249,12 +250,6 @@ def test_non_finite_loss_raises():
 # -- softmax ---------------------------------------------------------------
 
 
-def reference_softmax(z):
-    """Softmax of the rows of z, on a C-contiguous (C, n) transpose, reduced down axis 0."""
-    e = np.exp(np.ascontiguousarray(z.T) - z.T.max(axis=0))
-    return (e / e.sum(axis=0)).T
-
-
 def column_major_normals(seed, rows, classes, scale):
     return np.asfortranarray(stream(rows, seed, classes).normal(0.0, scale, (rows, classes)))
 
@@ -266,7 +261,7 @@ def test_softmax_bit_identical_to_reference(classes, rows):
     snapshot = z.copy()
     out = softmax(z)
     assert out.flags.f_contiguous
-    assert np.array_equal(out, reference_softmax(z))
+    assert np.array_equal(out, oracles.softmax(z))
     assert np.array_equal(z, snapshot)  # input untouched
 
 
@@ -276,7 +271,7 @@ def test_softmax_one_dim_is_single_row(classes):
     snapshot = z.copy()
     out = softmax(z)
     assert out.shape == (classes,)
-    assert np.array_equal(out, reference_softmax(z[None, :])[0])
+    assert np.array_equal(out, oracles.softmax(z[None, :])[0])
     assert np.array_equal(z, snapshot)
 
 
@@ -291,7 +286,7 @@ def test_softmax_extreme_logits_and_tied_maxima(classes):
     z[2::4] = -700.0
     snapshot = z.copy()
     out = softmax(z)
-    assert np.array_equal(out, reference_softmax(z))
+    assert np.array_equal(out, oracles.softmax(z))
     assert np.all(np.isfinite(out))
     assert np.array_equal(z, snapshot)
 
@@ -390,7 +385,7 @@ def test_kernels_reject_features_without_the_ones_column(hidden):
         "backprop": lambda x: backprop(params, x, z, h),
         "forward_stacked": lambda x: forward_stacked(arch, thetas, x),
         "_descend": lambda x: _descend(params, x, 1, 0.1, target),
-        "_descend from a given forward": lambda x: _descend(params, x, 1, 0.1, target, None, (z, h)),
+        "_descend from a given forward": lambda x: _descend(params, x, 1, 0.1, target, (z, h)),
     }
     for name, call in calls.items():
         call(shard.design)
@@ -444,7 +439,7 @@ def test_kernels_on_a_bare_array_equal_the_shard_path(hidden, with_ws):
                 backprop(trained, bare, delta, hid_ref, ws),
                 backprop(trained, shard.design, delta, hid_ref),
             )
-        stepped = _descend(trained, bare, 2, 0.5 / n, target, ws)
+        stepped = _descend(trained, bare, 2, 0.5 / n, target)
         assert np.array_equal(stepped.theta, want.theta)
 
 
@@ -486,24 +481,9 @@ def test_train_local_raises_exactly_when_a_label_probability_is_nan():
     ]
 
 
-def test_workspace_serves_shorter_shards_from_its_leading_rows():
-    large = small_shard(seed=7, n=300, classes=4)
-    small = small_shard(seed=8, n=37, classes=4)
-    params = init_params(Arch(6, 4, 8), seed=7)
-    ws = {}
-    forward(params, large.design, ws)
-    buffers = dict(ws)
-    z, h = forward(params, small.design, ws)
-    assert all(ws[name] is buf for name, buf in buffers.items())
-    assert np.shares_memory(z, buffers["logits"]) and z.shape == (37, 4)
-    z_fresh, h_fresh = forward(params, small.design)
-    assert np.array_equal(z, z_fresh) and np.array_equal(h, h_fresh)
-    assert np.array_equal(softmax(z, ws), softmax(z_fresh))
-
-
 def test_pooled_cross_entropy_equals_fresh_forwards_per_shard():
-    """The largest shard runs first; the others, on the leading rows of its
-    buffers, give the bits of a fresh forward."""
+    """Shards of differing sizes: each one's label probabilities are the
+    bits of its own fresh forward and softmax, gathered in shard order."""
     shards = [small_shard(seed=s, n=n, classes=4) for s, n in ((1, 40), (2, 300), (3, 41))]
     params = init_params(Arch(6, 4, 8), seed=9)
     picked = [

@@ -1,5 +1,7 @@
 """Clipping, Gaussian noise, accounting, and the membership-inference harness."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -33,6 +35,15 @@ def test_clip_outside_ball_scaled_to_norm():
     out = clip_update(v, 1.0)
     assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-12)
     assert out == pytest.approx(v / 2.0)
+
+
+def test_clip_of_finite_entries_whose_squared_norm_overflows():
+    """The squares of 1e200 overflow; the update is clipped to the ball, not zeroed."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = clip_update(np.full(8, 1e200), 0.5)
+    assert np.all(out > 0)
+    assert np.linalg.norm(out) == pytest.approx(0.5, rel=1e-12)
 
 
 def test_clip_zero_vector_and_guards():

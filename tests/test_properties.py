@@ -2,8 +2,8 @@
 
 Shapley efficiency, convex fair weights, robust aggregates inside the
 coordinate-wise range of their inputs, and clipped updates inside the clip
-norm. The column-major kernels and training steps in models equal
-allocating numpy expressions on the same inputs bit for bit, whatever the
+norm. The column-major kernels and training steps equal the allocating
+oracles (tests/oracles.py) on the same inputs bit for bit, whatever the
 layout of the features that with_ones_column extends into their design
 matrix, and the flat-index label gathers equal fancy indexing.
 
@@ -25,7 +25,6 @@ from afflsim.fairness import (  # noqa: E402
 )
 from afflsim.federation import DatasetShard  # noqa: E402
 from afflsim.messenger import (  # noqa: E402
-    _tier_sample_weights,
     distill_to_messenger,
     inject_knowledge,
     messenger_forward,
@@ -34,7 +33,6 @@ from afflsim.models import (  # noqa: E402
     Arch,
     ModelParams,
     _label_index,
-    _layers,
     backprop,
     forward,
     score,
@@ -44,6 +42,8 @@ from afflsim.models import (  # noqa: E402
 )
 from afflsim.privacy import clip_update  # noqa: E402
 from afflsim.rng import stream  # noqa: E402
+
+import oracles  # noqa: E402
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -234,61 +234,6 @@ def laid_out(a: np.ndarray, layout: str, rng) -> np.ndarray:
     return base[:, 1 : 1 + w]
 
 
-def ones_extended(features):
-    """[features | 1], column-major, as with_ones_column builds it from any layout."""
-    return np.asfortranarray(np.column_stack([features, np.ones(features.shape[0])]))
-
-
-def allocating_forward(params, features):
-    """forward as allocating products of each [W; b] on the (width, n) transposes."""
-    x = ones_extended(features)
-    if params.arch.hidden == 0:
-        (wb,) = _layers(params.arch, params.theta)
-        return (wb.T @ x.T).T, None
-    w1, w2 = _layers(params.arch, params.theta)
-    hidden_t = np.vstack([np.tanh(w1.T @ x.T), np.ones(x.shape[0])])
-    return (w2.T @ hidden_t).T, hidden_t.T
-
-
-def allocating_softmax(z):
-    """softmax on a C-contiguous (C, n) transpose, reduced down axis 0."""
-    e = np.exp(np.ascontiguousarray(z.T) - z.T.max(axis=0))
-    return (e / e.sum(axis=0)).T
-
-
-def allocating_backprop(params, features, delta, hidden):
-    """backprop with copied matmul results."""
-    x = ones_extended(features)
-    grad = np.empty(params.param_count)
-    layers = _layers(params.arch, grad)
-    if params.arch.hidden == 0:
-        layers[0][:] = x.T @ delta
-        return grad
-    h = params.arch.hidden
-    w2 = _layers(params.arch, params.theta)[1][:h]
-    layers[1][:] = hidden.T @ delta
-    hid_delta = (w2 @ delta.T).T
-    hid_delta *= 1.0 - hidden[:, :h] * hidden[:, :h]
-    layers[0][:] = x.T @ hid_delta
-    return grad
-
-
-def allocating_step(params, features, scale, target):
-    """A training step's gradient times the learning rate, softmax(z) * scale - target."""
-    z, hidden = allocating_forward(params, features)
-    e = np.exp(np.ascontiguousarray(z.T) - z.T.max(axis=0))
-    delta = (e * (scale / e.sum(axis=0)) - target.T).T
-    return allocating_backprop(params, features, delta, hidden)
-
-
-def fancy_train_step(params, features, labels, lr):
-    """train_local's step with a fancy-indexed target and the allocating kernels."""
-    n = features.shape[0]
-    target = np.zeros((n, params.arch.num_classes))
-    target[np.arange(n), labels] = lr / n
-    return allocating_step(params, features, lr / n, target)
-
-
 # short shards, and tall ones like rural and regional clients'
 ROWS = st.one_of(st.integers(1, 400), st.sampled_from([499, 1500, 3001]))
 
@@ -344,18 +289,18 @@ def test_kernels_on_narrow_arrays_equal_the_allocating_versions(width, rows, lay
     rng = np.random.default_rng(rows * 10 + width)
     # width is the class count of the softmax and the hidden width of the MLP
     z = laid_out(scaled_normals(rng, (rows, width), -2, 3), layout, rng)
-    assert same_bits(softmax(z, {}), allocating_softmax(z))
+    assert same_bits(softmax(z), oracles.softmax(z))
     features = laid_out(rng.standard_normal((rows, width)), layout, rng)
     for hidden in (0, width):
         arch = Arch(width, max(width, 2), hidden)
         params = ModelParams(arch, rng.standard_normal(arch.param_count))
         z, hid = forward(params, with_ones_column(features), {})
-        want_z, want_hid = allocating_forward(params, features)
+        want_z, want_hid = oracles.forward(params, features)
         assert same_bits(z, want_z)
         assert hid is None if want_hid is None else same_bits(hid, want_hid)
         delta = laid_out(scaled_normals(rng, z.shape, -2, 3), layout, rng)
         grad = backprop(params, with_ones_column(features), delta, hid, {})
-        assert same_bits(grad, allocating_backprop(params, features, delta, want_hid))
+        assert same_bits(grad, oracles.backprop(params, features, delta, want_hid))
 
 
 @NARROW
@@ -365,7 +310,7 @@ def test_forward_equals_the_allocating_version(problem, layout, with_ws):
     rng = np.random.default_rng(features.shape[0])
     features = laid_out(features, layout, rng)
     z, hidden = forward(params, with_ones_column(features), {} if with_ws else None)
-    want_z, want_hidden = allocating_forward(params, features)
+    want_z, want_hidden = oracles.forward(params, features)
     assert same_bits(z, want_z)
     assert hidden is None if want_hidden is None else same_bits(hidden, want_hidden)
 
@@ -376,27 +321,23 @@ def test_forward_equals_the_allocating_version(problem, layout, with_ws):
     st.integers(2, 9),
     st.sampled_from(["C", "F", "row_step", "col_slice"]),
     st.integers(0, 2**32 - 1),
-    st.booleans(),
 )
-def test_softmax_equals_the_allocating_version(n, classes, layout, seed, with_ws):
+def test_softmax_equals_the_allocating_version(n, classes, layout, seed):
     rng = np.random.default_rng(seed)
     z = laid_out(scaled_normals(rng, (n, classes), -2, 3), layout, rng)
     snapshot = z.copy()
-    out = softmax(z, {} if with_ws else None)
-    assert same_bits(out, allocating_softmax(z))
+    out = softmax(z)
+    assert same_bits(out, oracles.softmax(z))
     assert same_bits(z, snapshot)
 
 
 @NARROW
-@given(classification_problems(), st.integers(0, 3), st.booleans())
-def test_train_local_equals_steps_of_the_fancy_index_version(problem, steps, with_ws):
+@given(classification_problems(), st.integers(0, 3))
+def test_train_local_equals_steps_of_the_fancy_index_version(problem, steps):
     params, features, labels = problem
     shard = DatasetShard(features, labels, params.arch.num_classes)
-    trained = train_local(params, shard, steps, 0.5, {} if with_ws else None)
-    current = params.copy()
-    for _ in range(steps):
-        current.theta -= fancy_train_step(current, shard.features, labels, 0.5)
-    assert same_bits(trained.theta, current.theta)
+    trained = train_local(params, shard, steps, 0.5)
+    assert same_bits(trained.theta, oracles.train_local(params, shard, steps, 0.5).theta)
 
 
 @st.composite
@@ -421,42 +362,13 @@ def tiered_problems(draw):
     return client, messenger, shard, rng.dirichlet(np.ones(num_tiers))
 
 
-def allocating_inject_knowledge(client, messenger, shard, pi, steps, lr):
-    """inject_knowledge with scale lr * w and target lr * w * p_m, allocating."""
-    scale = lr * _tier_sample_weights(shard, pi)
-    p_m = allocating_softmax(allocating_forward(messenger, shard.features)[0])
-    target = p_m * scale[:, None]
-    current = client.copy()
-    for _ in range(steps):
-        current.theta -= allocating_step(current, shard.features, scale, target)
-    return current
-
-
-def allocating_distill_to_messenger(messenger, client, shard, lambda_kl, steps, lr):
-    """distill_to_messenger as written with np.isfinite over every logit."""
-    n = shard.sample_count
-    per_row = lr / max(n, 1)
-    p_c = allocating_softmax(allocating_forward(client, shard.features)[0])
-    onehot = np.zeros((n, shard.num_classes))
-    onehot[np.arange(n), shard.labels] = 1.0
-    target = (p_c * lambda_kl + onehot) * per_row
-    current = messenger.copy()
-    for _ in range(steps):
-        if not np.all(np.isfinite(allocating_forward(current, shard.features)[0])):
-            raise FloatingPointError("non-finite distillation loss")
-        current.theta -= allocating_step(
-            current, shard.features, per_row * (1.0 + lambda_kl), target
-        )
-    return current
-
-
 @NARROW
 @given(tiered_problems(), st.integers(0, 3), st.booleans())
 def test_inject_knowledge_equals_the_allocating_version(problem, steps, with_fwd):
     client, messenger, shard, pi = problem
     fwd = messenger_forward(messenger, shard) if with_fwd else None
-    out = inject_knowledge(client, messenger, shard, pi, steps, 0.3, fwd, {})
-    want = allocating_inject_knowledge(client, messenger, shard, pi, steps, 0.3)
+    out = inject_knowledge(client, messenger, shard, pi, steps, 0.3, fwd)
+    want = oracles.inject(client, messenger, shard, pi, steps, 0.3)
     assert same_bits(out.theta, want.theta)
 
 
@@ -465,8 +377,8 @@ def test_inject_knowledge_equals_the_allocating_version(problem, steps, with_fwd
 def test_distill_to_messenger_equals_the_allocating_version(problem, steps, lambda_kl, with_fwd):
     client, messenger, shard, _ = problem
     fwd = messenger_forward(messenger, shard) if with_fwd else None
-    out = distill_to_messenger(messenger, client, shard, lambda_kl, steps, 0.3, fwd, None, {})
-    want = allocating_distill_to_messenger(messenger, client, shard, lambda_kl, steps, 0.3)
+    out = distill_to_messenger(messenger, client, shard, lambda_kl, steps, 0.3, fwd)
+    want = oracles.distill(messenger, client, shard, lambda_kl, steps, 0.3)
     assert same_bits(out.theta, want.theta)
 
 

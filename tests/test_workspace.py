@@ -1,19 +1,20 @@
-"""Workspace kernels and training calls against allocating expressions.
+"""Workspace kernels and training calls against the allocating oracles.
 
-Each kernel and step loop writes its temporaries into a workspace that
-one training call reuses on every step. The oracles below state each
-kernel as allocating expressions on column-major inputs: products on the
-(width, n) transposes, with every layer's bias riding in its [W; b]
-against a ones column, softmax on the transposes, and every training
-step's logit delta as softmax(z) * scale - target. Every comparison with
-them is exact (bit for bit), because the golden run digests depend on
-it. The textbook deltas, softmax - onehot, the KL term and the tier
-weights, are checked against the training calls to 1e-12.
+forward and backprop write their temporaries into a workspace that one
+training call makes for its steps and reuses on every step. Every
+comparison with the oracles (tests/oracles.py) is exact (bit for bit),
+because the golden run digests depend on it. The textbook deltas,
+softmax - onehot, the KL term and the tier weights, are checked against
+the training calls to 1e-12.
 """
+
+import inspect
 
 import numpy as np
 import pytest
 
+import oracles
+from afflsim import messenger, models
 from afflsim.federation import DatasetShard
 from afflsim.messenger import (
     _distill_toward_teacher,
@@ -24,7 +25,6 @@ from afflsim.messenger import (
 )
 from afflsim.models import (
     Arch,
-    _layers,
     backprop,
     forward,
     init_params,
@@ -33,96 +33,7 @@ from afflsim.models import (
     train_local,
 )
 from afflsim.rng import stream
-
-
-# -- oracles: the allocating expressions -------------------------------------
-
-
-def column_major(a):
-    return np.asfortranarray(a)
-
-
-def ones_extended(a):
-    """[a | 1], column-major."""
-    return column_major(np.column_stack([a, np.ones(a.shape[0])]))
-
-
-def reference_softmax(z):
-    """Softmax of the rows of z, on a C-contiguous (C, n) transpose, reduced down axis 0."""
-    e = np.exp(np.ascontiguousarray(z.T) - z.T.max(axis=0))
-    return (e / e.sum(axis=0)).T
-
-
-def reference_forward(params, features):
-    """(logits, [H | 1] or None)."""
-    x = ones_extended(features)
-    if params.arch.hidden == 0:
-        (wb,) = _layers(params.arch, params.theta)
-        return (wb.T @ x.T).T, None
-    w1, w2 = _layers(params.arch, params.theta)
-    hidden_t = np.vstack([np.tanh(w1.T @ x.T), np.ones(x.shape[0])])
-    return (w2.T @ hidden_t).T, hidden_t.T
-
-
-def reference_backprop(params, features, out_delta, hidden):
-    x = ones_extended(features)
-    grad = np.empty_like(params.theta)
-    layers = _layers(params.arch, grad)
-    if params.arch.hidden == 0:
-        layers[0][:] = x.T @ out_delta
-        return grad
-    h = params.arch.hidden
-    w2 = _layers(params.arch, params.theta)[1][:h]
-    layers[1][:] = hidden.T @ out_delta
-    hid_delta = (w2 @ out_delta.T).T * (1.0 - hidden[:, :h] ** 2)
-    layers[0][:] = x.T @ hid_delta
-    return grad
-
-
-def reference_step(params, features, scale, target):
-    """One step's gradient, times the learning rate: delta = softmax(z) * scale - target."""
-    z, hidden = reference_forward(params, features)
-    e = np.exp(np.ascontiguousarray(z.T) - z.T.max(axis=0))
-    delta = (e * (scale / e.sum(axis=0)) - target.T).T
-    return reference_backprop(params, features, delta, hidden)
-
-
-def reference_descend(params, features, steps, scale, target):
-    current = params.copy()
-    for _ in range(steps):
-        current.theta -= reference_step(current, features, scale, target)
-    return current
-
-
-def onehot(shard):
-    out = np.zeros((shard.sample_count, shard.num_classes))
-    out[np.arange(shard.sample_count), shard.labels] = 1.0
-    return out
-
-
-def reference_train_local(params, shard, steps, lr):
-    scale = lr / shard.sample_count
-    return reference_descend(params, shard.features, steps, scale, onehot(shard) * scale)
-
-
-def reference_inject_knowledge(client, messenger, shard, pi, steps, lr):
-    scale = lr * _tier_sample_weights(shard, pi)
-    p_m = reference_softmax(reference_forward(messenger, shard.features)[0])
-    return reference_descend(client, shard.features, steps, scale, p_m * scale[:, None])
-
-
-def reference_distill_to_messenger(messenger, client, shard, lambda_kl, steps, lr):
-    per_row = lr / shard.sample_count
-    p_c = reference_softmax(reference_forward(client, shard.features)[0])
-    target = (p_c * lambda_kl + onehot(shard)) * per_row
-    return reference_descend(
-        messenger, shard.features, steps, per_row * (1.0 + lambda_kl), target
-    )
-
-
-def reference_distill_toward_teacher(params, features, teacher_probs, steps, lr):
-    scale = lr / features.shape[0]
-    return reference_descend(params, features, steps, scale, teacher_probs * scale)
+from oracles import column_major, onehot
 
 
 def make_shard(n, d=10, classes=4, tiers=3, seed=0):
@@ -142,7 +53,7 @@ def make_shard(n, d=10, classes=4, tiers=3, seed=0):
 def test_forward_bit_identical_with_and_without_workspace(hidden, n):
     shard = make_shard(n)
     params = init_params(Arch(10, 4, hidden), 1)
-    z_ref, h_ref = reference_forward(params, shard.features)
+    z_ref, h_ref = oracles.forward(params, shard.features)
     ws = {}
     for run in range(2):  # the second call reuses the first call's buffers
         other = init_params(Arch(10, 4, hidden), 2 + run)
@@ -160,9 +71,9 @@ def test_backprop_bit_identical_with_and_without_workspace(hidden, n):
     shard = make_shard(n)
     params = init_params(Arch(10, 4, hidden), 3)
     delta = column_major(stream(n, "delta").normal(0, 0.1, (n, 4)))
-    _, hid = reference_forward(params, shard.features)
+    _, hid = oracles.forward(params, shard.features)
     snapshots = (delta.copy(), None if hid is None else hid.copy(), params.theta.copy())
-    expected = reference_backprop(params, shard.features, delta, hid)
+    expected = oracles.backprop(params, shard.features, delta, hid)
     ws = {}
     for w in (None, ws, ws):
         grad = backprop(params, shard.design, delta, hid, w)
@@ -171,30 +82,6 @@ def test_backprop_bit_identical_with_and_without_workspace(hidden, n):
     if hid is not None:
         assert np.array_equal(hid, snapshots[1])
     assert np.array_equal(params.theta, snapshots[2])
-
-
-@pytest.mark.parametrize("classes", range(2, 10))
-@pytest.mark.parametrize("rows", [1, 2, 31, 1280, 12000])
-def test_softmax_into_workspace_bit_identical(classes, rows):
-    z = column_major(stream(rows, "softmax-ws", classes).normal(0.0, 4.0, (rows, classes)))
-    snapshot = z.copy()
-    ws = {"probs": column_major(np.full((rows, classes), np.nan))}
-    expected = reference_softmax(z)
-    out = softmax(z, ws)
-    assert out is ws["probs"]
-    assert np.array_equal(out, expected)
-    # a second input into the same buffers
-    z2 = column_major(-z[::-1])
-    assert np.array_equal(softmax(z2, ws), reference_softmax(z2))
-    assert np.array_equal(z, snapshot)
-
-
-@pytest.mark.parametrize("classes", [2, 4, 9])
-def test_softmax_one_dim_into_workspace(classes):
-    z = stream(0, "softmax-ws-1d", classes).normal(0.0, 3.0, classes)
-    out = softmax(z, {})
-    assert out.shape == (classes,)
-    assert np.array_equal(out, reference_softmax(z[None, :])[0])
 
 
 @pytest.mark.parametrize("hidden", [0, 24])
@@ -238,7 +125,7 @@ def test_train_local_bit_identical(hidden, n):
     params = init_params(Arch(10, 4, hidden), 5)
     snapshot = params.theta.copy()
     out = train_local(params, shard, 6, 0.5)
-    assert np.array_equal(out.theta, reference_train_local(params, shard, 6, 0.5).theta)
+    assert np.array_equal(out.theta, oracles.train_local(params, shard, 6, 0.5).theta)
     assert np.array_equal(params.theta, snapshot)
 
 
@@ -248,7 +135,7 @@ def test_inject_knowledge_bit_identical(client_hidden, messenger_hidden):
     client = init_params(Arch(10, 4, client_hidden), 6)
     mess = init_params(Arch(10, 4, messenger_hidden), 7)
     pi = np.array([0.5, 0.3, 0.2])
-    expected = reference_inject_knowledge(client, mess, shard, pi, 4, 0.4).theta
+    expected = oracles.inject(client, mess, shard, pi, 4, 0.4).theta
     fwd = messenger_forward(mess, shard)
     assert np.array_equal(inject_knowledge(client, mess, shard, pi, 4, 0.4).theta, expected)
     assert np.array_equal(inject_knowledge(client, mess, shard, pi, 4, 0.4, fwd).theta, expected)
@@ -260,7 +147,7 @@ def test_distill_to_messenger_bit_identical(client_hidden, messenger_hidden, ste
     shard = make_shard(600)
     client = init_params(Arch(10, 4, client_hidden), 8)
     mess = init_params(Arch(10, 4, messenger_hidden), 9)
-    expected = reference_distill_to_messenger(mess, client, shard, 0.7, steps, 0.5).theta
+    expected = oracles.distill(mess, client, shard, 0.7, steps, 0.5).theta
     fwd = messenger_forward(mess, shard)
     probs = softmax(logits(client, shard.design))
     for args in ((), (fwd,), (None, probs), (fwd, probs)):
@@ -274,7 +161,7 @@ def test_distill_toward_teacher_bit_identical(hidden):
     params = init_params(Arch(10, 4, hidden), 10)
     teacher = softmax(column_major(stream(11, "teacher").normal(0, 2, (120, 4))))
     out, _ = _distill_toward_teacher(params, shard.design, teacher, 8, 0.8)
-    expected = reference_distill_toward_teacher(params, shard.features, teacher, 8, 0.8)
+    expected = oracles.distill_toward_teacher(params, shard.features, teacher, 8, 0.8)
     assert np.array_equal(out.theta, expected.theta)
 
 
@@ -299,48 +186,19 @@ def test_shared_inputs_are_never_written(messenger_hidden):
         assert not any(np.shares_memory(out.theta, a) for a in shared)
 
 
-@pytest.mark.parametrize("client_hidden,messenger_hidden", [(12, 0), (8, 8), (0, 0)])
-def test_client_step_workspaces_bit_identical_and_unaliased(client_hidden, messenger_hidden):
-    """One client step: train_local and inject_knowledge share a client-tower
-    workspace, which here also takes the client's final logits and probs;
-    the frozen messenger's forward and the distillation steps share a
-    messenger workspace. Results equal the allocating path, the client's
-    logits and probs survive distillation, and no output aliases a
-    workspace buffer."""
-    shard = make_shard(300)
-    client = init_params(Arch(10, 4, client_hidden), 14)
-    mess = init_params(Arch(10, 4, messenger_hidden), 15)
-    pi = np.array([0.5, 0.3, 0.2])
-    trained_ref = reference_train_local(client, shard, 3, 0.5)
-    injected_ref = reference_inject_knowledge(trained_ref, mess, shard, pi, 3, 0.4)
-    z_ref = reference_forward(injected_ref, shard.features)[0]
-    variant_ref = reference_distill_to_messenger(mess, injected_ref, shard, 0.7, 3, 0.5)
-
-    client_ws, messenger_ws = {}, {}
-    trained = train_local(client, shard, 3, 0.5, client_ws)
-    fwd = messenger_forward(mess, shard, messenger_ws)
-    injected = inject_knowledge(trained, mess, shard, pi, 3, 0.4, fwd, client_ws)
-    z, _ = forward(injected, shard.design, client_ws)
-    probs = softmax(z, client_ws)
-    assert z is client_ws["logits"] and probs is client_ws["probs"]
-    variant = distill_to_messenger(mess, injected, shard, 0.7, 3, 0.5, fwd, probs, messenger_ws)
-
-    assert np.array_equal(trained.theta, trained_ref.theta)
-    assert np.array_equal(injected.theta, injected_ref.theta)
-    assert np.array_equal(variant.theta, variant_ref.theta)
-    assert np.array_equal(z, z_ref)
-    assert np.array_equal(probs, reference_softmax(z_ref))
-    client_bufs, messenger_bufs = (list(ws.values()) for ws in (client_ws, messenger_ws))
-    for out in (trained, injected, variant):
-        assert not any(np.shares_memory(out.theta, b) for b in client_bufs + messenger_bufs)
-    assert not any(np.shares_memory(a, b) for a in client_bufs for b in messenger_bufs)
-
-
-def test_client_probs_in_the_distillation_workspace_is_rejected():
-    shard = make_shard(50)
-    client = init_params(Arch(10, 4, 8), 16)
-    mess = init_params(Arch(10, 4, 0), 17)
-    ws = {}
-    probs = softmax(logits(client, shard.design), ws)
-    with pytest.raises(ValueError, match="client_probs"):
-        distill_to_messenger(mess, client, shard, 0.7, 2, 0.5, None, probs, ws)
+def test_only_the_calls_that_loop_take_a_workspace():
+    """forward and backprop take the workspace of the call that loops over
+    them; softmax, the training calls and the messenger's forward make
+    their own arrays and take none."""
+    for fn in (models.forward, models.backprop, models.forward_stacked, models.stacked_accuracy):
+        assert "ws" in inspect.signature(fn).parameters
+    for fn in (
+        models.softmax,
+        models.train_local,
+        models._descend,
+        models.pooled_cross_entropy,
+        messenger.messenger_forward,
+        messenger.inject_knowledge,
+        messenger.distill_to_messenger,
+    ):
+        assert "ws" not in inspect.signature(fn).parameters, fn.__name__
