@@ -481,6 +481,24 @@ def test_train_local_raises_exactly_when_a_label_probability_is_nan():
     ]
 
 
+def test_workspace_takes_new_buffers_for_a_shard_of_another_size():
+    """A workspace that served a larger shard gives a smaller one buffers
+    of its own shape, not views of the larger ones, and fresh bits."""
+    large = small_shard(seed=7, n=300, classes=4)
+    small = small_shard(seed=8, n=37, classes=4)
+    params = init_params(Arch(6, 4, 8), seed=7)
+    ws = {}
+    forward(params, large.design, ws)
+    buffers = dict(ws)
+    z, h = forward(params, small.design, ws)
+    assert z is ws["logits"] and z.shape == (37, 4) and h.shape == (37, 9)
+    assert not any(np.shares_memory(ws[name], buf) for name, buf in buffers.items())
+    z_fresh, h_fresh = forward(params, small.design)
+    assert np.array_equal(z, z_fresh) and np.array_equal(h, h_fresh)
+    z_large, _ = forward(params, large.design, ws)
+    assert np.array_equal(z_large, forward(params, large.design)[0])
+
+
 def test_pooled_cross_entropy_equals_fresh_forwards_per_shard():
     """Shards of differing sizes: each one's label probabilities are the
     bits of its own fresh forward and softmax, gathered in shard order."""

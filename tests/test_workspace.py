@@ -84,6 +84,34 @@ def test_backprop_bit_identical_with_and_without_workspace(hidden, n):
     assert np.array_equal(params.theta, snapshots[2])
 
 
+@pytest.mark.parametrize("classes", range(2, 10))
+@pytest.mark.parametrize("rows", [1, 2, 31, 1280, 12000])
+def test_softmax_into_a_new_array_bit_identical(classes, rows):
+    """Each call writes a new array: a second call leaves the first's bits."""
+    z = column_major(stream(rows, "softmax-ws", classes).normal(0.0, 4.0, (rows, classes)))
+    snapshot = z.copy()
+    expected = oracles.softmax(z)
+    out = softmax(z)
+    assert np.array_equal(out, expected)
+    z2 = column_major(-z[::-1])
+    out2 = softmax(z2)
+    assert np.array_equal(out2, oracles.softmax(z2))
+    assert np.array_equal(out, expected)
+    assert not np.shares_memory(out, out2) and not np.shares_memory(out, z)
+    assert np.array_equal(z, snapshot)
+
+
+@pytest.mark.parametrize("classes", [2, 4, 9])
+def test_softmax_one_dim_into_a_new_array(classes):
+    z = stream(0, "softmax-ws-1d", classes).normal(0.0, 3.0, classes)
+    out = softmax(z)
+    expected = oracles.softmax(z[None, :])[0]
+    assert out.shape == (classes,)
+    assert np.array_equal(out, expected)
+    out2 = softmax(-z)
+    assert np.array_equal(out, expected) and not np.shares_memory(out, out2)
+
+
 @pytest.mark.parametrize("hidden", [0, 24])
 def test_training_steps_match_the_textbook_deltas(hidden):
     """One step of each training loss applies lr * backprop of its unfused
@@ -184,6 +212,60 @@ def test_shared_inputs_are_never_written(messenger_hidden):
         assert np.array_equal(array, snapshot)
     for out in outputs:
         assert not any(np.shares_memory(out.theta, a) for a in shared)
+
+
+@pytest.mark.parametrize("client_hidden,messenger_hidden", [(12, 0), (8, 8), (0, 0)])
+def test_client_step_bit_identical_and_unaliased(client_hidden, messenger_hidden):
+    """One client step, called as the harness calls it: train_local, the
+    frozen messenger's forward, injection from it, the client's logits and
+    probs, and distillation from both. Results equal the allocating path,
+    the client's logits and probs survive distillation, and no two of the
+    step's arrays share memory."""
+    shard = make_shard(300)
+    client = init_params(Arch(10, 4, client_hidden), 14)
+    mess = init_params(Arch(10, 4, messenger_hidden), 15)
+    pi = np.array([0.5, 0.3, 0.2])
+    trained_ref = oracles.train_local(client, shard, 3, 0.5)
+    injected_ref = oracles.inject(trained_ref, mess, shard, pi, 3, 0.4)
+    z_ref = oracles.forward(injected_ref, shard.features)[0]
+    variant_ref = oracles.distill(mess, injected_ref, shard, 0.7, 3, 0.5)
+
+    trained = train_local(client, shard, 3, 0.5)
+    fwd = messenger_forward(mess, shard)
+    injected = inject_knowledge(trained, mess, shard, pi, 3, 0.4, fwd)
+    z = logits(injected, shard.design)
+    probs = softmax(z)
+    variant = distill_to_messenger(mess, injected, shard, 0.7, 3, 0.5, fwd, probs)
+
+    assert np.array_equal(trained.theta, trained_ref.theta)
+    assert np.array_equal(injected.theta, injected_ref.theta)
+    assert np.array_equal(variant.theta, variant_ref.theta)
+    assert np.array_equal(z, z_ref)
+    assert np.array_equal(probs, oracles.softmax(z_ref))
+    arrays = [a for a in (trained.theta, injected.theta, variant.theta, *fwd, z, probs) if a is not None]
+    for i, a in enumerate(arrays):
+        assert not any(np.shares_memory(a, b) for b in arrays[i + 1 :])
+
+
+@pytest.mark.parametrize("messenger_hidden", [0, 8])
+def test_messenger_forward_returns_new_arrays(messenger_hidden):
+    """A second messenger forward, on a shard of another size, leaves the
+    first's bits and shares no memory with it or with its inputs."""
+    mess = init_params(Arch(10, 4, messenger_hidden), 17)
+    large, small = make_shard(300), make_shard(50, seed=1)
+    first = messenger_forward(mess, large)
+    z_ref, h_ref = oracles.forward(mess, large.features)
+    second = messenger_forward(mess, small)
+    assert np.array_equal(first.logits, z_ref)
+    assert np.array_equal(first.probs, oracles.softmax(z_ref))
+    assert (first.hidden is None) == (h_ref is None)
+    if h_ref is not None:
+        assert np.array_equal(first.hidden, h_ref)
+    assert np.array_equal(second.logits, oracles.forward(mess, small.features)[0])
+    inputs = (mess.theta, large.design, small.design)
+    arrays = [a for a in (*first, *second) if a is not None]
+    for i, a in enumerate(arrays):
+        assert not any(np.shares_memory(a, b) for b in (*arrays[i + 1 :], *inputs))
 
 
 def test_only_the_calls_that_loop_take_a_workspace():
