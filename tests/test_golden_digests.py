@@ -6,7 +6,8 @@ and the change must say why the digests moved.
 
 The cases cover every branch of the round pipeline: each algorithm, each
 attack kind and robust aggregator, dropout down to all-empty rounds,
-load-aware sampling, DP, multimodal fusion, capacity switches and a run of
+load-aware sampling, DP, multimodal fusion (with partial modality holdings,
+an active subset and fusion weights), capacity switches and a run of
 zero rounds. summary.json is pinned too, because it alone carries the final
 per-client accuracies.
 
@@ -49,6 +50,14 @@ def smoke_attack(kind, **protocol):
         lambda: {**config.preset_smoke(7), "attack": {"kind": kind, "attacker_fraction": 0.25}},
         protocol,
     )
+
+
+def partial_multimodal():
+    """Multimodal fusion with partial holdings, an active subset and set weights."""
+    data = config.preset_multimodal(7, active_modalities=(0, 2))
+    data["federation"]["modalities_by_class"] = {"rural": [1, 2], "regional": [0]}
+    data["protocol"]["fusion_weights"] = (0.3, -0.5, 1.2)
+    return data
 
 
 # name -> (preset factory, fixed rounds, sha256 of rounds.jsonl, sha256 of summary.json)
@@ -157,6 +166,12 @@ GOLDEN = {
         2,
         "1ce6c9f62ac037f697b99d11e05819ebcdccfa61ac993fb8cd0f3ddec6e03a06",
         "d14c3bde21972f84441887a12be87821fa99801f573d20964709384bd50cd9da",
+    ),
+    "multimodal_partial_weighted": (
+        partial_multimodal,
+        2,
+        "e658b68beafea16750793a1a2691a4f44a8a46665c219e30444908e6044f0da7",
+        "25852f1ddaf3df41684f8318e33ebf065dc4a5091e02c2c3dce7376e2069892d",
     ),
     "default_adapt1": (
         variant(lambda: config.preset_default(7), {"adapt_interval": 1}),
