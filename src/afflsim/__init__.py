@@ -48,10 +48,8 @@ from .heterogeneity import (
 from .messenger import (
     CapacityDecision,
     CurriculumSchedule,
-    FusionConfig,
     curriculum_weights,
     distill_to_messenger,
-    fuse_modalities,
     inject_knowledge,
     select_capacity,
 )

@@ -231,8 +231,6 @@ class AttackBlock:
             raise ConfigError(f"unknown attack kind {self.kind!r}")
         if not 0 <= self.attacker_fraction < 0.5:
             raise ConfigError("attacker_fraction must lie in [0, 0.5)")
-        if not math.isfinite(self.scale):
-            raise ConfigError(f"attack.scale must be finite, got {self.scale!r}")
 
 
 @dataclass(frozen=True)
@@ -247,9 +245,6 @@ class MetricsBlock:
     regulatory_compliance: float = 0.8
 
     def __post_init__(self):
-        for f in dataclasses.fields(self):
-            if not math.isfinite(getattr(self, f.name)):
-                raise ConfigError(f"metrics.{f.name} must be finite")
         for name in ("cei_alpha", "cei_beta", "put_lambda", "clinical_w1", "clinical_w2",
                      "clinical_w3"):
             if getattr(self, name) < 0:
@@ -392,20 +387,28 @@ _TUPLE_FIELDS = {
 }
 
 
-_SCALAR_NOUNS = {int: "an integer", bool: "true or false", float: "a number"}
+_SCALAR_NOUNS = {int: "an integer", bool: "true or false", float: "a finite number"}
+
+
+def _is_real(value) -> bool:
+    """A finite int or float, not a bool: JSON reads NaN, Infinity and 1e400
+    as floats, and an int past the float range has no float value."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def _check_scalars(cls, kwargs: dict, prefix: str) -> None:
     """A field whose default is an int or a bool takes only that type, and
-    one whose default is a float takes any int or float but not a bool."""
+    one whose default is a float takes any finite int or float (_is_real)."""
     for f in dataclasses.fields(cls):
         kind, value = type(f.default), kwargs.get(f.name)
         if kind not in _SCALAR_NOUNS or f.name not in kwargs:
             continue
-        if kind is float:
-            ok = isinstance(value, (int, float)) and not isinstance(value, bool)
-        else:
-            ok = type(value) is kind
+        ok = _is_real(value) if kind is float else type(value) is kind
         if not ok:
             raise ConfigError(f"{prefix}{f.name} must be {_SCALAR_NOUNS[kind]}, got {value!r}")
 
@@ -422,9 +425,7 @@ def _check_lists(kwargs: dict, prefix: str) -> None:
 
 
 def _entry_ok(kind: type, value) -> bool:
-    if kind is int:
-        return type(value) is int
-    return type(value) in (int, float) and math.isfinite(value)
+    return type(value) is int if kind is int else _is_real(value)
 
 
 def _build_block(cls, data: dict, path: str):

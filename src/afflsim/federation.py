@@ -40,18 +40,18 @@ HONEST = "honest"
 
 @dataclass
 class DatasetShard:
-    """One institution's data: features, labels, modality layout, tiers.
+    """One institution's data: features, labels, tiers.
 
     design, the column-major [X | 1] that every model kernel takes, is
     built once from the given features (models.with_ones_column), which
     are kept as its leading columns. with_labels and with_tiers share it;
-    with_features builds a new one.
+    with_features builds a new one. The modality column layout is the
+    federation's (FederationBlock.modality_blocks), not the shard's.
     """
 
     features: np.ndarray
     labels: np.ndarray
     num_classes: int
-    modality_blocks: tuple[tuple[int, tuple[int, int]], ...] = ()
     difficulty_tiers: np.ndarray | None = None
     num_tiers: int = 0
     design: np.ndarray = field(init=False, repr=False, compare=False)
@@ -67,9 +67,6 @@ class DatasetShard:
             raise ValueError("features and labels disagree on sample count")
         if self.labels.size and (self.labels.min() < 0 or self.labels.max() >= self.num_classes):
             raise ValueError("label ids must lie in [0, num_classes)")
-        if not self.modality_blocks:
-            self.modality_blocks = ((0, (0, self.features.shape[1])),)
-        _check_blocks(self.modality_blocks, self.features.shape[1])
         if self.difficulty_tiers is not None:
             tiers = np.asarray(self.difficulty_tiers, dtype=np.int64)
             if tiers.shape != self.labels.shape:
@@ -100,29 +97,10 @@ class DatasetShard:
         return self._sharing_design(difficulty_tiers=tiers, num_tiers=num_tiers)
 
     def with_features(self, features: np.ndarray) -> "DatasetShard":
-        blocks = ((0, (0, features.shape[1])),)
-        return replace(self, features=features, modality_blocks=blocks)
+        return replace(self, features=features)
 
     def with_labels(self, labels: np.ndarray) -> "DatasetShard":
         return self._sharing_design(labels=labels)
-
-    def modality_columns(self, modality: int) -> slice:
-        for mid, (start, stop) in self.modality_blocks:
-            if mid == modality:
-                return slice(start, stop)
-        raise KeyError(f"modality {modality} not present in shard")
-
-
-def _check_blocks(blocks, width: int) -> None:
-    covered = np.zeros(width, dtype=bool)
-    for _, (start, stop) in blocks:
-        if start < 0 or stop > width or start >= stop:
-            raise ValueError(f"bad modality column range ({start}, {stop})")
-        if covered[start:stop].any():
-            raise ValueError("modality column ranges overlap")
-        covered[start:stop] = True
-    if not covered.all():
-        raise ValueError("modality column ranges must cover all columns")
 
 
 @dataclass(frozen=True)
@@ -184,12 +162,10 @@ def _sample_shard(
     labels = rng.choice(fed.num_classes, size=n, p=label_probs)
     scales = _class_noise_scales(fed)[labels][:, None]
     feats = means[labels] + scales * rng.normal(0.0, 1.0, (n, fed.feature_dim))
-    blocks = fed.modality_blocks()
-    missing = set(range(fed.num_modalities)) - set(modalities)
-    for mid, (start, stop) in blocks:
-        if mid in missing:
+    for mid, (start, stop) in fed.modality_blocks():
+        if mid not in modalities:
             feats[:, start:stop] = 0.0
-    return DatasetShard(feats, labels, fed.num_classes, blocks)
+    return DatasetShard(feats, labels, fed.num_classes)
 
 
 def gen_federation(

@@ -319,35 +319,42 @@ def _round_energy(cfg: RunConfig, cohort_profiles: list[ClientProfile]) -> float
     )
 
 
-def _build_fusion(cfg: RunConfig) -> msg.FusionConfig | None:
+def _fusion_encoders(cfg: RunConfig) -> list[np.ndarray] | None:
+    """One linear encoder per modality into cfg.input_width() columns, or
+    None when the run does not fuse. A block already that wide gets the
+    identity."""
     if cfg.federation.num_modalities <= 1 and cfg.protocol.fused_dim is None:
         return None
-    blocks = cfg.federation.modality_blocks()
     fused_dim = cfg.input_width()
     encoders = []
-    for mid, (start, stop) in blocks:
+    for mid, (start, stop) in cfg.federation.modality_blocks():
         d = stop - start
         if d == fused_dim:
             encoders.append(np.eye(d))
         else:
             rng = stream(cfg.seed, "fusion-encoder", mid)
             encoders.append(rng.normal(0.0, 1.0, (d, fused_dim)) / np.sqrt(d))
-    ids = tuple(m for m, _ in blocks)
-    raw = cfg.protocol.fusion_weights or tuple(0.0 for _ in ids)
-    return msg.FusionConfig(ids, tuple(float(w) for w in raw), tuple(encoders))
+    return encoders
 
 
 def _fuse_shard(
-    shard: DatasetShard,
-    fusion: msg.FusionConfig,
-    modalities: tuple[int, ...],
-    active: tuple[int, ...] | None,
+    cfg: RunConfig, encoders: list[np.ndarray], shard: DatasetShard, held: tuple[int, ...]
 ) -> DatasetShard:
-    present = tuple(m for m in modalities if active is None or m in active)
-    if not present:
-        raise ValueError("client has no active modality")
-    inputs = {m: shard.features[:, shard.modality_columns(m)] for m in present}
-    return shard.with_features(msg.fuse_modalities(inputs, fusion))
+    """shard with its features fused: each held, active modality's columns
+    through its encoder, summed in ascending id order and weighted by
+    softmax(fusion_weights) over just those modalities."""
+    active = cfg.protocol.active_modalities
+    blocks = [
+        (mid, cols) for mid, cols in cfg.federation.modality_blocks()
+        if mid in held and (active is None or mid in active)
+    ]
+    raw = cfg.protocol.fusion_weights or (0.0,) * len(encoders)
+    weights = models.softmax([raw[mid] for mid, _ in blocks])
+    fused = None
+    for w, (mid, (start, stop)) in zip(weights, blocks):
+        term = float(w) * (shard.features[:, start:stop] @ encoders[mid])
+        fused = term if fused is None else fused + term
+    return shard.with_features(fused)
 
 
 def init_state(cfg: RunConfig) -> SimState:
@@ -358,16 +365,15 @@ def init_state(cfg: RunConfig) -> SimState:
     probe = gen_reference_shard(fed, cfg.seed, cfg.probe_samples, "probe")
     pooled = pooled_label_distribution(shards)
 
-    fusion = _build_fusion(cfg)
+    encoders = _fusion_encoders(cfg)
     in_dim = cfg.input_width()
-    active = cfg.protocol.active_modalities
-    if fusion is not None:
+    if encoders is not None:
         shards = [
-            _fuse_shard(s, fusion, p.modalities, active) for p, s in zip(profiles, shards)
+            _fuse_shard(cfg, encoders, s, p.modalities) for p, s in zip(profiles, shards)
         ]
         all_mods = tuple(range(fed.num_modalities))
-        validation = _fuse_shard(validation, fusion, all_mods, active)
-        probe = _fuse_shard(probe, fusion, all_mods, active)
+        validation = _fuse_shard(cfg, encoders, validation, all_mods)
+        probe = _fuse_shard(cfg, encoders, probe, all_mods)
         profiles = [replace(p, arch=Arch(in_dim, p.arch.num_classes, p.arch.hidden)) for p in profiles]
 
     profiles = apply_attack_flags(profiles, cfg.attack)

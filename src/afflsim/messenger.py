@@ -4,9 +4,9 @@ The messenger is a small shared model that moves knowledge between server
 and clients by distillation. This module covers: capacity selection over a
 fixed template grid (probe-based loss proxy + communication and fairness
 penalties), function-preserving resizing between templates, softmax
-curriculum weights, tier-weighted knowledge injection into clients,
-per-client distillation back into messenger variants, and linear-encoder
-multi-modal fusion.
+curriculum weights, tier-weighted knowledge injection into clients, and
+per-client distillation back into messenger variants. Multi-modal fusion
+happens once, before the first round, in harness.init_state.
 """
 
 from __future__ import annotations
@@ -270,47 +270,3 @@ def distill_to_messenger(
 def _check_logits(z: np.ndarray, row_max: np.ndarray) -> None:
     if not _all_finite(z):
         raise FloatingPointError("non-finite distillation loss")
-
-
-@dataclass(frozen=True)
-class FusionConfig:
-    """Pre-softmax modality weights plus one linear encoder per modality."""
-
-    modality_ids: tuple[int, ...]
-    raw_weights: tuple[float, ...]
-    encoders: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        if not self.modality_ids:
-            raise ValueError("fusion needs at least one modality")
-        if len({e.shape[1] for e in self.encoders}) != 1:
-            raise ValueError("all encoders must map into the same fused dimension")
-        if not (len(self.modality_ids) == len(self.raw_weights) == len(self.encoders)):
-            raise ValueError("modality ids, weights and encoders must align")
-
-    def normalized_weights(self, present: tuple[int, ...]) -> dict[int, float]:
-        """Softmax weights, renormalized over the present modalities."""
-        raw = {m: w for m, w in zip(self.modality_ids, self.raw_weights)}
-        z = np.array([raw[m] for m in present])
-        w = softmax(z)
-        return {m: float(v) for m, v in zip(present, w)}
-
-
-def fuse_modalities(inputs: dict[int, np.ndarray], fusion: FusionConfig) -> np.ndarray:
-    """Weighted sum of encoded modalities, weights renormalized over present ones."""
-    present = tuple(m for m in fusion.modality_ids if m in inputs)
-    if not present:
-        raise ValueError("no configured modality present in inputs")
-    weights = fusion.normalized_weights(present)
-    encoder = {m: e for m, e in zip(fusion.modality_ids, fusion.encoders)}
-    fused = None
-    for m in present:
-        x = np.asarray(inputs[m], dtype=np.float64)
-        e = encoder[m]
-        if x.shape[-1] != e.shape[0]:
-            raise ValueError(
-                f"modality {m} input width {x.shape[-1]} != encoder rows {e.shape[0]}"
-            )
-        term = weights[m] * (x @ e)
-        fused = term if fused is None else fused + term
-    return fused

@@ -91,10 +91,14 @@ STEP_FACTORS = ("local_lr", "inject_lr", "distill_lr", "lambda_kl")
 @pytest.mark.parametrize("key", STEP_FACTORS)
 @pytest.mark.parametrize("value", [1e77, 1e200, 1e300, float("inf")])
 def test_step_factor_above_its_ceiling_is_rejected_naming_field(key, value):
-    """Each of these made preset_smoke overflow in a matmul mid-run."""
+    """Each of these made preset_smoke overflow in a matmul mid-run.
+
+    inf is caught as non-finite before the ceiling is checked.
+    """
     d = preset_smoke(7)
     d["protocol"][key] = value
-    with pytest.raises(ConfigError, match=f"protocol.{key} must be at most 1e"):
+    message = "must be a finite number" if math.isinf(value) else "must be at most 1e"
+    with pytest.raises(ConfigError, match=f"protocol.{key} {message}"):
         config_from_dict(d)
 
 
@@ -258,6 +262,23 @@ def test_config_that_would_fail_in_run_experiment_is_rejected(preset, path, valu
         ("metrics.cei_beta", float("inf")),
         ("metrics.put_lambda", float("nan")),
         ("metrics.physician_acceptance", float("nan")),
+        # JSON reads NaN, Infinity and 1e400 as floats. At inf these failed
+        # mid-run (seed 7, 2 rounds); NaN clip_norm failed too, and NaN
+        # noise_multiplier ran with DP silently off and eps_total 0
+        ("protocol.eps_smooth", float("inf")),
+        ("protocol.delta_size", float("inf")),
+        ("privacy.clip_norm", float("inf")),
+        ("privacy.noise_multiplier", float("inf")),
+        ("federation.class_separation", float("inf")),
+        ("federation.feature_noise", float("inf")),
+        ("federation.concentration", float("inf")),
+        ("privacy.clip_norm", float("nan")),
+        ("privacy.noise_multiplier", float("nan")),
+        # these two at inf wrote Infinity into rounds.jsonl
+        ("protocol.lambda2", float("inf")),
+        ("energy_coefficient", float("inf")),
+        # an int past the float range has no float value
+        ("protocol.delta_size", 10**400),
     ],
 )
 def test_out_of_range_value_is_rejected_naming_its_path(path, value):
@@ -461,6 +482,20 @@ def test_unreadable_file_and_bad_json(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(ConfigError, match="not valid JSON"):
         load_config(str(bad))
+
+
+@pytest.mark.parametrize(
+    "block, key, literal",
+    [("privacy", "noise_multiplier", "NaN"), ("protocol", "delta_size", "1e400"),
+     ("federation", "feature_noise", "-Infinity")],
+)
+def test_validate_config_rejects_non_finite_json_numbers(tmp_path, capsys, block, key, literal):
+    """Python's json reads these literals as NaN and inf; validate-config said ok to them."""
+    text = json.dumps({block: {key: 0.5}}).replace("0.5", literal)
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    assert cmd_validate_config(str(path)) == 2
+    assert f"{block}.{key} must be a finite number" in capsys.readouterr().err
 
 
 def test_digest_changes_with_content():

@@ -76,11 +76,11 @@ def test_modality_blocks_cover_columns():
     config = FederationBlock(
         academic=0, regional=0, rural=2, feature_dim=12, num_modalities=3
     )
-    _, shards = gen_federation(config, seed=5)
-    blocks = shards[0].modality_blocks
+    blocks = config.modality_blocks()
     assert [m for m, _ in blocks] == [0, 1, 2]
-    spans = [stop - start for _, (start, stop) in blocks]
-    assert sum(spans) == 12
+    edges = [0] + [stop for _, (_, stop) in blocks]
+    assert [start for _, (start, _) in blocks] == edges[:-1]
+    assert edges[-1] == 12
 
 
 def test_missing_modalities_zero_their_columns():
@@ -94,22 +94,16 @@ def test_missing_modalities_zero_their_columns():
     )
     profiles, shards = gen_federation(config, seed=5)
     assert profiles[0].modalities == (0,)
-    shard = shards[0]
-    assert np.all(shard.features[:, shard.modality_columns(1)] == 0)
-    assert np.all(shard.features[:, shard.modality_columns(2)] == 0)
-    assert np.any(shard.features[:, shard.modality_columns(0)] != 0)
+    columns = {m: slice(start, stop) for m, (start, stop) in config.modality_blocks()}
+    features = shards[0].features
+    assert np.all(features[:, columns[1]] == 0)
+    assert np.all(features[:, columns[2]] == 0)
+    assert np.any(features[:, columns[0]] != 0)
 
 
 def test_shard_invariants_enforced():
     with pytest.raises(ValueError):
         DatasetShard(np.zeros((3, 2)), np.array([0, 1, 5]), num_classes=3)
-    with pytest.raises(ValueError):
-        DatasetShard(
-            np.zeros((2, 4)),
-            np.array([0, 1]),
-            2,
-            modality_blocks=((0, (0, 2)), (1, (1, 4))),
-        )
 
 
 def test_reference_shard_uniform_and_deterministic():

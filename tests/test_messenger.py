@@ -1,17 +1,16 @@
-"""Capacity selection, curriculum, injection/distillation, fusion."""
+"""Capacity selection, curriculum, injection/distillation, fusion (harness._fuse_shard)."""
 
 import numpy as np
 import pytest
 
-from afflsim.config import ProtocolBlock
+from afflsim.config import FederationBlock, ProtocolBlock, RunConfig
 from afflsim.federation import DatasetShard
+from afflsim.harness import _fuse_shard
 from afflsim.messenger import (
     CurriculumSchedule,
-    FusionConfig,
     _tier_sample_weights,
     curriculum_weights,
     distill_to_messenger,
-    fuse_modalities,
     inject_knowledge,
     messenger_forward,
     resize_params,
@@ -433,45 +432,63 @@ def test_distill_improves_messenger_fit():
 # -- fusion ------------------------------------------------------------------
 
 
-def test_fusion_single_modality_exact():
+def fused(inputs, weights, encoders, held=None, active=None):
+    """_fuse_shard on a shard whose modality blocks are the given inputs.
+
+    The inputs' widths must be the federation's near-equal column split of
+    their total width into len(inputs) blocks.
+    """
+    features = np.hstack(inputs)
+    cfg = RunConfig(
+        federation=FederationBlock(
+            feature_dim=features.shape[1], num_modalities=len(inputs)
+        ),
+        protocol=ProtocolBlock(
+            fused_dim=encoders[0].shape[1],
+            fusion_weights=weights,
+            active_modalities=active,
+        ),
+    )
+    spans = [stop - start for _, (start, stop) in cfg.federation.modality_blocks()]
+    assert spans == [x.shape[1] for x in inputs]
+    shard = DatasetShard(features, np.zeros(features.shape[0], dtype=int), 2)
+    held = tuple(range(len(inputs))) if held is None else held
+    return _fuse_shard(cfg, list(encoders), shard, held).features
+
+
+@pytest.mark.parametrize("held, active", [((0,), None), ((0, 1), (0,))])
+def test_fusion_single_modality_exact(held, active):
     enc = stream(20, "enc").normal(0, 1, (3, 4))
-    fusion = FusionConfig((0, 1), (0.3, -0.8), (enc, np.zeros((2, 4))))
     x = stream(21, "x").normal(0, 1, (6, 3))
-    assert fuse_modalities({0: x}, fusion) == pytest.approx(x @ enc, abs=1e-12)
+    other = stream(21, "other").normal(0, 1, (6, 3))
+    out = fused([x, other], (0.3, -0.8), (enc, np.zeros((3, 4))), held, active)
+    assert out == pytest.approx(x @ enc, abs=1e-12)
 
 
 def test_fusion_symmetric_weights_average():
-    fusion = FusionConfig((0, 1), (0.0, 0.0), (np.eye(3), np.eye(3)))
     u = stream(22, "u").normal(0, 1, (5, 3))
     v = stream(23, "v").normal(0, 1, (5, 3))
-    assert fuse_modalities({0: u, 1: v}, fusion) == pytest.approx(0.5 * u + 0.5 * v)
+    out = fused([u, v], (0.0, 0.0), (np.eye(3), np.eye(3)))
+    assert out == pytest.approx(0.5 * u + 0.5 * v)
 
 
 def test_fusion_three_modalities_matches_matrix_oracle():
     rng = stream(24, "fuse3")
-    dims = (2, 3, 4)
+    dims = (3, 3, 4)
     encoders = tuple(rng.normal(0, 1, (d, 5)) for d in dims)
     raw = (0.2, -0.4, 1.1)
-    fusion = FusionConfig((0, 1, 2), raw, encoders)
-    inputs = {m: rng.normal(0, 1, (7, d)) for m, d in zip((0, 1, 2), dims)}
+    inputs = [rng.normal(0, 1, (7, d)) for d in dims]
     z = np.exp(np.array(raw))
     w = z / z.sum()
     oracle = sum(w[m] * inputs[m] @ encoders[m] for m in (0, 1, 2))
-    assert fuse_modalities(inputs, fusion) == pytest.approx(oracle, abs=1e-10)
-
-
-def test_fusion_requires_a_present_modality():
-    fusion = FusionConfig((0,), (0.0,), (np.eye(2),))
-    with pytest.raises(ValueError):
-        fuse_modalities({3: np.zeros((2, 2))}, fusion)
+    assert fused(inputs, raw, encoders) == pytest.approx(oracle, abs=1e-10)
 
 
 def test_fusion_linear_in_each_input():
     rng = stream(25, "linear")
-    fusion = FusionConfig((0, 1), (0.5, 0.2), (rng.normal(0, 1, (3, 3)), rng.normal(0, 1, (3, 3))))
+    encoders = (rng.normal(0, 1, (3, 3)), rng.normal(0, 1, (3, 3)))
     u, v = rng.normal(0, 1, (4, 3)), rng.normal(0, 1, (4, 3))
-    base = fuse_modalities({0: u, 1: v}, fusion)
-    doubled = fuse_modalities({0: 2 * u, 1: v}, fusion)
-    shift = fuse_modalities({0: np.zeros_like(u), 1: v}, fusion)
+    base = fused([u, v], (0.5, 0.2), encoders)
+    doubled = fused([2 * u, v], (0.5, 0.2), encoders)
+    shift = fused([np.zeros_like(u), v], (0.5, 0.2), encoders)
     assert doubled - shift == pytest.approx(2 * (base - shift), abs=1e-10)
-
