@@ -1,7 +1,8 @@
 """Command-line interface: run, compare, bench, validate-config.
 
 run        execute one experiment from a JSON config file
-compare    tabulate >= 2 finished runs side by side
+compare    tabulate >= 2 finished runs side by side, as CSV on stdout or
+           in the file --out names
 bench      run a preset suite (convergence, fairness, privacy, multimodal,
            scale, robustness) and emit metric reports plus plot-ready CSVs
 validate-config   strict-parse a config file and print its digest
@@ -23,6 +24,7 @@ Output schemas (schema_version 1):
                 a metric the report does not compute is left empty
   compare CSV   method, rounds_to_target, final_accuracy, gini,
                 kwh_per_round, bytes_per_round, fairness_gap
+Each CSV's header is the keys of its rows (metrics.write_csv).
 
 Environment: AFFLSIM_OUTPUT_DIR overrides the output directory,
 AFFLSIM_THREADS the worker thread count. At a fixed numpy/BLAS build,
@@ -36,8 +38,6 @@ build without scipy-openblas runs at its own BLAS thread count).
 from __future__ import annotations
 
 import argparse
-import csv
-import dataclasses
 import json
 import os
 import sys
@@ -45,6 +45,7 @@ import sys
 from . import harness, metrics, models, privacy
 from .config import (
     ConfigError,
+    MetricsBlock,
     RunConfig,
     config_from_dict,
     load_config,
@@ -54,17 +55,6 @@ from .config import (
     preset_robustness,
     preset_scale,
 )
-
-COMPARE_FIELDS = [
-    "method",
-    "rounds_to_target",
-    "final_accuracy",
-    "gini",
-    "kwh_per_round",
-    "bytes_per_round",
-    "fairness_gap",
-]
-
 
 def _outdir(cfg_dir: str, override: str | None) -> str:
     env = os.environ.get(harness.OUTPUT_DIR_ENV)
@@ -86,7 +76,7 @@ def cmd_run(config_path: str, output_dir: str | None = None) -> int:
         gini_accuracy=summary["gini_accuracy"],
         fairness_gap_final=summary["fairness_gap_final"],
     )
-    metrics.append_metrics_csv(os.path.join(outdir, "metrics.csv"), report)
+    metrics.write_csv(os.path.join(outdir, "metrics.csv"), [report.csv_row()], append=True)
     print(
         f"{cfg.protocol.algorithm}: rounds={log.rounds_run} "
         f"final_val_acc={log.final_val_accuracy():.4f} -> {paths['summary']}"
@@ -118,15 +108,7 @@ def cmd_compare(run_dirs: list[str], out_path: str | None = None) -> int:
         except (OSError, ValueError) as exc:
             print(f"cannot load {summary_path}: {exc}", file=sys.stderr)
             return 2
-    writer_target = open(out_path, "w", newline="", encoding="utf-8") if out_path else sys.stdout
-    try:
-        writer = csv.DictWriter(writer_target, fieldnames=COMPARE_FIELDS)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
-    finally:
-        if out_path:
-            writer_target.close()
+    metrics.write_csv(out_path, rows)
     return 0
 
 
@@ -138,14 +120,6 @@ def cmd_validate_config(config_path: str) -> int:
         return 2
     print(f"ok digest={cfg.digest()}")
     return 0
-
-
-def _write_csv(path: str, fieldnames: list[str], rows: list[dict]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fieldnames)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
 
 
 def _run(cfg_dict: dict) -> harness.RunLog:
@@ -169,11 +143,10 @@ def suite_convergence(outdir: str, seed: int = 7) -> metrics.MetricsReport:
     adaptive = _run(preset_default(seed, "affl"))
     static = _run(preset_default(seed, "static_messenger"))
     rows = _curve_rows(adaptive, "affl") + _curve_rows(static, "static_messenger")
-    _write_csv(os.path.join(outdir, "convergence_curves.csv"),
-               ["method", "round", "accuracy", "loss", "energy_kwh"], rows)
+    metrics.write_csv(os.path.join(outdir, "convergence_curves.csv"), rows)
     r_adapt = adaptive.rounds_to_target or adaptive.rounds_run
     r_base = static.rounds_to_target or static.rounds_run
-    mb = config_from_dict(preset_default(seed)).metrics
+    mb = MetricsBlock()
     report = metrics.MetricsReport(
         suite="convergence",
         cei=metrics.cei(
@@ -220,8 +193,7 @@ def suite_fairness(outdir: str, seed: int = 7) -> metrics.MetricsReport:
     for method, log in (("affl", affl), ("fedavg", fedavg)):
         for cls, acc in sorted(log.final_class_accuracy.items()):
             bar_rows.append({"method": method, "institution_class": cls, "accuracy": acc})
-    _write_csv(os.path.join(outdir, "fairness_bars.csv"),
-               ["method", "institution_class", "accuracy"], bar_rows)
+    metrics.write_csv(os.path.join(outdir, "fairness_bars.csv"), bar_rows)
     cfg = config_from_dict(affl_cfg)
     local_only, by_class = _local_only_accuracy(cfg)
     benefits = metrics.benefit_samples(affl.summary_dict(), local_only, by_class)
@@ -242,12 +214,10 @@ def suite_privacy(outdir: str, seed: int = 7) -> metrics.MetricsReport:
     clear = _run(preset_privacy(seed, enabled=False))
     eps_total = private.records[-1].eps_total if private.records else 0.0
     priv_cfg = config_from_dict(preset_privacy(seed, enabled=True))
-    dp = dataclasses.replace(priv_cfg.privacy, enabled=True)
     mia_clear = privacy.overfit_scenario(seed)
-    mia_private = privacy.overfit_scenario(seed, dp)
-    _write_csv(
+    mia_private = privacy.overfit_scenario(seed, priv_cfg.privacy)
+    metrics.write_csv(
         os.path.join(outdir, "privacy_detail.csv"),
-        ["quantity", "non_private", "private"],
         [
             {"quantity": "final_val_accuracy", "non_private": clear.final_val_accuracy(),
              "private": private.final_val_accuracy()},
@@ -273,7 +243,7 @@ def suite_multimodal(outdir: str, seed: int = 7) -> metrics.MetricsReport:
         log = _run(preset_multimodal(seed, active_modalities=(m,)))
         singles.append(log.final_val_accuracy())
         rows.append({"modalities": f"only_{m}", "accuracy": log.final_val_accuracy()})
-    _write_csv(os.path.join(outdir, "multimodal_accuracy.csv"), ["modalities", "accuracy"], rows)
+    metrics.write_csv(os.path.join(outdir, "multimodal_accuracy.csv"), rows)
     best = max(singles)
     return metrics.MetricsReport(
         suite="multimodal",
@@ -294,8 +264,7 @@ def suite_scale(outdir: str, seed: int = 7, sizes: tuple = (10, 20, 40, 80)) -> 
         f_bytes = fedavg.mean_bytes_per_round()
         rows.append({"n_clients": n, "messenger_bytes": m_bytes, "fedavg_bytes": f_bytes})
         samples.append((float(n), m_bytes))
-    _write_csv(os.path.join(outdir, "scaling_curve.csv"),
-               ["n_clients", "messenger_bytes", "fedavg_bytes"], rows)
+    metrics.write_csv(os.path.join(outdir, "scaling_curve.csv"), rows)
     return metrics.MetricsReport(
         suite="scale", scaling_exponent=metrics.scaling_exponent(samples)
     )
@@ -313,9 +282,8 @@ def suite_robustness(outdir: str, seed: int = 7) -> metrics.MetricsReport:
                                          algorithm="static_messenger"))
     atk_plain = _run(preset_robustness(seed, attack=True, robust=False,
                                        algorithm="static_messenger"))
-    _write_csv(
+    metrics.write_csv(
         os.path.join(outdir, "robustness.csv"),
-        ["arm", "final_val_accuracy"],
         [
             {"arm": "clean_trimmed_mean", "final_val_accuracy": clean_trim.final_val_accuracy()},
             {"arm": "attacked_trimmed_mean", "final_val_accuracy": atk_trim.final_val_accuracy()},
@@ -344,7 +312,7 @@ def cmd_bench(suite: str, output_dir: str | None = None, seed: int = 7) -> int:
     os.makedirs(outdir, exist_ok=True)
     report = _SUITE_FNS[suite](outdir, seed)
     report.write_flat(os.path.join(outdir, "metrics_report.txt"))
-    metrics.append_metrics_csv(os.path.join(outdir, "metrics.csv"), report)
+    metrics.write_csv(os.path.join(outdir, "metrics.csv"), [report.csv_row()], append=True)
     shown = {
         k: v
         for k, v in report.to_flat_dict().items()

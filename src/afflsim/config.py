@@ -33,6 +33,20 @@ ALGORITHMS = ("affl", "fedavg", "static_messenger", "uniform_weight_affl")
 # the smoke and default presets overflow in a matmul (seed 7).
 MAX_STEP_FACTOR = 1e76
 
+# Ceiling of federation.class_separation and feature_noise, which scale the
+# features. With both at 1e150 nine preset configs run (default, default
+# fedavg, smoke, convex, privacy, multimodal, scale 10, robustness and its
+# plain-mean arm; seeds 7-12, 2 rounds); convex and privacy still run at
+# 1e153. At 1e154 privacy overflows in a subtract (both fields, or
+# feature_noise alone), and at 1e155 convex and privacy overflow in a
+# matmul (both fields; seed 7).
+MAX_FEATURE_SCALE = 1e150
+
+# Largest magnitude of an integer field: the integers a double holds exactly,
+# the interoperable range of I-JSON (RFC 7493). Past it, 10**30 feature
+# columns and 10**400 clients failed to parse with errors that named no field.
+MAX_INT = 2**53 - 1
+
 
 class ConfigError(ValueError):
     """Raised for unknown keys, bad values, or unreadable config files."""
@@ -75,6 +89,11 @@ class FederationBlock:
         for name in ("class_separation", "feature_noise"):
             if not getattr(self, name) >= 0:
                 raise ConfigError(f"federation.{name} must be nonnegative")
+            if getattr(self, name) > MAX_FEATURE_SCALE:
+                raise ConfigError(
+                    f"federation.{name} must be at most {MAX_FEATURE_SCALE:g}, "
+                    f"got {getattr(self, name)!r}"
+                )
         if sum(self.counts().values()) < 1:
             raise ConfigError("federation.academic + regional + rural must be at least 1")
         by_class = self.modalities_by_class
@@ -153,15 +172,15 @@ class ProtocolBlock:
 
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
-            raise ConfigError(f"unknown algorithm {self.algorithm!r}")
+            raise ConfigError(f"unknown protocol.algorithm {self.algorithm!r}")
         if self.shapley_mode not in ("monte_carlo", "exact"):
-            raise ConfigError(f"unknown shapley_mode {self.shapley_mode!r}")
+            raise ConfigError(f"unknown protocol.shapley_mode {self.shapley_mode!r}")
         if self.robust_method not in (None, "trimmed_mean", "coordinate_median"):
-            raise ConfigError(f"unknown robust_method {self.robust_method!r}")
+            raise ConfigError(f"unknown protocol.robust_method {self.robust_method!r}")
         if not 0 < self.sample_rate <= 1:
-            raise ConfigError("sample_rate must lie in (0, 1]")
+            raise ConfigError("protocol.sample_rate must lie in (0, 1]")
         if not 0 <= self.dropout_rate < 1:
-            raise ConfigError("dropout_rate must lie in [0, 1)")
+            raise ConfigError("protocol.dropout_rate must lie in [0, 1)")
         if self.robust_f != "auto" and (type(self.robust_f) is not int or self.robust_f < 0):
             raise ConfigError(
                 f"protocol.robust_f must be a nonnegative integer or 'auto', got {self.robust_f!r}"
@@ -228,9 +247,9 @@ class AttackBlock:
 
     def __post_init__(self):
         if self.kind not in (None, "sign_flip", "large_norm", "label_flip"):
-            raise ConfigError(f"unknown attack kind {self.kind!r}")
+            raise ConfigError(f"unknown attack.kind {self.kind!r}")
         if not 0 <= self.attacker_fraction < 0.5:
-            raise ConfigError("attacker_fraction must lie in [0, 0.5)")
+            raise ConfigError("attack.attacker_fraction must lie in [0, 0.5)")
 
 
 @dataclass(frozen=True)
@@ -286,6 +305,8 @@ class RunConfig:
                 raise ConfigError(f"{name} must be >= 1")
         if not self.energy_coefficient >= 0:
             raise ConfigError("energy_coefficient must be nonnegative")
+        if not (isinstance(self.output_dir, str) and self.output_dir):
+            raise ConfigError(f"output_dir must be a nonempty string, got {self.output_dir!r}")
         p, fed = self.protocol, self.federation
         counts = fed.counts()
         clients = sum(counts.values())
@@ -369,14 +390,6 @@ def _jsonable(obj):
     raise TypeError(f"cannot serialize {type(obj)}")
 
 
-_BLOCKS = {
-    "federation": FederationBlock,
-    "protocol": ProtocolBlock,
-    "privacy": PrivacyParams,
-    "attack": AttackBlock,
-    "metrics": MetricsBlock,
-}
-
 # list-valued fields and the type of their entries
 _TUPLE_FIELDS = {
     "grid_hidden": int,
@@ -401,76 +414,55 @@ def _is_real(value) -> bool:
         return False
 
 
-def _check_scalars(cls, kwargs: dict, prefix: str) -> None:
-    """A field whose default is an int or a bool takes only that type, and
-    one whose default is a float takes any finite int or float (_is_real)."""
-    for f in dataclasses.fields(cls):
-        kind, value = type(f.default), kwargs.get(f.name)
-        if kind not in _SCALAR_NOUNS or f.name not in kwargs:
-            continue
-        ok = _is_real(value) if kind is float else type(value) is kind
-        if not ok:
-            raise ConfigError(f"{prefix}{f.name} must be {_SCALAR_NOUNS[kind]}, got {value!r}")
-
-
-def _check_lists(kwargs: dict, prefix: str) -> None:
-    """List-valued fields hold ints, or finite real numbers (not bools)."""
-    for name, kind in _TUPLE_FIELDS.items():
-        value = kwargs.get(name)
+def _field_value(f: dataclasses.Field, value, path: str):
+    """value, checked for field f at the dotted path. A block field is built
+    by _build. A list field takes a list of ints, or of finite real numbers
+    (_is_real). A field whose default is an int or a bool takes only that
+    type, and one whose default is a float any finite int or float."""
+    if dataclasses.is_dataclass(f.default_factory):
+        return _build(f.default_factory, value, path)
+    if f.name in _TUPLE_FIELDS:
+        kind = _TUPLE_FIELDS[f.name]
+        value = tuple(value) if isinstance(value, list) else value
         if value is not None and not (
-            isinstance(value, tuple) and all(_entry_ok(kind, v) for v in value)
+            isinstance(value, tuple)
+            and all(type(v) is int if kind is int else _is_real(v) for v in value)
         ):
             noun = "integers" if kind is int else "real numbers"
-            raise ConfigError(f"{prefix}{name} must be a list of {noun}, got {value!r}")
+            raise ConfigError(f"{path} must be a list of {noun}, got {value!r}")
+        return value
+    kind = type(f.default)
+    if kind in _SCALAR_NOUNS and not (_is_real(value) if kind is float else type(value) is kind):
+        raise ConfigError(f"{path} must be {_SCALAR_NOUNS[kind]}, got {value!r}")
+    if kind is int and abs(value) > MAX_INT:
+        raise ConfigError(f"{path} must lie in [-(2**53 - 1), 2**53 - 1], got {value!r}")
+    return value
 
 
-def _entry_ok(kind: type, value) -> bool:
-    return type(value) is int if kind is int else _is_real(value)
-
-
-def _build_block(cls, data: dict, path: str):
+def _build(cls, data, path: str):
+    """An instance of the dataclass cls from the JSON object data found at the
+    dotted path ("" for the config root). Unknown keys and field types are
+    checked here, value ranges by cls.__post_init__."""
     if not isinstance(data, dict):
-        raise ConfigError(f"{path} must be an object")
-    names = {f.name for f in dataclasses.fields(cls)}
+        raise ConfigError(f"{path or 'config root'} must be an object")
+    prefix = f"{path}." if path else ""
+    fields = {f.name: f for f in dataclasses.fields(cls)}
     for key in data:
-        if key not in names:
-            raise ConfigError(f"unknown key {path}.{key}")
-    kwargs = {}
-    for key, value in data.items():
-        if key in _TUPLE_FIELDS and isinstance(value, list):
-            value = tuple(value)
-        kwargs[key] = value
-    _check_scalars(cls, kwargs, f"{path}.")
-    _check_lists(kwargs, f"{path}.")
+        if key not in fields:
+            raise ConfigError(f"unknown key {prefix}{key}")
+    kwargs = {key: _field_value(fields[key], value, prefix + key) for key, value in data.items()}
     try:
         return cls(**kwargs)
     except ConfigError:
         raise
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid value in {path}: {exc}") from exc
+        # PrivacyParams, defined outside this module, names a field without its block
+        raise ConfigError(f"{prefix}{exc}") from exc
 
 
 def config_from_dict(data: dict) -> RunConfig:
     """Build a fully validated RunConfig; unknown keys are errors."""
-    if not isinstance(data, dict):
-        raise ConfigError("config root must be an object")
-    top_names = {f.name for f in dataclasses.fields(RunConfig)}
-    for key in data:
-        if key not in top_names:
-            raise ConfigError(f"unknown key {key}")
-    kwargs = {}
-    for key, value in data.items():
-        if key in _BLOCKS:
-            kwargs[key] = _build_block(_BLOCKS[key], value, key)
-        else:
-            kwargs[key] = value
-    _check_scalars(RunConfig, kwargs, "")
-    try:
-        return RunConfig(**kwargs)
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid value: {exc}") from exc
+    return _build(RunConfig, data, "")
 
 
 def load_config(path: str) -> RunConfig:

@@ -11,8 +11,11 @@ is no ranking metric to plug in. Reports flag this substitution.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,10 +41,7 @@ class MetricsReport:
     fairness_gap_final: float | None = None
 
     def to_flat_dict(self) -> dict:
-        out = {"schema_version": 1, "note": UTILITY_NOTE}
-        for f in dataclasses.fields(self):
-            out[f.name] = getattr(self, f.name)
-        return out
+        return {"schema_version": 1, "note": UTILITY_NOTE, **dataclasses.asdict(self)}
 
     def write_flat(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -49,27 +49,25 @@ class MetricsReport:
                 fh.write(f"{key}={value}\n")
 
     def csv_row(self) -> dict:
-        row = {"schema_version": 1}
-        for name in METRICS_CSV_FIELDS[1:]:
-            value = getattr(self, name, None)
-            row[name] = "" if value is None else value
-        return row
+        """The metrics.csv row: to_flat_dict without its note, None as empty."""
+        return {k: "" if v is None else v for k, v in self.to_flat_dict().items() if k != "note"}
 
 
-# metrics.csv columns: the schema version, then MetricsReport's fields in order
-METRICS_CSV_FIELDS = ["schema_version", *(f.name for f in dataclasses.fields(MetricsReport))]
-
-
-def append_metrics_csv(path: str, report: MetricsReport) -> None:
-    """Append one report row, writing the header for a fresh file."""
-    import os
-
-    fresh = not os.path.exists(path)
-    with open(path, "a", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=METRICS_CSV_FIELDS)
-        if fresh:
+def write_csv(path: str | None, rows: list[dict], append: bool = False) -> None:
+    """Write rows, at least one, as CSV under a header of the first row's
+    keys: to path, or to stdout when path is None. With append, rows are
+    added to path and the header is written only to a fresh file."""
+    header = not (append and os.path.exists(path))
+    out = (
+        open(path, "a" if append else "w", newline="", encoding="utf-8")
+        if path
+        else contextlib.nullcontext(sys.stdout)
+    )
+    with out as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+        if header:
             writer.writeheader()
-        writer.writerow(report.csv_row())
+        writer.writerows(rows)
 
 
 def cei(tasks: list[tuple[float, float, float, float]], alpha_w: float, beta_w: float) -> float:

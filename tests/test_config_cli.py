@@ -12,10 +12,12 @@ import pytest
 
 from afflsim.cli import cmd_bench, cmd_compare, cmd_run, cmd_validate_config, main
 from afflsim.config import (
+    MAX_FEATURE_SCALE,
     MAX_STEP_FACTOR,
     ConfigError,
     config_from_dict,
     load_config,
+    preset_convex,
     preset_default,
     preset_multimodal,
     preset_privacy,
@@ -108,6 +110,17 @@ def test_step_factors_all_at_their_ceiling_run(preset):
     """Over 2 rounds at 1e78, smoke and default overflow in a matmul."""
     d = {**preset(7), "max_rounds": 2}
     d["protocol"].update({key: MAX_STEP_FACTOR for key in STEP_FACTORS})
+    log = run_experiment(config_from_dict(d))
+    assert len(log.records) == 2
+    assert all(math.isfinite(r.global_pool_loss) for r in log.records)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("preset", [preset_smoke, preset_default, preset_convex, preset_privacy])
+def test_feature_scales_both_at_their_ceiling_run(preset):
+    """Over 2 rounds at 1e155, convex and privacy overflow in a matmul."""
+    d = {**preset(7), "max_rounds": 2}
+    d["federation"].update(class_separation=MAX_FEATURE_SCALE, feature_noise=MAX_FEATURE_SCALE)
     log = run_experiment(config_from_dict(d))
     assert len(log.records) == 2
     assert all(math.isfinite(r.global_pool_loss) for r in log.records)
@@ -279,6 +292,30 @@ def test_config_that_would_fail_in_run_experiment_is_rejected(preset, path, valu
         ("energy_coefficient", float("inf")),
         # an int past the float range has no float value
         ("protocol.delta_size", 10**400),
+        # validate-config said ok to these; run then failed after the last
+        # round, writing its outputs, with TypeError or FileNotFoundError
+        ("output_dir", 5),
+        ("output_dir", None),
+        ("output_dir", ["a"]),
+        ("output_dir", ""),
+        # these were rejected by messages that did not name the block
+        ("protocol.sample_rate", 2.0),
+        ("protocol.dropout_rate", 1.0),
+        ("protocol.algorithm", "fedsgd"),
+        ("protocol.shapley_mode", "owen"),
+        ("protocol.robust_method", "krum"),
+        ("attack.kind", "gradient_theft"),
+        ("attack.attacker_fraction", 0.5),
+        ("privacy.clip_norm", -1.0),
+        ("privacy.noise_multiplier", -1.0),
+        ("privacy.delta", 2.0),
+        # preset_privacy overflowed in a matmul mid-run (seed 7, 2 rounds)
+        ("federation.class_separation", 1e300),
+        ("federation.feature_noise", 1e300),
+        # 10**400 clients raised OverflowError, and 10**30 feature columns a
+        # ConfigError from numpy that named no field
+        ("federation.rural", 10**400),
+        ("federation.feature_dim", 10**30),
     ],
 )
 def test_out_of_range_value_is_rejected_naming_its_path(path, value):
@@ -513,7 +550,12 @@ def test_cmd_run_smoke_under_60s(tmp_path):
     assert elapsed < 60.0
     assert os.path.exists(os.path.join(out, "rounds.jsonl"))
     assert os.path.exists(os.path.join(out, "summary.json"))
-    assert os.path.exists(os.path.join(out, "metrics.csv"))
+    with open(os.path.join(out, "metrics.csv")) as fh:
+        assert next(csv.reader(fh)) == [
+            "schema_version", "suite", "cei", "hfi", "put", "mis", "statistical_parity",
+            "mia_success", "transfer_effectiveness", "scaling_exponent",
+            "clinical_readiness", "gini_accuracy", "fairness_gap_final",
+        ]
 
 
 def test_cmd_run_missing_config_nonzero():
@@ -529,20 +571,24 @@ def test_cmd_run_outputs_reproducible(tmp_path):
         assert open(os.path.join(a, name), "rb").read() == open(os.path.join(b, name), "rb").read()
 
 
-def test_cmd_compare_self_has_identical_rows(tmp_path):
+def test_cmd_compare_self_has_identical_rows(tmp_path, capsys):
     path = write_cfg(tmp_path, preset_smoke(7))
     run_dir = str(tmp_path / "run")
     assert cmd_run(path, run_dir) == 0
     out_csv = str(tmp_path / "cmp.csv")
     assert cmd_compare([run_dir, run_dir], out_csv) == 0
-    with open(out_csv) as fh:
-        rows = list(csv.DictReader(fh))
+    with open(out_csv, newline="") as fh:
+        text = fh.read()
+    rows = list(csv.DictReader(text.splitlines()))
     assert len(rows) == 2
     assert rows[0] == rows[1]
     assert list(rows[0].keys()) == [
         "method", "rounds_to_target", "final_accuracy", "gini",
         "kwh_per_round", "bytes_per_round", "fairness_gap",
     ]
+    capsys.readouterr()
+    assert cmd_compare([run_dir, run_dir]) == 0
+    assert capsys.readouterr().out == text  # without --out the same CSV goes to stdout
 
 
 def test_cmd_compare_needs_two_runs(tmp_path):
@@ -573,7 +619,9 @@ def test_cmd_bench_scale_sweeps_sizes(tmp_path):
     out = str(tmp_path / "scale")
     assert cmd_bench("scale", out) == 0
     with open(os.path.join(out, "scaling_curve.csv")) as fh:
-        rows = list(csv.DictReader(fh))
+        reader = csv.DictReader(fh)
+        rows = list(reader)
+    assert reader.fieldnames == ["n_clients", "messenger_bytes", "fedavg_bytes"]
     assert [int(r["n_clients"]) for r in rows] == [10, 20, 40, 80]
     for row in rows:
         assert float(row["fedavg_bytes"]) > float(row["messenger_bytes"])

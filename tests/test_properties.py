@@ -1,8 +1,9 @@
 """Invariants stated as property tests.
 
 Shapley efficiency, convex fair weights, robust aggregates inside the
-coordinate-wise range of their inputs, and clipped updates inside the clip
-norm. The column-major kernels and training steps equal the allocating
+coordinate-wise range of their inputs, clipped updates inside the clip
+norm, and a config with one field set to any JSON value either parses or
+is rejected with a ConfigError that names a field. The column-major kernels and training steps equal the allocating
 oracles (tests/oracles.py) on the same inputs bit for bit, whatever the
 layout of the features that with_ones_column extends into their design
 matrix, and the flat-index label gathers equal fancy indexing.
@@ -11,6 +12,10 @@ Examples are derandomized and few, so the suite stays deterministic and
 fast.
 """
 
+import copy
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 
@@ -18,6 +23,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from afflsim import config  # noqa: E402
 from afflsim.fairness import (  # noqa: E402
     fair_weights,
     robust_aggregate,
@@ -404,3 +410,54 @@ def test_distillation_on_an_empty_shard_leaves_the_messenger_as_is():
     client = ModelParams(Arch(3, 2, 4), np.ones(Arch(3, 2, 4).param_count))
     out = distill_to_messenger(messenger, client, shard, 0.5, 2, 0.1)
     assert same_bits(out.theta, messenger.theta)
+
+
+PARSE_PRESETS = [
+    config.preset_smoke(7), config.preset_default(7), config.preset_privacy(7),
+    config.preset_multimodal(7), config.preset_robustness(7),
+]
+BLOCKS = {
+    f.name: f.default_factory
+    for f in dataclasses.fields(config.RunConfig)
+    if dataclasses.is_dataclass(f.default_factory)
+}
+# what a message may name: a block field by its dotted path, any other
+# top-level field by its name
+FIELD_NAMES = [
+    f"{block}.{f.name}" for block, cls in BLOCKS.items() for f in dataclasses.fields(cls)
+] + [f.name for f in dataclasses.fields(config.RunConfig) if f.name not in BLOCKS]
+
+json_values = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 40),
+    st.integers(-(10**400), 10**400),
+    st.floats(),
+    st.text(max_size=4),
+    st.lists(st.one_of(st.integers(-3, 40), st.floats(), st.text(max_size=2)), max_size=4),
+)
+
+
+def names(message: str, name: str) -> bool:
+    """Whether name stands in message whole, not inside a word or a longer path."""
+    return re.search(rf"(?<![\w.]){re.escape(name)}(?!\.?\w)", message) is not None
+
+
+@settings(PROPERTY, max_examples=300)
+@given(
+    st.sampled_from(PARSE_PRESETS),
+    st.sampled_from(FIELD_NAMES + list(BLOCKS)),
+    json_values,
+)
+def test_one_field_set_to_any_json_value_parses_or_is_rejected_naming_a_field(
+    preset, path, value
+):
+    data = copy.deepcopy(preset)
+    *block, key = path.split(".")
+    (data.setdefault(block[0], {}) if block else data)[key] = value
+    try:
+        config.config_from_dict(data)
+    except config.ConfigError as exc:
+        message = str(exc)
+        named = FIELD_NAMES + [path] * (path in BLOCKS)  # a block given a non-object
+        assert message.startswith("unknown key") or any(names(message, n) for n in named), message
