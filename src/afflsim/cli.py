@@ -26,13 +26,11 @@ Output schemas (schema_version 1):
                 kwh_per_round, bytes_per_round, fairness_gap
 Each CSV's header is the keys of its rows (metrics.write_csv).
 
-Environment: AFFLSIM_OUTPUT_DIR overrides the output directory,
-AFFLSIM_THREADS the worker thread count. At a fixed numpy/BLAS build,
-results are identical bit for bit at any AFFLSIM_THREADS value; only wall
-time changes. The BLAS thread count could move the last bits of large
-matrix products, and so the logs, so every run holds numpy's bundled
-OpenBLAS at one thread whatever the BLAS thread variables say (a numpy
-build without scipy-openblas runs at its own BLAS thread count).
+Environment: AFFLSIM_OUTPUT_DIR overrides the output directory. The BLAS
+thread count could move the last bits of large matrix products, and so
+the logs, so every run holds numpy's bundled OpenBLAS at one thread
+whatever the BLAS thread variables say (a numpy build without
+scipy-openblas runs at its own BLAS thread count).
 """
 
 from __future__ import annotations

@@ -46,6 +46,7 @@ MAX_FEATURE_SCALE = 1e150
 # the interoperable range of I-JSON (RFC 7493). Past it, 10**30 feature
 # columns and 10**400 clients failed to parse with errors that named no field.
 MAX_INT = 2**53 - 1
+_INT_RANGE = "[-(2**53 - 1), 2**53 - 1]"
 
 
 class ConfigError(ValueError):
@@ -418,7 +419,8 @@ def _field_value(f: dataclasses.Field, value, path: str):
     """value, checked for field f at the dotted path. A block field is built
     by _build. A list field takes a list of ints, or of finite real numbers
     (_is_real). A field whose default is an int or a bool takes only that
-    type, and one whose default is a float any finite int or float."""
+    type, and one whose default is a float any finite int or float. Every
+    integer outside a float field, list entries included, lies within MAX_INT."""
     if dataclasses.is_dataclass(f.default_factory):
         return _build(f.default_factory, value, path)
     if f.name in _TUPLE_FIELDS:
@@ -430,12 +432,14 @@ def _field_value(f: dataclasses.Field, value, path: str):
         ):
             noun = "integers" if kind is int else "real numbers"
             raise ConfigError(f"{path} must be a list of {noun}, got {value!r}")
+        if kind is int and value is not None and any(abs(v) > MAX_INT for v in value):
+            raise ConfigError(f"{path} entries must lie in {_INT_RANGE}, got {value!r}")
         return value
     kind = type(f.default)
     if kind in _SCALAR_NOUNS and not (_is_real(value) if kind is float else type(value) is kind):
         raise ConfigError(f"{path} must be {_SCALAR_NOUNS[kind]}, got {value!r}")
-    if kind is int and abs(value) > MAX_INT:
-        raise ConfigError(f"{path} must lie in [-(2**53 - 1), 2**53 - 1], got {value!r}")
+    if kind is not float and type(value) is int and abs(value) > MAX_INT:
+        raise ConfigError(f"{path} must lie in {_INT_RANGE}, got {value!r}")
     return value
 
 

@@ -34,8 +34,8 @@ def shapley_estimate(
 
     exact mode enumerates all 2^n coalitions (n <= EXACT_MAX_CLIENTS);
     monte_carlo averages marginal contributions over num_perms permutation
-    walks drawn from counter-based streams, so estimates are identical at
-    any parallelism. value_fn is called once, with a boolean (K, n)
+    walks drawn from counter-based streams, so estimates do not depend on
+    call order. value_fn is called once, with a boolean (K, n)
     membership matrix: one row per coalition, column j true when
     cohort_ids[j] is a member. The rows are every coalition the estimate
     needs, each distinct one once, the empty one first. It must return K

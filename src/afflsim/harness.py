@@ -6,8 +6,7 @@ needs: heterogeneity, capacity decisions, Shapley weights, per-client
 accuracy, byte and energy accounting, and privacy spend.
 
 All randomness flows through per-(purpose, round, client) counter-based
-streams, so a (config, seed) pair fully determines the run log at any
-thread count.
+streams, so a (config, seed) pair fully determines the run log.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ import functools
 import glob
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -42,7 +40,6 @@ from .rng import stream, subseed
 # version of summary.json; config.SCHEMA_VERSION versions the config dict
 SUMMARY_SCHEMA_VERSION = 1
 
-THREADS_ENV = "AFFLSIM_THREADS"
 OUTPUT_DIR_ENV = "AFFLSIM_OUTPUT_DIR"
 
 
@@ -128,10 +125,9 @@ class RunLog:
 
 
 def thread_count() -> int:
-    try:
-        return max(1, int(os.environ.get(THREADS_ENV, "1")))
-    except ValueError:
-        return 1
+    """Always 1: the round loop is serial. Kept only for perfbench/child.py's
+    environment record; delete it when that record drops the field."""
+    return 1
 
 
 @functools.cache
@@ -174,15 +170,6 @@ def _one_blas_thread():
         yield
     finally:
         lib.scipy_openblas_set_num_threads64_(previous)
-
-
-def _parallel_map(fn, items: list):
-    """Order-preserving map; thread count never changes the result."""
-    threads = thread_count()
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 # ---------------------------------------------------------------------------
@@ -576,10 +563,10 @@ def _client_step(
     """
     p = state.config.protocol
     if p.algorithm == "fedavg":
-        uploads = _parallel_map(
-            lambda i: models.train_local(base, state.train_shards[i], p.local_steps, p.local_lr),
-            cohort,
-        )
+        uploads = [
+            models.train_local(base, state.train_shards[i], p.local_steps, p.local_lr)
+            for i in cohort
+        ]
         return state.client_params, uploads, None
 
     if p.algorithm == "static_messenger":
@@ -587,25 +574,23 @@ def _client_step(
     else:
         pi = msg.curriculum_weights(t, state.schedule)
 
-    def client_work(i: int) -> tuple[ModelParams, ModelParams, tuple[float, float]]:
+    client_params = list(state.client_params)
+    variants, scores = [], []
+    for i in cohort:
         train_shard = state.train_shards[i]
         params = models.train_local(state.client_params[i], train_shard, p.local_steps, p.local_lr)
         fwd = msg.messenger_forward(base, train_shard)
-        params = msg.inject_knowledge(
-            params, base, train_shard, pi, p.inject_steps, p.inject_lr, fwd
-        )
+        params = msg.inject_knowledge(params, base, train_shard, pi, p.inject_steps, p.inject_lr, fwd)
         # train_shard shares the design of shards[i]; label_flip changes only labels
         z = models.logits(params, train_shard.design)
         probs = models.softmax(z)
         variant = msg.distill_to_messenger(
             base, params, train_shard, p.lambda_kl, p.distill_steps, p.distill_lr, fwd, probs
         )
-        return params, variant, models.score(z, probs, state.shards[i].labels)
-
-    trained, variants, scores = map(list, zip(*_parallel_map(client_work, cohort)))
-    client_params = list(state.client_params)
-    for i, params in zip(cohort, trained):
         client_params[i] = params
+        variants.append(variant)
+        scores.append(models.score(z, probs, state.shards[i].labels))
+        del fwd, z, probs  # shard-sized; free them before the next client's step
     return client_params, variants, scores
 
 

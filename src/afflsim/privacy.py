@@ -34,6 +34,10 @@ class PrivacyParams:
             raise ValueError("noise_multiplier must be nonnegative")
         if not 0 < self.delta < 1:
             raise ValueError("delta must lie in (0, 1)")
+        if math.isinf(_gaussian_eps(1.0, self.delta)):
+            raise ValueError(f"delta {self.delta!r} gives an infinite epsilon")
+        if self.noise_multiplier > 0 and math.isinf(_gaussian_eps(self.noise_multiplier, self.delta)):
+            raise ValueError(f"noise_multiplier {self.noise_multiplier!r} gives an infinite epsilon")
 
     def check_delta(self, min_shard_size: int) -> None:
         """Warn when delta is not cryptographically small for the data."""
@@ -89,13 +93,19 @@ def privatize(delta_params: np.ndarray, params: PrivacyParams, seed: int) -> np.
     return clipped + rng.normal(0.0, sigma, clipped.shape)
 
 
+def _gaussian_eps(noise_multiplier: float, delta: float) -> float:
+    """The analytic Gaussian mechanism's epsilon for one round; inf on overflow."""
+    with np.errstate(over="ignore"):
+        return float(np.sqrt(2.0 * np.log(1.25 / delta)) / noise_multiplier)
+
+
 def account_privacy(rounds: int, params: PrivacyParams) -> PrivacySpend:
     """Linear composition of the analytic Gaussian mechanism's per-round eps."""
     if rounds < 0:
         raise ValueError("rounds must be nonnegative")
     if params.noise_multiplier <= 0:
         raise ValueError("noise_multiplier must be positive to account a finite epsilon")
-    per_round = float(np.sqrt(2.0 * np.log(1.25 / params.delta)) / params.noise_multiplier)
+    per_round = _gaussian_eps(params.noise_multiplier, params.delta)
     return PrivacySpend(
         per_round_eps=per_round, total_eps=per_round * rounds, rounds_counted=rounds
     )

@@ -2,7 +2,7 @@
 
 Every random draw in the simulator comes from a stream keyed by
 (seed, *labels) — e.g. ("local-train", round, client_id) — so results
-never depend on call order or thread count. Philox is counter-based:
+never depend on call order. Philox is counter-based:
 distinct keys give statistically independent streams.
 """
 

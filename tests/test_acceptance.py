@@ -9,7 +9,10 @@ rounds-to-target is extracted from full-horizon curves, which is exact
 because a target-stopped run is a bit-identical prefix of the full run.
 """
 
+import os
 import statistics
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -34,7 +37,6 @@ from afflsim.fairness import (
 )
 from afflsim.federation import DatasetShard
 from afflsim.harness import (
-    THREADS_ENV,
     init_state,
     run_experiment,
     write_run_outputs,
@@ -426,20 +428,35 @@ def test_criterion_8_numerical_suite():
     verdict(8, "numerical-suite", ok, f"failures: {failures if failures else 'none'}")
 
 
-def test_criterion_9_determinism(tmp_path, monkeypatch):
+# runs preset_smoke(7) and writes its outputs to the directory in argv[1]
+SMOKE_RUN_SCRIPT = """
+import sys
+from afflsim.config import config_from_dict, preset_smoke
+from afflsim.harness import run_experiment, write_run_outputs
+write_run_outputs(run_experiment(config_from_dict(preset_smoke(7))), sys.argv[1])
+"""
+
+
+def test_criterion_9_determinism(tmp_path):
+    """Two fresh processes, each with its own string-hash seed, log the same
+    bytes: a (config, seed) pair alone determines the run."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     blobs = {}
-    for threads in ("1", "8"):
-        monkeypatch.setenv(THREADS_ENV, threads)
-        cfg = config_from_dict(preset_smoke(7))
-        paths = write_run_outputs(run_experiment(cfg), str(tmp_path / f"t{threads}"))
-        blobs[threads] = open(paths["rounds"], "rb").read()
-    monkeypatch.delenv(THREADS_ENV)
-    ok = blobs["1"] == blobs["8"] and len(blobs["1"]) > 0
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env["PYTHONPATH"] = os.pathsep.join([os.path.join(src, "src"), env.get("PYTHONPATH", "")])
+        outdir = tmp_path / f"hash{hash_seed}"
+        subprocess.run(
+            [sys.executable, "-c", SMOKE_RUN_SCRIPT, str(outdir)],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        blobs[hash_seed] = (outdir / "rounds.jsonl").read_bytes()
+    ok = blobs["1"] == blobs["2"] and len(blobs["1"]) > 0
     verdict(
         9,
         "determinism",
         ok,
-        f"rounds.jsonl identical across thread counts 1 and 8 ({len(blobs['1'])} bytes)",
+        f"rounds.jsonl identical in processes at PYTHONHASHSEED 1 and 2 ({len(blobs['1'])} bytes)",
     )
 
 

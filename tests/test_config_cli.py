@@ -316,6 +316,14 @@ def test_config_that_would_fail_in_run_experiment_is_rejected(preset, path, valu
         # ConfigError from numpy that named no field
         ("federation.rural", 10**400),
         ("federation.feature_dim", 10**30),
+        # these parsed, then failed mid-run in numpy with errors that named no
+        # field: fused_dim at round 1, the grid entry at the first capacity probe
+        ("protocol.fused_dim", 10**30),
+        ("protocol.grid_hidden", [4, 10**30]),
+        # on preset_privacy this delta logged eps_round inf, and this multiplier
+        # overflowed in the epsilon divide mid-run
+        ("privacy.delta", 5e-324),
+        ("privacy.noise_multiplier", 5e-324),
     ],
 )
 def test_out_of_range_value_is_rejected_naming_its_path(path, value):

@@ -22,7 +22,6 @@ from afflsim.fairness import (
 from afflsim.federation import ClientProfile
 from afflsim.harness import (
     COALITION_BLOCK,
-    THREADS_ENV,
     AttackBlock,
     apply_attack_flags,
     coalition_value_fn,
@@ -295,21 +294,6 @@ def test_client_scores_equal_evaluate_on_true_labels(algorithm):
     assert [i for i, _, _ in record.per_client] == record.cohort
     for i, loss, acc in record.per_client:
         assert (loss, acc) == evaluate(new_state.client_params[i], state.shards[i])
-
-
-def test_run_identical_at_different_thread_counts(monkeypatch, tmp_path):
-    cfg = smoke_cfg()
-    outputs = {}
-    for threads in ("1", "8"):
-        monkeypatch.setenv(THREADS_ENV, threads)
-        log = run_experiment(cfg)
-        paths = write_run_outputs(log, str(tmp_path / f"t{threads}"))
-        outputs[threads] = (
-            open(paths["rounds"], "rb").read(),
-            open(paths["summary"], "rb").read(),
-        )
-    assert outputs["1"][0] == outputs["8"][0]
-    assert outputs["1"][1] == outputs["8"][1]
 
 
 BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")

@@ -5,10 +5,9 @@ Usage (from the repository root):
         [--checkout DIR] [--cpu 0] [--rounds N]
 
 Each repeat starts a new Python process with every BLAS and OpenMP thread
-count set to 1 and ``AFFLSIM_THREADS`` removed (as perfbench does), pins it
-to core ``--cpu``, builds the workload's config from
-``perfbench/workloads.py`` (``--rounds`` overrides its round count) and
-runs ``harness.run_experiment`` once. The process then reads
+count set to 1 (as perfbench does), pins it to core ``--cpu``, builds the
+workload's config from ``perfbench/workloads.py`` (``--rounds`` overrides
+its round count) and runs ``harness.run_experiment`` once. The process then reads
 ``getrusage(RUSAGE_SELF)`` and prints one JSON line: wall, user and sys
 seconds and minor faults of the whole process (interpreter start and
 imports included), the same for the run alone, and peak RSS. A last line gives the median of each figure over the repeats.
@@ -63,11 +62,7 @@ def child(checkout: Path, workload: str, seed: int, rounds: int | None) -> dict:
 
 
 def child_env(blas_vars: tuple[str, ...]) -> dict:
-    env = {
-        k: v
-        for k, v in os.environ.items()
-        if k != "AFFLSIM_THREADS" and not k.endswith("_NUM_THREADS")
-    }
+    env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
     env.update(dict.fromkeys(blas_vars, "1"))
     return env
 
