@@ -3,7 +3,9 @@
 Configs are JSON files mirroring the block structure below. Parsing is
 strict — any unknown key is rejected with its full path — and every
 default is materialized before the digest is computed, so a digest pins
-the complete effective configuration.
+the complete effective configuration. Each field declares its kind and
+range beside its default (rule), and every block holds its fields to them
+when it is built, from JSON or directly.
 """
 
 from __future__ import annotations
@@ -12,25 +14,29 @@ import dataclasses
 import hashlib
 import json
 import math
+import operator
+import sys
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fairness import EXACT_MAX_CLIENTS
+from .fairness import EXACT_MAX_CLIENTS, LAMBDA2_ESCALATION
 from .federation import SAMPLE_RANGES
-from .messenger import CurriculumSchedule
 from .models import Arch
-from .privacy import PrivacyParams
 
 SCHEMA_VERSION = 1
 
 ALGORITHMS = ("affl", "fedavg", "static_messenger", "uniform_weight_affl")
 
-# Ceiling of protocol.local_lr, inject_lr, distill_lr and lambda_kl. A
-# distillation step is lr * (1 + lambda_kl) times a bounded gradient, and
+# Ceiling of protocol.local_lr, inject_lr, distill_lr, probe_lr and lambda_kl.
+# A distillation step is lr * (1 + lambda_kl) times a bounded gradient, and
 # the presets' products and DP norms overflow once that factor nears 1e154.
-# With all four at 1e76 together every preset runs (seeds 7-12); at 1e78
-# the smoke and default presets overflow in a matmul (seed 7).
+# With all five at 1e76 together and adapt_interval 1, so that the capacity
+# probe runs each round, the nine preset configs listed under
+# MAX_FEATURE_SCALE run (seeds 7-12, 2 rounds); at 1e78 the smoke and
+# default presets overflow in a matmul (seed 7). probe_lr alone overflows
+# the capacity probe from 1e160, and its NaN scores then choose the capacity.
 MAX_STEP_FACTOR = 1e76
 
 # Ceiling of federation.class_separation and feature_noise, which scale the
@@ -53,48 +59,93 @@ class ConfigError(ValueError):
     """Raised for unknown keys, bad values, or unreadable config files."""
 
 
+def rule(default, kind, *, null: bool = False, **bounds):
+    """A dataclass field with its default and the rule _check_fields holds it
+    to. kind is int, float, bool, str (a nonempty string), a tuple of the
+    strings allowed, or [int] or [float] for a list of those; null lets the
+    field be None; bounds are any of gt, ge, lt and le, on the value or on
+    each entry of a list."""
+    return field(default=default, metadata={"kind": kind, "null": null, **bounds})
+
+
+def _is_real(value) -> bool:
+    """A finite int or float, not a bool: JSON reads NaN, Infinity and 1e400
+    as floats, and an int past the float range has no float value."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+# what a value of each scalar kind must be, and how a message names it
+_KINDS = {
+    int: (lambda v: type(v) is int, "an integer"),
+    float: (_is_real, "a finite number"),
+    bool: (lambda v: type(v) is bool, "true or false"),
+    str: (lambda v: isinstance(v, str) and v != "", "a nonempty string"),
+}
+_BOUNDS = {
+    "gt": (operator.gt, "greater than"),
+    "ge": (operator.ge, "at least"),
+    "lt": (operator.lt, "less than"),
+    "le": (operator.le, "at most"),
+}
+
+
+def _check_fields(obj, block: str) -> None:
+    """Hold each field of obj declared with rule to its rule, naming the field
+    by its dotted path: block is obj's key in the config ("" for the root).
+    An integer of an int kind, list entries included, lies within MAX_INT."""
+    for f in dataclasses.fields(obj):
+        value, spec = getattr(obj, f.name), f.metadata
+        if "kind" not in spec or (value is None and spec["null"]):
+            continue
+        path = f"{block}.{f.name}" if block else f.name
+        or_null = " or null" if spec["null"] else ""
+        kind, entries, name = spec["kind"], (value,), path
+        if isinstance(kind, list):
+            if not isinstance(value, tuple):
+                raise ConfigError(
+                    f"{path} must be a list{or_null} (a tuple in Python), got {value!r}"
+                )
+            kind, entries, name, or_null = kind[0], value, f"each entry of {path}", ""
+        is_kind, noun = _KINDS.get(kind) or (kind.__contains__, f"one of {kind}")
+        for v in entries:
+            if not is_kind(v):
+                raise ConfigError(f"{name} must be {noun}{or_null}, got {v!r}")
+            if kind is int and abs(v) > MAX_INT:
+                raise ConfigError(f"{name} must lie in {_INT_RANGE}, got {v!r}")
+            for op, (holds, words) in _BOUNDS.items():
+                if op in spec and not holds(v, spec[op]):
+                    raise ConfigError(f"{name} must be {words} {spec[op]:g}, got {v!r}")
+
+
 @dataclass(frozen=True)
 class FederationBlock:
-    academic: int = 2
-    regional: int = 4
-    rural: int = 6
-    num_classes: int = 4
-    feature_dim: int = 20
-    concentration: float = 0.5
-    num_modalities: int = 1
+    academic: int = rule(2, int, ge=0)
+    regional: int = rule(4, int, ge=0)
+    rural: int = rule(6, int, ge=0)
+    num_classes: int = rule(4, int, ge=2)
+    feature_dim: int = rule(20, int)
+    concentration: float = rule(0.5, float, gt=0)
+    num_modalities: int = rule(1, int, ge=1)
     modalities_by_class: dict | None = None
-    class_separation: float = 2.0
-    feature_noise: float = 1.0
-    radial_pairs: int = 0
-    radial_scale: float = 2.4
-    academic_hidden: int = 32
-    regional_hidden: int = 16
-    rural_hidden: int = 8
+    class_separation: float = rule(2.0, float, ge=0, le=MAX_FEATURE_SCALE)
+    feature_noise: float = rule(1.0, float, ge=0, le=MAX_FEATURE_SCALE)
+    radial_pairs: int = rule(0, int, ge=0)
+    radial_scale: float = rule(2.4, float, gt=1)
+    academic_hidden: int = rule(32, int, ge=0)
+    regional_hidden: int = rule(16, int, ge=0)
+    rural_hidden: int = rule(8, int, ge=0)
 
     def __post_init__(self):
-        for name in (*self.counts(), "academic_hidden", "regional_hidden", "rural_hidden"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"federation.{name} must be >= 0")
-        if self.num_classes < 2:
-            raise ConfigError("federation.num_classes must be >= 2")
-        if not self.concentration > 0:
-            raise ConfigError("federation.concentration must be positive")
-        if self.num_modalities < 1:
-            raise ConfigError("federation.num_modalities must be >= 1")
+        _check_fields(self, "federation")
         if self.feature_dim < self.num_modalities:
             raise ConfigError("federation.feature_dim must be at least num_modalities")
-        if not 0 <= 2 * self.radial_pairs <= self.num_classes:
+        if 2 * self.radial_pairs > self.num_classes:
             raise ConfigError("federation.radial_pairs must lie in [0, num_classes / 2]")
-        if not self.radial_scale > 1:
-            raise ConfigError("federation.radial_scale must exceed 1")
-        for name in ("class_separation", "feature_noise"):
-            if not getattr(self, name) >= 0:
-                raise ConfigError(f"federation.{name} must be nonnegative")
-            if getattr(self, name) > MAX_FEATURE_SCALE:
-                raise ConfigError(
-                    f"federation.{name} must be at most {MAX_FEATURE_SCALE:g}, "
-                    f"got {getattr(self, name)!r}"
-                )
         if sum(self.counts().values()) < 1:
             raise ConfigError("federation.academic + regional + rural must be at least 1")
         by_class = self.modalities_by_class
@@ -133,151 +184,137 @@ class FederationBlock:
 
 @dataclass(frozen=True)
 class ProtocolBlock:
-    algorithm: str = "affl"
+    algorithm: str = rule("affl", ALGORITHMS)
     # messenger template grid: hidden widths, ascending (0 = logistic regression)
-    grid_hidden: tuple = (6, 12, 24)
-    initial_capacity_index: int = 0
-    adapt_interval: int = 3
-    probe_steps: int = 12
-    probe_lr: float = 0.5
-    lambda1: float = 0.05
-    lambda2: float = 0.1
-    lambda_kl: float = 1.0
-    theta_fair: float = 0.1
-    curriculum_tiers: int = 3
-    curriculum_tau: tuple | None = None
-    curriculum_sigma: tuple | None = None
-    sample_rate: float = 1.0
-    load_aware_sampling: bool = False
-    dropout_rate: float = 0.0
-    warmup_steps: int = 10
-    local_steps: int = 6
-    inject_steps: int = 4
-    distill_steps: int = 12
-    local_lr: float = 0.3
-    inject_lr: float = 0.3
-    distill_lr: float = 0.5
-    shapley_mode: str = "monte_carlo"  # monte_carlo | exact
-    shapley_perms: int = 60
-    eps_smooth: float = 0.01
-    delta_size: float = 0.2
-    robust_method: str | None = None  # trimmed_mean | coordinate_median | null
+    grid_hidden: tuple = rule((6, 12, 24), [int], ge=0)
+    initial_capacity_index: int = rule(0, int)
+    adapt_interval: int = rule(3, int, ge=1)
+    probe_steps: int = rule(12, int, ge=0)
+    probe_lr: float = rule(0.5, float, gt=0, le=MAX_STEP_FACTOR)
+    lambda1: float = rule(0.05, float, ge=0)
+    lambda2: float = rule(0.1, float, gt=0)
+    lambda_kl: float = rule(1.0, float, ge=0, le=MAX_STEP_FACTOR)
+    theta_fair: float = rule(0.1, float, ge=0)
+    curriculum_tiers: int = rule(3, int, ge=1)
+    curriculum_tau: tuple | None = rule(None, [float], null=True)
+    curriculum_sigma: tuple | None = rule(None, [float], null=True, gt=0)
+    sample_rate: float = rule(1.0, float, gt=0, le=1)
+    load_aware_sampling: bool = rule(False, bool)
+    dropout_rate: float = rule(0.0, float, ge=0, lt=1)
+    warmup_steps: int = rule(10, int, ge=0)
+    local_steps: int = rule(6, int, ge=0)
+    inject_steps: int = rule(4, int, ge=0)
+    distill_steps: int = rule(12, int, ge=0)
+    local_lr: float = rule(0.3, float, gt=0, le=MAX_STEP_FACTOR)
+    inject_lr: float = rule(0.3, float, gt=0, le=MAX_STEP_FACTOR)
+    distill_lr: float = rule(0.5, float, gt=0, le=MAX_STEP_FACTOR)
+    shapley_mode: str = rule("monte_carlo", ("monte_carlo", "exact"))
+    shapley_perms: int = rule(60, int, ge=1)
+    eps_smooth: float = rule(0.01, float, ge=0)
+    delta_size: float = rule(0.2, float, ge=0)
+    robust_method: str | None = rule(None, ("trimmed_mean", "coordinate_median"), null=True)
     robust_f: int | str = "auto"  # auto = floor((cohort-1)/3)
-    fedavg_hidden: int = 16
-    active_modalities: tuple | None = None
-    fused_dim: int | None = None
-    fusion_weights: tuple | None = None  # pre-softmax, one per modality
-    het_alpha: float = 1.0 / 3.0
-    het_beta: float = 1.0 / 3.0
-    het_gamma: float = 1.0 / 3.0
+    fedavg_hidden: int = rule(16, int, ge=0)
+    active_modalities: tuple | None = rule(None, [int], null=True)
+    fused_dim: int | None = rule(None, int, null=True, ge=1)
+    fusion_weights: tuple | None = rule(None, [float], null=True)  # pre-softmax, one per modality
+    het_alpha: float = rule(1.0 / 3.0, float, ge=0)
+    het_beta: float = rule(1.0 / 3.0, float, ge=0)
+    het_gamma: float = rule(1.0 / 3.0, float, ge=0)
 
     def __post_init__(self):
-        if self.algorithm not in ALGORITHMS:
-            raise ConfigError(f"unknown protocol.algorithm {self.algorithm!r}")
-        if self.shapley_mode not in ("monte_carlo", "exact"):
-            raise ConfigError(f"unknown protocol.shapley_mode {self.shapley_mode!r}")
-        if self.robust_method not in (None, "trimmed_mean", "coordinate_median"):
-            raise ConfigError(f"unknown protocol.robust_method {self.robust_method!r}")
-        if not 0 < self.sample_rate <= 1:
-            raise ConfigError("protocol.sample_rate must lie in (0, 1]")
-        if not 0 <= self.dropout_rate < 1:
-            raise ConfigError("protocol.dropout_rate must lie in [0, 1)")
-        if self.robust_f != "auto" and (type(self.robust_f) is not int or self.robust_f < 0):
+        _check_fields(self, "protocol")
+        robust_f = self.robust_f
+        if robust_f != "auto" and not (type(robust_f) is int and 0 <= robust_f <= MAX_INT):
             raise ConfigError(
-                f"protocol.robust_f must be a nonnegative integer or 'auto', got {self.robust_f!r}"
+                f"protocol.robust_f must be 'auto' or an integer in [0, {MAX_INT}], "
+                f"got {robust_f!r}"
             )
-        for name in ("shapley_perms", "adapt_interval", "curriculum_tiers"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"protocol.{name} must be >= 1")
-        for name in ("warmup_steps", "local_steps", "inject_steps", "distill_steps",
-                     "probe_steps", "fedavg_hidden"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"protocol.{name} must be >= 0")
-        for name in ("local_lr", "inject_lr", "distill_lr", "probe_lr", "lambda2"):
-            if not getattr(self, name) > 0:
-                raise ConfigError(f"protocol.{name} must be positive")
-        for name in ("lambda1", "lambda_kl", "theta_fair", "eps_smooth", "delta_size",
-                     "het_alpha", "het_beta", "het_gamma"):
-            if not getattr(self, name) >= 0:
-                raise ConfigError(f"protocol.{name} must be nonnegative")
-        for name in ("local_lr", "inject_lr", "distill_lr", "lambda_kl"):
-            if getattr(self, name) > MAX_STEP_FACTOR:
-                raise ConfigError(
-                    f"protocol.{name} must be at most {MAX_STEP_FACTOR:g}, "
-                    f"got {getattr(self, name)!r}"
-                )
         het_sum = self.het_alpha + self.het_beta + self.het_gamma
         if abs(het_sum - 1.0) > 1e-9:
             raise ConfigError(
                 "protocol.het_alpha + protocol.het_beta + protocol.het_gamma must sum to 1, "
                 f"got {het_sum}"
             )
-        if self.fused_dim is not None and (type(self.fused_dim) is not int or self.fused_dim < 1):
-            raise ConfigError(
-                f"protocol.fused_dim must be a positive integer or null, got {self.fused_dim!r}"
-            )
         widths = self.grid_hidden
-        if not widths or widths[0] < 0 or any(b <= a for a, b in zip(widths, widths[1:])):
+        if not widths or any(b <= a for a, b in zip(widths, widths[1:])):
             raise ConfigError(
-                "protocol.grid_hidden must be nonnegative hidden widths in strictly "
-                f"ascending order, got {widths}"
+                f"protocol.grid_hidden must be strictly ascending hidden widths, got {widths}"
             )
         if not 0 <= self.initial_capacity_index < len(widths):
             raise ConfigError(
                 f"protocol.initial_capacity_index must index protocol.grid_hidden {widths}"
             )
-        if (self.curriculum_tau is None) != (self.curriculum_sigma is None):
+        tau, sigma = self.curriculum_tau, self.curriculum_sigma
+        if (tau is None) != (sigma is None):
             raise ConfigError(
                 "protocol.curriculum_tau and protocol.curriculum_sigma must be both null "
                 "or both set"
             )
-        if self.curriculum_tau is not None:
-            try:
-                CurriculumSchedule(
-                    self.curriculum_tiers, self.curriculum_tau, self.curriculum_sigma
-                )
-            except ValueError as exc:
-                raise ConfigError(f"protocol.curriculum_tau / curriculum_sigma: {exc}") from exc
+        if tau is not None and not len(tau) == len(sigma) == self.curriculum_tiers:
+            raise ConfigError(
+                "protocol.curriculum_tau and protocol.curriculum_sigma must have one entry "
+                f"per curriculum tier ({self.curriculum_tiers})"
+            )
+
+
+@dataclass(frozen=True)
+class PrivacyParams:
+    clip_norm: float = rule(1.0, float, gt=0)
+    noise_multiplier: float = rule(0.0, float, ge=0)
+    delta: float = rule(1e-5, float, gt=0, lt=1)
+    enabled: bool = rule(False, bool)
+
+    def __post_init__(self):
+        # the epsilon account_privacy reports; privacy imports this module
+        from .privacy import _gaussian_eps
+
+        _check_fields(self, "privacy")
+        if math.isinf(_gaussian_eps(1.0, self.delta)):
+            raise ConfigError(f"privacy.delta {self.delta!r} gives an infinite epsilon")
+        nm = self.noise_multiplier
+        if nm > 0 and math.isinf(_gaussian_eps(nm, self.delta)):
+            raise ConfigError(f"privacy.noise_multiplier {nm!r} gives an infinite epsilon")
+
+    def check_delta(self, min_shard_size: int) -> None:
+        """Warn when delta is not cryptographically small for the data."""
+        if self.delta >= 1.0 / max(1, min_shard_size):
+            warnings.warn(
+                f"delta={self.delta} >= 1/min_shard_size={1.0 / min_shard_size:.2e}; "
+                "guarantee is weak for the smallest shard",
+                stacklevel=2,
+            )
 
 
 @dataclass(frozen=True)
 class AttackBlock:
-    kind: str | None = None  # sign_flip | large_norm | label_flip | null
-    attacker_fraction: float = 0.0
-    scale: float = 10.0
+    kind: str | None = rule(None, ("sign_flip", "large_norm", "label_flip"), null=True)
+    attacker_fraction: float = rule(0.0, float, ge=0, lt=0.5)
+    scale: float = rule(10.0, float)
 
     def __post_init__(self):
-        if self.kind not in (None, "sign_flip", "large_norm", "label_flip"):
-            raise ConfigError(f"unknown attack.kind {self.kind!r}")
-        if not 0 <= self.attacker_fraction < 0.5:
-            raise ConfigError("attack.attacker_fraction must lie in [0, 0.5)")
+        _check_fields(self, "attack")
 
 
 @dataclass(frozen=True)
 class MetricsBlock:
-    cei_alpha: float = 0.5
-    cei_beta: float = 0.5
-    put_lambda: float = 0.1
-    clinical_w1: float = 0.5
-    clinical_w2: float = 0.3
-    clinical_w3: float = 0.2
-    physician_acceptance: float = 0.75
-    regulatory_compliance: float = 0.8
+    cei_alpha: float = rule(0.5, float, ge=0)
+    cei_beta: float = rule(0.5, float, ge=0)
+    put_lambda: float = rule(0.1, float, ge=0)
+    clinical_w1: float = rule(0.5, float, ge=0)
+    clinical_w2: float = rule(0.3, float, ge=0)
+    clinical_w3: float = rule(0.2, float, ge=0)
+    physician_acceptance: float = rule(0.75, float, ge=0, le=1)
+    regulatory_compliance: float = rule(0.8, float, ge=0, le=1)
 
     def __post_init__(self):
-        for name in ("cei_alpha", "cei_beta", "put_lambda", "clinical_w1", "clinical_w2",
-                     "clinical_w3"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"metrics.{name} must be nonnegative")
+        _check_fields(self, "metrics")
         w_sum = self.clinical_w1 + self.clinical_w2 + self.clinical_w3
         if abs(w_sum - 1.0) > 1e-9:
             raise ConfigError(
                 "metrics.clinical_w1 + metrics.clinical_w2 + metrics.clinical_w3 must sum "
                 f"to 1, got {w_sum}"
             )
-        for name in ("physician_acceptance", "regulatory_compliance"):
-            if not 0 <= getattr(self, name) <= 1:
-                raise ConfigError(f"metrics.{name} must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -287,27 +324,16 @@ class RunConfig:
     privacy: PrivacyParams = field(default_factory=PrivacyParams)
     attack: AttackBlock = field(default_factory=AttackBlock)
     metrics: MetricsBlock = field(default_factory=MetricsBlock)
-    seed: int = 0
-    max_rounds: int = 25
-    target_accuracy: float | None = None
-    validation_samples: int = 400
-    probe_samples: int = 120
-    energy_coefficient: float = 3e-4
-    output_dir: str = "runs"
+    seed: int = rule(0, int)
+    max_rounds: int = rule(25, int, ge=0)
+    target_accuracy: float | None = rule(None, float, null=True, gt=0, le=1)
+    validation_samples: int = rule(400, int, ge=1)
+    probe_samples: int = rule(120, int, ge=1)
+    energy_coefficient: float = rule(3e-4, float, ge=0)
+    output_dir: str = rule("runs", str)
 
     def __post_init__(self):
-        if self.max_rounds < 0:
-            raise ConfigError("max_rounds must be nonnegative")
-        target = self.target_accuracy
-        if target is not None and not (type(target) in (int, float) and 0 < target <= 1):
-            raise ConfigError(f"target_accuracy must be null or lie in (0, 1], got {target!r}")
-        for name in ("validation_samples", "probe_samples"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1")
-        if not self.energy_coefficient >= 0:
-            raise ConfigError("energy_coefficient must be nonnegative")
-        if not (isinstance(self.output_dir, str) and self.output_dir):
-            raise ConfigError(f"output_dir must be a nonempty string, got {self.output_dir!r}")
+        _check_fields(self, "")
         p, fed = self.protocol, self.federation
         counts = fed.counts()
         clients = sum(counts.values())
@@ -345,6 +371,23 @@ class RunConfig:
             raise ConfigError(
                 f"protocol.curriculum_tiers {p.curriculum_tiers} exceeds the smallest "
                 f"shard a configured institution class can get ({smallest_shard} samples)"
+            )
+        if p.curriculum_tau is not None:
+            # round t weighs the tiers by softmax(z), z_k = (t - tau_k) / sigma_k,
+            # linear in t, so its extremes over a run are at the first and last round
+            for t in (1, self.max_rounds):
+                z = [(t - tau) / sigma for tau, sigma in zip(p.curriculum_tau, p.curriculum_sigma)]
+                if not (all(map(math.isfinite, z)) and math.isfinite(max(z) - min(z))):
+                    raise ConfigError(
+                        "protocol.curriculum_tau / curriculum_sigma give round "
+                        f"{t} the non-finite curriculum logits {z}"
+                    )
+        # fairness escalation can multiply lambda2 by LAMBDA2_ESCALATION each round
+        log_lambda2 = math.log(p.lambda2) + self.max_rounds * math.log(LAMBDA2_ESCALATION)
+        if log_lambda2 > math.log(sys.float_info.max):
+            raise ConfigError(
+                f"protocol.lambda2 {p.lambda2!r} can escalate past the float range "
+                f"in max_rounds {self.max_rounds} rounds"
             )
         modalities = range(fed.num_modalities)
         if p.fusion_weights is not None and len(p.fusion_weights) != len(modalities):
@@ -391,62 +434,18 @@ def _jsonable(obj):
     raise TypeError(f"cannot serialize {type(obj)}")
 
 
-# list-valued fields and the type of their entries
-_TUPLE_FIELDS = {
-    "grid_hidden": int,
-    "active_modalities": int,
-    "curriculum_tau": float,
-    "curriculum_sigma": float,
-    "fusion_weights": float,
-}
-
-
-_SCALAR_NOUNS = {int: "an integer", bool: "true or false", float: "a finite number"}
-
-
-def _is_real(value) -> bool:
-    """A finite int or float, not a bool: JSON reads NaN, Infinity and 1e400
-    as floats, and an int past the float range has no float value."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:
-        return False
-
-
 def _field_value(f: dataclasses.Field, value, path: str):
-    """value, checked for field f at the dotted path. A block field is built
-    by _build. A list field takes a list of ints, or of finite real numbers
-    (_is_real). A field whose default is an int or a bool takes only that
-    type, and one whose default is a float any finite int or float. Every
-    integer outside a float field, list entries included, lies within MAX_INT."""
+    """The value for field f at the dotted path: a block, built by _build, or
+    a JSON list as a tuple. Each block's __post_init__ checks the values."""
     if dataclasses.is_dataclass(f.default_factory):
         return _build(f.default_factory, value, path)
-    if f.name in _TUPLE_FIELDS:
-        kind = _TUPLE_FIELDS[f.name]
-        value = tuple(value) if isinstance(value, list) else value
-        if value is not None and not (
-            isinstance(value, tuple)
-            and all(type(v) is int if kind is int else _is_real(v) for v in value)
-        ):
-            noun = "integers" if kind is int else "real numbers"
-            raise ConfigError(f"{path} must be a list of {noun}, got {value!r}")
-        if kind is int and value is not None and any(abs(v) > MAX_INT for v in value):
-            raise ConfigError(f"{path} entries must lie in {_INT_RANGE}, got {value!r}")
-        return value
-    kind = type(f.default)
-    if kind in _SCALAR_NOUNS and not (_is_real(value) if kind is float else type(value) is kind):
-        raise ConfigError(f"{path} must be {_SCALAR_NOUNS[kind]}, got {value!r}")
-    if kind is not float and type(value) is int and abs(value) > MAX_INT:
-        raise ConfigError(f"{path} must lie in {_INT_RANGE}, got {value!r}")
-    return value
+    return tuple(value) if isinstance(value, list) else value
 
 
 def _build(cls, data, path: str):
     """An instance of the dataclass cls from the JSON object data found at the
-    dotted path ("" for the config root). Unknown keys and field types are
-    checked here, value ranges by cls.__post_init__."""
+    dotted path ("" for the config root). Unknown keys are checked here, the
+    values by cls.__post_init__."""
     if not isinstance(data, dict):
         raise ConfigError(f"{path or 'config root'} must be an object")
     prefix = f"{path}." if path else ""
@@ -455,13 +454,7 @@ def _build(cls, data, path: str):
         if key not in fields:
             raise ConfigError(f"unknown key {prefix}{key}")
     kwargs = {key: _field_value(fields[key], value, prefix + key) for key, value in data.items()}
-    try:
-        return cls(**kwargs)
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        # PrivacyParams, defined outside this module, names a field without its block
-        raise ConfigError(f"{prefix}{exc}") from exc
+    return cls(**kwargs)
 
 
 def config_from_dict(data: dict) -> RunConfig:

@@ -22,6 +22,10 @@ from .rng import stream
 # Largest cohort exact Shapley enumerates (2^n coalitions).
 EXACT_MAX_CLIENTS = 10
 
+# Factor by which fairness escalation multiplies lambda2 when the gap breaches
+# theta_fair; config rejects a lambda2 that max_rounds such steps overflow.
+LAMBDA2_ESCALATION = 1.1
+
 
 def shapley_estimate(
     cohort_ids: list[int],
@@ -204,10 +208,10 @@ def fairness_gap(per_client_accuracy: np.ndarray) -> float:
 
 
 def monitor_and_adjust(gap: float, theta_fair: float, lambda2: float) -> float:
-    """Escalate the fairness penalty by 10% whenever the gap breaches theta."""
+    """Escalate the fairness penalty by LAMBDA2_ESCALATION whenever the gap breaches theta."""
     if lambda2 <= 0:
         raise ValueError("lambda2 must be positive")
-    return 1.1 * lambda2 if gap > theta_fair else lambda2
+    return LAMBDA2_ESCALATION * lambda2 if gap > theta_fair else lambda2
 
 
 def gini(values: np.ndarray) -> float:

@@ -10,43 +10,14 @@ attack measures how much a model leaks about its training members.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .federation import DatasetShard
-from .models import ModelParams, logits, safe_log, softmax
+from .config import FederationBlock, PrivacyParams
+from .federation import DatasetShard, gen_reference_shard
+from .models import Arch, ModelParams, init_params, logits, safe_log, softmax, train_local
 from .rng import stream
-
-
-@dataclass(frozen=True)
-class PrivacyParams:
-    clip_norm: float = 1.0
-    noise_multiplier: float = 0.0
-    delta: float = 1e-5
-    enabled: bool = False
-
-    def __post_init__(self):
-        if self.clip_norm <= 0:
-            raise ValueError("clip_norm must be positive")
-        if self.noise_multiplier < 0:
-            raise ValueError("noise_multiplier must be nonnegative")
-        if not 0 < self.delta < 1:
-            raise ValueError("delta must lie in (0, 1)")
-        if math.isinf(_gaussian_eps(1.0, self.delta)):
-            raise ValueError(f"delta {self.delta!r} gives an infinite epsilon")
-        if self.noise_multiplier > 0 and math.isinf(_gaussian_eps(self.noise_multiplier, self.delta)):
-            raise ValueError(f"noise_multiplier {self.noise_multiplier!r} gives an infinite epsilon")
-
-    def check_delta(self, min_shard_size: int) -> None:
-        """Warn when delta is not cryptographically small for the data."""
-        if self.delta >= 1.0 / max(1, min_shard_size):
-            warnings.warn(
-                f"delta={self.delta} >= 1/min_shard_size={1.0 / min_shard_size:.2e}; "
-                "guarantee is weak for the smallest shard",
-                stacklevel=2,
-            )
 
 
 @dataclass(frozen=True)
@@ -172,10 +143,6 @@ def overfit_scenario(
     params given, the trained delta is clipped and noised before the
     attack, which collapses the separation.
     """
-    from .config import FederationBlock
-    from .federation import gen_reference_shard
-    from .models import Arch, init_params, train_local
-
     config = FederationBlock(
         academic=0,
         regional=0,

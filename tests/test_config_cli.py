@@ -1,6 +1,7 @@
 """Config loading, digests, CLI verbs, and output files."""
 
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -14,7 +15,12 @@ from afflsim.cli import cmd_bench, cmd_compare, cmd_run, cmd_validate_config, ma
 from afflsim.config import (
     MAX_FEATURE_SCALE,
     MAX_STEP_FACTOR,
+    AttackBlock,
     ConfigError,
+    FederationBlock,
+    PrivacyParams,
+    ProtocolBlock,
+    RunConfig,
     config_from_dict,
     load_config,
     preset_convex,
@@ -87,13 +93,17 @@ def test_value_that_would_fail_mid_run_is_rejected_naming_field(key, value):
         config_from_dict(d)
 
 
-STEP_FACTORS = ("local_lr", "inject_lr", "distill_lr", "lambda_kl")
+STEP_FACTORS = ("local_lr", "inject_lr", "distill_lr", "probe_lr", "lambda_kl")
 
 
 @pytest.mark.parametrize("key", STEP_FACTORS)
 @pytest.mark.parametrize("value", [1e77, 1e200, 1e300, float("inf")])
 def test_step_factor_above_its_ceiling_is_rejected_naming_field(key, value):
-    """Each of these made preset_smoke overflow in a matmul mid-run.
+    """Each of these made preset_smoke overflow in a matmul mid-run, except
+    probe_lr 1e77, which shares the ceiling of the other step factors. From
+    1e160 probe_lr overflowed the capacity probe, and its NaN scores chose
+    the capacities [0, 0, 0] where 1e150 chose [0, 1, 1] (adapt_interval 1,
+    3 rounds).
 
     inf is caught as non-finite before the ceiling is checked.
     """
@@ -107,9 +117,12 @@ def test_step_factor_above_its_ceiling_is_rejected_naming_field(key, value):
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("preset", [preset_smoke, preset_default, preset_privacy])
 def test_step_factors_all_at_their_ceiling_run(preset):
-    """Over 2 rounds at 1e78, smoke and default overflow in a matmul."""
+    """Over 2 rounds at 1e78, smoke and default overflow in a matmul.
+
+    adapt_interval 1 runs the capacity probe, and with it probe_lr, each round.
+    """
     d = {**preset(7), "max_rounds": 2}
-    d["protocol"].update({key: MAX_STEP_FACTOR for key in STEP_FACTORS})
+    d["protocol"].update({key: MAX_STEP_FACTOR for key in STEP_FACTORS}, adapt_interval=1)
     log = run_experiment(config_from_dict(d))
     assert len(log.records) == 2
     assert all(math.isfinite(r.global_pool_loss) for r in log.records)
@@ -164,6 +177,37 @@ def test_non_integer_in_integer_field_is_rejected_naming_field(path, value):
 def test_wrong_scalar_type_is_rejected_naming_field(path, value):
     with pytest.raises(ConfigError, match=f"{re.escape(path)} must be"):
         config_from_dict(with_value(preset_smoke(7), path, value))
+
+
+def test_every_field_declares_its_rule_or_is_checked_by_its_block():
+    """A field added without a rule would skip the single-field checks."""
+    blocks = [
+        (f"{f.name}.", f.default_factory)
+        for f in dataclasses.fields(RunConfig)
+        if dataclasses.is_dataclass(f.default_factory)
+    ]
+    undeclared = {
+        prefix + f.name
+        for prefix, cls in [*blocks, ("", RunConfig)]
+        for f in dataclasses.fields(cls)
+        if "kind" not in f.metadata and not dataclasses.is_dataclass(f.default_factory)
+    }
+    assert undeclared == {"federation.modalities_by_class", "protocol.robust_f"}
+
+
+@pytest.mark.parametrize(
+    "cls, kwargs, message",
+    [
+        # each was built without complaint: only parsing checked the types
+        (FederationBlock, {"rural": 4.0}, "federation.rural must be an integer"),
+        (ProtocolBlock, {"grid_hidden": [2, 8]}, "protocol.grid_hidden must be a list"),
+        (PrivacyParams, {"enabled": "no"}, "privacy.enabled must be true or false"),
+        (AttackBlock, {"scale": float("nan")}, "attack.scale must be a finite number"),
+    ],
+)
+def test_direct_construction_checks_each_field_like_parsing(cls, kwargs, message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        cls(**kwargs)
 
 
 def smoke_trimmed_mean(seed):
@@ -324,6 +368,9 @@ def test_config_that_would_fail_in_run_experiment_is_rejected(preset, path, valu
         # overflowed in the epsilon divide mid-run
         ("privacy.delta", 5e-324),
         ("privacy.noise_multiplier", 5e-324),
+        # with theta_fair 0 fairness escalation logged lambda2 inf from round 2,
+        # and round 3 chose its capacity from an inf * 0 = NaN score
+        ("protocol.lambda2", 1.7e308),
     ],
 )
 def test_out_of_range_value_is_rejected_naming_its_path(path, value):
@@ -357,6 +404,10 @@ def test_list_entry_of_the_wrong_type_is_rejected_naming_its_path(preset, path, 
         ([0.0, 1.0, 2.0], [1.0, 0.5, 0.0]),  # crashed in init_state
         ([0.0, 1.0, 2.0], [1.0, -0.5, 0.5]),
         (["0", "1", "2"], [1.0, 1.0, 1.0]),
+        # these overflowed in the curriculum logits and failed mid-run with
+        # "non-finite distillation loss"
+        ([0.0, 1.0, 2.0], [5e-324, 1.0, 1.0]),
+        ([-1e308, 1e308, 0.0], [0.01, 0.01, 1.0]),
     ],
 )
 def test_curriculum_tau_and_sigma_are_checked_at_parse_time(tau, sigma):
