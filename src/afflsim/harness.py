@@ -558,8 +558,11 @@ def _client_step(
     are None, as they are scored on the aggregate. Messenger clients train
     their own model, inject the messenger's knowledge under the curriculum
     (uniform for static_messenger), and upload a distilled messenger
-    variant. The client forward that distillation needs also gives each
-    client's (loss, accuracy) on its own shard, scored on true labels.
+    variant. The client's probabilities that distillation needs also give
+    each client's (loss, accuracy) on its own shard, scored on true labels
+    before distillation, so that only the probabilities live through it.
+    Injection and distillation each run the frozen messenger's forward
+    themselves.
     """
     p = state.config.protocol
     if p.algorithm == "fedavg":
@@ -579,18 +582,18 @@ def _client_step(
     for i in cohort:
         train_shard = state.train_shards[i]
         params = models.train_local(state.client_params[i], train_shard, p.local_steps, p.local_lr)
-        fwd = msg.messenger_forward(base, train_shard)
-        params = msg.inject_knowledge(params, base, train_shard, pi, p.inject_steps, p.inject_lr, fwd)
+        params = msg.inject_knowledge(params, base, train_shard, pi, p.inject_steps, p.inject_lr)
         # train_shard shares the design of shards[i]; label_flip changes only labels
         z = models.logits(params, train_shard.design)
         probs = models.softmax(z)
+        scores.append(models.score(z, probs, state.shards[i].labels))
+        del z  # shard-sized; distillation needs only the probabilities
         variant = msg.distill_to_messenger(
-            base, params, train_shard, p.lambda_kl, p.distill_steps, p.distill_lr, fwd, probs
+            base, params, train_shard, p.lambda_kl, p.distill_steps, p.distill_lr, probs
         )
         client_params[i] = params
         variants.append(variant)
-        scores.append(models.score(z, probs, state.shards[i].labels))
-        del fwd, z, probs  # shard-sized; free them before the next client's step
+        del probs  # free it before the next client's step
     return client_params, variants, scores
 
 

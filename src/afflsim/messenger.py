@@ -12,7 +12,7 @@ happens once, before the first round, in harness.init_state.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from .models import (
     _label_index,
     _layers,
     backprop,  # noqa: F401 -- unused here; perfbench's tracer checks that messenger holds it
-    forward,
+    forward,  # noqa: F401 -- as backprop
     logits,
     safe_log,
     softmax,
@@ -176,24 +176,6 @@ def select_capacity(
     return CapacityDecision(chosen_index=chosen, composite_scores=tuple(scores))
 
 
-class MessengerForward(NamedTuple):
-    """(logits, [H | 1] or None, softmax probabilities) of a model; see models.forward."""
-
-    logits: np.ndarray
-    hidden: np.ndarray | None
-    probs: np.ndarray
-
-
-def messenger_forward(messenger: ModelParams, shard: DatasetShard) -> MessengerForward:
-    """A messenger's forward pass and softmax on a shard, as new arrays.
-
-    The frozen messenger's forward is computed once per client and read
-    by both injection and distillation; neither writes it.
-    """
-    z, hidden = forward(messenger, shard.design)
-    return MessengerForward(z, hidden, softmax(z))
-
-
 def _tier_sample_weights(shard: DatasetShard, pi: np.ndarray) -> np.ndarray:
     """Per-sample weights pi[tier]/|tier|; empty tiers contribute nothing."""
     if shard.difficulty_tiers is None:
@@ -217,19 +199,16 @@ def inject_knowledge(
     pi: np.ndarray,
     steps: int,
     lr: float,
-    messenger_fwd: MessengerForward | None = None,
 ) -> ModelParams:
     """Gradient steps on the curriculum-weighted distillation loss.
 
     Only the client tower moves; the messenger is frozen. The step's scale
     is lr * w, w the per-sample tier weights, and its target lr * w * p_m,
-    p_m the messenger's probabilities. messenger_fwd, if given, must be
-    messenger_forward(messenger, shard); it is read, never written.
+    p_m the messenger's probabilities, computed here and dropped once the
+    target is made.
     """
     scale = lr * _tier_sample_weights(shard, pi)
-    if messenger_fwd is None:
-        messenger_fwd = messenger_forward(messenger, shard)
-    target = messenger_fwd.probs * scale[:, None]
+    target = softmax(logits(messenger, shard.design)) * scale[:, None]
     return _descend(client, shard.design, steps, scale, target)
 
 
@@ -240,7 +219,6 @@ def distill_to_messenger(
     lambda_kl: float,
     steps: int,
     lr: float,
-    messenger_fwd: MessengerForward | None = None,
     client_probs: np.ndarray | None = None,
 ) -> ModelParams:
     """Train a per-client messenger variant; the client tower is frozen.
@@ -249,10 +227,8 @@ def distill_to_messenger(
     so the step's scale is lr * (1 + lambda_kl) / n and its target
     lr * (onehot + lambda_kl * p_c) / n, p_c the client's probabilities.
 
-    messenger_fwd, if given, must be messenger_forward(messenger, shard);
-    its logits and hidden units stand in for the first step's forward
-    pass. client_probs, if given, must be
-    softmax(logits(client, shard.design)). Neither is written.
+    client_probs, if given, must be softmax(logits(client, shard.design));
+    it is read, never written.
     """
     n = shard.sample_count
     p_c = softmax(logits(client, shard.design)) if client_probs is None else client_probs
@@ -261,9 +237,8 @@ def distill_to_messenger(
     at_label = _label_index(shard.labels)
     np.put(target.T, at_label, np.take(target.T, at_label) + 1.0)
     target *= per_row
-    first = None if messenger_fwd is None else messenger_fwd[:2]
     return _descend(
-        messenger, shard.design, steps, per_row * (1.0 + lambda_kl), target, first, _check_logits
+        messenger, shard.design, steps, per_row * (1.0 + lambda_kl), target, _check_logits
     )
 
 

@@ -14,8 +14,10 @@ them: _descend makes one for a training call's steps and drops it on
 return, so a step's shard-sized temporaries are allocated once per call
 instead of once per step (the harness's Shapley value_fn keeps one for
 its blocks). Arrays a kernel returns then live in the workspace and are
-overwritten by the next step. Without a workspace each kernel takes
-fresh arrays from np.empty, and every other function returns new arrays.
+overwritten by the next step, and backprop overwrites the units of the
+workspace's own hidden buffer with tanh'. Without a workspace each
+kernel takes fresh arrays from np.empty and writes none of its inputs,
+and every other function returns new arrays.
 
 Activations are column-major, and every layer is one product. The
 kernels take a shard's design matrix, its column-major [X | 1] array
@@ -43,12 +45,12 @@ training call fixes scale (a scalar, or one value per row) and the
 (n, C) target once; cross-entropy has scale lr/n and target lr*onehot/n,
 and the messenger's losses are in messenger. The softmax's division by
 the row sum and the scale become one n-vector divide, the exponentials
-are multiplied by it and the target subtracted, and a step ends with
-theta -= grad. A training call binds what no step changes once (the
-design check, the softmax buffers and their column views); each step
-calls forward and backprop, whose own per-call work is a dict lookup
-per buffer in the call's workspace and, for the gradient, layer views
-kept on the model being trained.
+are multiplied by it and the target subtracted, all in the logits
+buffer, and a step ends with theta -= grad. A training call binds what
+no step changes once (the design check, the row max and sum vectors
+and their column views); each step calls forward and backprop, whose
+own per-call work is a dict lookup per buffer in the call's workspace
+and, for the gradient, layer views kept on the model being trained.
 """
 
 from __future__ import annotations
@@ -312,8 +314,10 @@ def backprop(
     Shared by every training loss: they differ only in the output delta.
     hidden is forward()'s [H | 1] for these params and design (None for
     logistic models). Each layer's weight-and-bias gradient is one
-    product of its [input | 1] with its delta. Reads out_delta and hidden,
-    never writes them.
+    product of its [input | 1] with its delta. out_delta is read, never
+    written. So is hidden, unless it is ws's own "hidden" buffer, which
+    forward(params, design, ws) returned: its units are then overwritten
+    with tanh' = 1 - H**2, and the next forward in ws writes them anew.
     """
     arch = params.arch
     x = _checked(arch, design)
@@ -327,9 +331,11 @@ def backprop(
     np.matmul(hidden.T, out_delta, out=g2)
     hid_delta = _buffer(ws, "hid_delta", (x.shape[0], h))
     np.matmul(params.layers[1][:h], out_delta.T, out=hid_delta.T)
-    # tanh' = 1 - hidden**2
+    # tanh' = 1 - hidden**2, in the workspace's own hidden units once g2 has read them
     units = hidden[:, :h]
-    sq = np.multiply(units, units, out=_buffer(ws, "tanh_grad", hid_delta.shape))
+    owned = ws is not None and ws.get("hidden") is hidden
+    sq = units if owned else _buffer(ws, "tanh_grad", hid_delta.shape)
+    np.multiply(units, units, out=sq)
     np.subtract(1.0, sq, out=sq)
     hid_delta *= sq
     np.matmul(x.T, hid_delta, out=g1)
@@ -342,44 +348,43 @@ def _descend(
     steps: int,
     scale: float | np.ndarray,
     target: np.ndarray,
-    first: tuple[np.ndarray, np.ndarray | None] | None = None,
     check=None,
 ) -> ModelParams:
     """steps of full-batch gradient descent on a copy of params, returned.
 
     Each step applies theta -= backprop of the logit delta, already times
     the learning rate, softmax(z) * scale - target: scale is a scalar or
-    an n-vector, one value per row, and target is (n, C). first, if given,
-    is the first step's (logits, hidden) in place of its forward.
-    check(z, row_max), if given, sees each step's logits and their row
-    maxes before the exponentials.
+    an n-vector, one value per row, and target is (n, C). check(z,
+    row_max), if given, sees each step's logits and their row maxes
+    before the exponentials.
 
     The steps share one workspace for forward and backprop, made here
-    and dropped on return. What is constant across steps is bound once
-    per call: the design check, and the softmax buffers with their column
-    views. Each step still calls forward and backprop through this
-    module, so a wrapper installed on them sees every step.
+    and dropped on return: the delta is computed in the logits buffer,
+    and backprop takes tanh' in the hidden buffer. What is constant
+    across steps is bound once per call: the design check, and the row
+    max and sum vectors with their column views. Each step still calls
+    forward and backprop through this module, so a wrapper installed on
+    them sees every step.
     """
     current = params.copy()
     theta = current.theta
     x = _checked(current.arch, design)
     ws: Workspace = {}
     n = x.shape[0]
-    e = _buffer(None, "probs", (n, current.arch.num_classes))
     m, s = np.empty(n), np.empty(n)
     m_col, s_col = m[:, None], s[:, None]
-    for step in range(steps):
-        z, hidden = first if step == 0 and first is not None else forward(current, x, ws)
+    for _ in range(steps):
+        z, hidden = forward(current, x, ws)
         np.maximum.reduce(z, axis=1, out=m)
         if check is not None:
             check(z, m)
-        np.subtract(z, m_col, out=e)
-        np.exp(e, out=e)
-        np.add.reduce(e, axis=1, out=s)
+        np.subtract(z, m_col, out=z)
+        np.exp(z, out=z)
+        np.add.reduce(z, axis=1, out=s)
         np.divide(scale, s, out=s)
-        np.multiply(e, s_col, out=e)
-        e -= target
-        theta -= backprop(current, x, e, hidden, ws)
+        np.multiply(z, s_col, out=z)
+        z -= target
+        theta -= backprop(current, x, z, hidden, ws)
     return current
 
 

@@ -12,7 +12,6 @@ from afflsim.messenger import (
     curriculum_weights,
     distill_to_messenger,
     inject_knowledge,
-    messenger_forward,
     resize_params,
     select_capacity,
 )
@@ -392,31 +391,6 @@ def test_distill_does_not_mutate_messenger():
     out = distill_to_messenger(mess, client, shard, 1.0, steps=5, lr=0.3)
     assert np.array_equal(mess.theta, snapshot)
     assert not np.array_equal(out.theta, snapshot)
-
-
-@pytest.mark.parametrize("hidden", [0, 4])
-@pytest.mark.parametrize("n", [20, 40])
-def test_precomputed_messenger_forward_is_bit_identical(hidden, n):
-    shard = make_shard(tiers=2, n=n)
-    client = init_params(Arch(5, 3, 6), 17)
-    mess = init_params(Arch(5, 3, hidden), 18)
-    pi = np.array([0.6, 0.4])
-    fwd = messenger_forward(mess, shard)
-    inner = inject_knowledge(client, mess, shard, pi, 3, 0.4)
-    shared = inject_knowledge(client, mess, shard, pi, 3, 0.4, fwd)
-    assert np.array_equal(inner.theta, shared.theta)
-    for steps in (0, 1, 4):
-        inner = distill_to_messenger(mess, shared, shard, 0.7, steps, 0.5)
-        reused = distill_to_messenger(mess, shared, shard, 0.7, steps, 0.5, fwd)
-        assert np.array_equal(inner.theta, reused.theta)
-    # the shared forward is read, never written
-    assert np.array_equal(fwd.logits, messenger_forward(mess, shard).logits)
-    assert np.array_equal(fwd.probs, messenger_forward(mess, shard).probs)
-    fresh_hidden = messenger_forward(mess, shard).hidden
-    if hidden == 0:
-        assert fwd.hidden is None and fresh_hidden is None
-    else:
-        assert np.array_equal(fwd.hidden, fresh_hidden)
 
 
 def test_distill_improves_messenger_fit():

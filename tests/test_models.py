@@ -385,7 +385,6 @@ def test_kernels_reject_features_without_the_ones_column(hidden):
         "backprop": lambda x: backprop(params, x, z, h),
         "forward_stacked": lambda x: forward_stacked(arch, thetas, x),
         "_descend": lambda x: _descend(params, x, 1, 0.1, target),
-        "_descend from a given forward": lambda x: _descend(params, x, 1, 0.1, target, (z, h)),
     }
     for name, call in calls.items():
         call(shard.design)

@@ -33,7 +33,6 @@ from afflsim.federation import DatasetShard  # noqa: E402
 from afflsim.messenger import (  # noqa: E402
     distill_to_messenger,
     inject_knowledge,
-    messenger_forward,
 )
 from afflsim.models import (  # noqa: E402
     Arch,
@@ -41,6 +40,7 @@ from afflsim.models import (  # noqa: E402
     _label_index,
     backprop,
     forward,
+    logits,
     score,
     softmax,
     train_local,
@@ -369,35 +369,35 @@ def tiered_problems(draw):
 
 
 @NARROW
-@given(tiered_problems(), st.integers(0, 3), st.booleans())
-def test_inject_knowledge_equals_the_allocating_version(problem, steps, with_fwd):
+@given(tiered_problems(), st.integers(0, 3))
+def test_inject_knowledge_equals_the_allocating_version(problem, steps):
     client, messenger, shard, pi = problem
-    fwd = messenger_forward(messenger, shard) if with_fwd else None
-    out = inject_knowledge(client, messenger, shard, pi, steps, 0.3, fwd)
+    out = inject_knowledge(client, messenger, shard, pi, steps, 0.3)
     want = oracles.inject(client, messenger, shard, pi, steps, 0.3)
     assert same_bits(out.theta, want.theta)
 
 
 @NARROW
-@given(tiered_problems(), st.integers(0, 3), st.floats(0.0, 2.0), st.booleans())
-def test_distill_to_messenger_equals_the_allocating_version(problem, steps, lambda_kl, with_fwd):
+@given(tiered_problems(), st.integers(0, 3), st.floats(0.0, 2.0))
+def test_distill_to_messenger_equals_the_allocating_version(problem, steps, lambda_kl):
     client, messenger, shard, _ = problem
-    fwd = messenger_forward(messenger, shard) if with_fwd else None
-    out = distill_to_messenger(messenger, client, shard, lambda_kl, steps, 0.3, fwd)
+    out = distill_to_messenger(messenger, client, shard, lambda_kl, steps, 0.3)
     want = oracles.distill(messenger, client, shard, lambda_kl, steps, 0.3)
     assert same_bits(out.theta, want.theta)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e308, -1e308])
+# BLAS may multiply an infinite weight by zero padding, which sets the invalid flag
+@pytest.mark.filterwarnings("ignore:invalid value encountered in matmul")
 @NARROW
 @given(tiered_problems(), st.data())
 def test_distillation_rejects_non_finite_logits_as_before(value, problem, data):
     client, messenger, shard, _ = problem
-    fwd = messenger_forward(messenger, shard)
-    n, c = fwd.logits.shape
-    fwd.logits[data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, c - 1))] = value
-    args = (messenger, client, shard, 0.5, 1, 0.3, fwd)
-    if np.all(np.isfinite(fwd.logits)):  # the check as it was written
+    # the value as one class's output bias puts it into that class's logit on every row
+    bias = messenger.layers[-1][-1]
+    bias[data.draw(st.integers(0, bias.shape[0] - 1))] = value
+    args = (messenger, client, shard, 0.5, 1, 0.3)
+    if np.all(np.isfinite(logits(messenger, shard.design))):  # the check as it was written
         distill_to_messenger(*args)
     else:
         with pytest.raises(FloatingPointError, match="non-finite distillation loss"):

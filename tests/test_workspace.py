@@ -9,6 +9,7 @@ the training calls to 1e-12.
 """
 
 import inspect
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +22,6 @@ from afflsim.messenger import (
     _tier_sample_weights,
     distill_to_messenger,
     inject_knowledge,
-    messenger_forward,
 )
 from afflsim.models import (
     Arch,
@@ -82,6 +82,17 @@ def test_backprop_bit_identical_with_and_without_workspace(hidden, n):
     if hid is not None:
         assert np.array_equal(hid, snapshots[1])
     assert np.array_equal(params.theta, snapshots[2])
+    # the workspace's own hidden buffer takes tanh' in place, and the next
+    # forward in that workspace writes it anew
+    other = init_params(Arch(10, 4, hidden), 4)
+    other_delta = column_major(stream(n, "delta", 2).normal(0, 0.1, (n, 4)))
+    other_hid = oracles.forward(other, shard.features)[1]
+    other_expected = oracles.backprop(other, shard.features, other_delta, other_hid)
+    for p, d, want in ((params, delta, expected), (other, other_delta, other_expected)):
+        _, owned = forward(p, shard.design, ws)
+        assert owned is ws.get("hidden")
+        assert np.array_equal(backprop(p, shard.design, d, owned, ws), want)
+    assert np.array_equal(delta, snapshots[0])
 
 
 @pytest.mark.parametrize("classes", range(2, 10))
@@ -164,9 +175,7 @@ def test_inject_knowledge_bit_identical(client_hidden, messenger_hidden):
     mess = init_params(Arch(10, 4, messenger_hidden), 7)
     pi = np.array([0.5, 0.3, 0.2])
     expected = oracles.inject(client, mess, shard, pi, 4, 0.4).theta
-    fwd = messenger_forward(mess, shard)
     assert np.array_equal(inject_knowledge(client, mess, shard, pi, 4, 0.4).theta, expected)
-    assert np.array_equal(inject_knowledge(client, mess, shard, pi, 4, 0.4, fwd).theta, expected)
 
 
 @pytest.mark.parametrize("client_hidden,messenger_hidden", [(0, 0), (24, 8), (12, 0)])
@@ -176,9 +185,8 @@ def test_distill_to_messenger_bit_identical(client_hidden, messenger_hidden, ste
     client = init_params(Arch(10, 4, client_hidden), 8)
     mess = init_params(Arch(10, 4, messenger_hidden), 9)
     expected = oracles.distill(mess, client, shard, 0.7, steps, 0.5).theta
-    fwd = messenger_forward(mess, shard)
     probs = softmax(logits(client, shard.design))
-    for args in ((), (fwd,), (None, probs), (fwd, probs)):
+    for args in ((), (probs,)):
         out = distill_to_messenger(mess, client, shard, 0.7, steps, 0.5, *args)
         assert np.array_equal(out.theta, expected)
 
@@ -195,18 +203,17 @@ def test_distill_toward_teacher_bit_identical(hidden):
 
 @pytest.mark.parametrize("messenger_hidden", [0, 8])
 def test_shared_inputs_are_never_written(messenger_hidden):
-    """Inputs and a shared MessengerForward stay as they were; no output aliases them."""
+    """Inputs and shared client probabilities stay as they were; no output aliases them."""
     shard = make_shard(300)
     client = init_params(Arch(10, 4, 12), 12)
     mess = init_params(Arch(10, 4, messenger_hidden), 13)
-    fwd = messenger_forward(mess, shard)
     probs = softmax(logits(client, shard.design))
-    shared = [a for a in (*fwd, probs, client.theta, mess.theta, shard.design) if a is not None]
+    shared = [probs, client.theta, mess.theta, shard.design]
     snapshots = [a.copy() for a in shared]
     outputs = [
         train_local(client, shard, 3, 0.5),
-        inject_knowledge(client, mess, shard, np.array([0.5, 0.3, 0.2]), 3, 0.4, fwd),
-        distill_to_messenger(mess, client, shard, 0.7, 3, 0.5, fwd, probs),
+        inject_knowledge(client, mess, shard, np.array([0.5, 0.3, 0.2]), 3, 0.4),
+        distill_to_messenger(mess, client, shard, 0.7, 3, 0.5, probs),
     ]
     for array, snapshot in zip(shared, snapshots):
         assert np.array_equal(array, snapshot)
@@ -216,11 +223,11 @@ def test_shared_inputs_are_never_written(messenger_hidden):
 
 @pytest.mark.parametrize("client_hidden,messenger_hidden", [(12, 0), (8, 8), (0, 0)])
 def test_client_step_bit_identical_and_unaliased(client_hidden, messenger_hidden):
-    """One client step, called as the harness calls it: train_local, the
-    frozen messenger's forward, injection from it, the client's logits and
-    probs, and distillation from both. Results equal the allocating path,
-    the client's logits and probs survive distillation, and no two of the
-    step's arrays share memory."""
+    """One client step, called as the harness calls it: train_local,
+    injection, the client's logits and probs, and distillation from the
+    probs. Results equal the allocating path, the client's logits and
+    probs survive distillation, and no two of the step's arrays share
+    memory."""
     shard = make_shard(300)
     client = init_params(Arch(10, 4, client_hidden), 14)
     mess = init_params(Arch(10, 4, messenger_hidden), 15)
@@ -231,47 +238,50 @@ def test_client_step_bit_identical_and_unaliased(client_hidden, messenger_hidden
     variant_ref = oracles.distill(mess, injected_ref, shard, 0.7, 3, 0.5)
 
     trained = train_local(client, shard, 3, 0.5)
-    fwd = messenger_forward(mess, shard)
-    injected = inject_knowledge(trained, mess, shard, pi, 3, 0.4, fwd)
+    injected = inject_knowledge(trained, mess, shard, pi, 3, 0.4)
     z = logits(injected, shard.design)
     probs = softmax(z)
-    variant = distill_to_messenger(mess, injected, shard, 0.7, 3, 0.5, fwd, probs)
+    variant = distill_to_messenger(mess, injected, shard, 0.7, 3, 0.5, probs)
 
     assert np.array_equal(trained.theta, trained_ref.theta)
     assert np.array_equal(injected.theta, injected_ref.theta)
     assert np.array_equal(variant.theta, variant_ref.theta)
     assert np.array_equal(z, z_ref)
     assert np.array_equal(probs, oracles.softmax(z_ref))
-    arrays = [a for a in (trained.theta, injected.theta, variant.theta, *fwd, z, probs) if a is not None]
+    arrays = [trained.theta, injected.theta, variant.theta, z, probs]
     for i, a in enumerate(arrays):
         assert not any(np.shares_memory(a, b) for b in arrays[i + 1 :])
 
 
-@pytest.mark.parametrize("messenger_hidden", [0, 8])
-def test_messenger_forward_returns_new_arrays(messenger_hidden):
-    """A second messenger forward, on a shard of another size, leaves the
-    first's bits and shares no memory with it or with its inputs."""
-    mess = init_params(Arch(10, 4, messenger_hidden), 17)
-    large, small = make_shard(300), make_shard(50, seed=1)
-    first = messenger_forward(mess, large)
-    z_ref, h_ref = oracles.forward(mess, large.features)
-    second = messenger_forward(mess, small)
-    assert np.array_equal(first.logits, z_ref)
-    assert np.array_equal(first.probs, oracles.softmax(z_ref))
-    assert (first.hidden is None) == (h_ref is None)
-    if h_ref is not None:
-        assert np.array_equal(first.hidden, h_ref)
-    assert np.array_equal(second.logits, oracles.forward(mess, small.features)[0])
-    inputs = (mess.theta, large.design, small.design)
-    arrays = [a for a in (*first, *second) if a is not None]
-    for i, a in enumerate(arrays):
-        assert not any(np.shares_memory(a, b) for b in (*arrays[i + 1 :], *inputs))
+def test_client_step_memory_at_an_academic_shard():
+    """One messenger client step at preset_default's academic size, as the
+    harness runs it, holds at most 2.75 client hidden buffers ([H | 1],
+    12,000 x 25 floats) of temporaries: train_local, injection, the
+    client's logits, probs and score, then distillation from the probs.
+    The shard and both models exist before tracing starts."""
+    shard = make_shard(12000)
+    client = init_params(Arch(10, 4, 24), 18)
+    mess = init_params(Arch(10, 4, 8), 19)
+    pi = np.array([0.5, 0.3, 0.2])
+    tracemalloc.start()
+    try:
+        trained = train_local(client, shard, 5, 0.5)
+        injected = inject_knowledge(trained, mess, shard, pi, 4, 0.4)
+        z = logits(injected, shard.design)
+        probs = softmax(z)
+        models.score(z, probs, shard.labels)
+        del z
+        distill_to_messenger(mess, injected, shard, 0.7, 10, 0.5, probs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.75 * 12000 * 25 * 8, f"traced peak {peak / 1e6:.2f} MB"
 
 
 def test_only_the_calls_that_loop_take_a_workspace():
     """forward and backprop take the workspace of the call that loops over
-    them; softmax, the training calls and the messenger's forward make
-    their own arrays and take none."""
+    them; softmax and the training calls make their own arrays and take
+    none."""
     for fn in (models.forward, models.backprop, models.forward_stacked, models.stacked_accuracy):
         assert "ws" in inspect.signature(fn).parameters
     for fn in (
@@ -279,7 +289,6 @@ def test_only_the_calls_that_loop_take_a_workspace():
         models.train_local,
         models._descend,
         models.pooled_cross_entropy,
-        messenger.messenger_forward,
         messenger.inject_knowledge,
         messenger.distill_to_messenger,
     ):

@@ -2,7 +2,7 @@
 
 Usage (from the repository root):
     python3 tools/fault_probe.py [--workload default12] [--seed 7] [--repeat 5] \
-        [--checkout DIR] [--cpu 0] [--rounds N]
+        [--checkout DIR] [--cpu 0] [--rounds N] [--traced]
 
 Each repeat starts a new Python process with every BLAS and OpenMP thread
 count set to 1 (as perfbench does), pins it to core ``--cpu``, builds the
@@ -10,7 +10,13 @@ workload's config from ``perfbench/workloads.py`` (``--rounds`` overrides
 its round count) and runs ``harness.run_experiment`` once. The process then reads
 ``getrusage(RUSAGE_SELF)`` and prints one JSON line: wall, user and sys
 seconds and minor faults of the whole process (interpreter start and
-imports included), the same for the run alone, and peak RSS. A last line gives the median of each figure over the repeats.
+imports included), the same for the run alone, and peak RSS. A last line
+gives the median of each figure over the repeats.
+
+``--traced`` runs the experiment under ``tracemalloc`` instead and reports
+only ``traced_peak_mb``: the peak of the memory the run itself allocated,
+without the interpreter and its imports, which take most of peak RSS.
+Tracing slows every allocation, so a traced probe reports no times.
 
 ``--checkout DIR`` measures the ``src/`` and ``perfbench/`` of another
 checkout, such as a ``git archive`` of the parent commit, with this script.
@@ -26,6 +32,7 @@ import statistics
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -36,7 +43,7 @@ def _usage() -> dict:
     return {"user_s": ru.ru_utime, "sys_s": ru.ru_stime, "minflt": ru.ru_minflt}
 
 
-def child(checkout: Path, workload: str, seed: int, rounds: int | None) -> dict:
+def child(checkout: Path, workload: str, seed: int, rounds: int | None, traced: bool) -> dict:
     """Run one experiment in this process and measure it."""
     sys.path[:0] = [str(checkout / "src"), str(checkout / "perfbench")]
     from workloads import WORKLOADS
@@ -48,6 +55,10 @@ def child(checkout: Path, workload: str, seed: int, rounds: int | None) -> dict:
     data["max_rounds"] = workload_rounds if rounds is None else rounds
     data["target_accuracy"] = None
     cfg = config.config_from_dict(data)
+    if traced:
+        tracemalloc.start()
+        harness.run_experiment(cfg)
+        return {"traced_peak_mb": tracemalloc.get_traced_memory()[1] / 2**20}
     before, start = _usage(), time.perf_counter()
     harness.run_experiment(cfg)
     wall = time.perf_counter() - start
@@ -75,12 +86,15 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--checkout", type=Path, default=ROOT)
     parser.add_argument("--cpu", type=int, default=0)
     parser.add_argument("--rounds", type=int, help="override the workload's round count")
+    parser.add_argument(
+        "--traced", action="store_true", help="report the run's tracemalloc peak, not times"
+    )
     parser.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     checkout = args.checkout.resolve()
     if args.child:
         os.sched_setaffinity(0, {args.cpu})
-        print(json.dumps(child(checkout, args.workload, args.seed, args.rounds)))
+        print(json.dumps(child(checkout, args.workload, args.seed, args.rounds, args.traced)))
         return 0
     sys.path.insert(0, str(checkout / "perfbench"))
     from workloads import BLAS_THREAD_VARS
@@ -92,13 +106,17 @@ def main(argv: list[str] | None = None) -> int:
     ]
     if args.rounds is not None:
         cmd += ["--rounds", str(args.rounds)]
+    if args.traced:
+        cmd.append("--traced")
     runs = []
     for _ in range(args.repeat):
         start = time.perf_counter()
         proc = subprocess.run(
             cmd, env=child_env(BLAS_THREAD_VARS), capture_output=True, text=True, check=True
         )
-        result = {"wall_s": time.perf_counter() - start, **json.loads(proc.stdout)}
+        result = json.loads(proc.stdout)
+        if not args.traced:
+            result = {"wall_s": time.perf_counter() - start, **result}
         runs.append(result)
         print(json.dumps(result), flush=True)
     median = {k: statistics.median(r[k] for r in runs) for k in runs[0]}
