@@ -95,6 +95,30 @@ def test_backprop_bit_identical_with_and_without_workspace(hidden, n):
     assert np.array_equal(delta, snapshots[0])
 
 
+@pytest.mark.parametrize("hidden", [8, 24])
+@pytest.mark.parametrize("n", [37, 12000])
+def test_backprop_leaves_tanh_grad_in_its_own_hidden_buffer(hidden, n):
+    """Given its workspace's own hidden buffer, backprop leaves tanh' =
+    1 - H*H in its units, keeps the ones column and makes no tanh_grad
+    buffer. Given a copy of that buffer, in the same workspace, it takes
+    tanh' in a tanh_grad buffer and leaves the copy as it was."""
+    shard = make_shard(n)
+    params = init_params(Arch(10, 4, hidden), 5)
+    delta = column_major(stream(n, "delta", 3).normal(0, 0.1, (n, 4)))
+    h_ref = oracles.forward(params, shard.features)[1]
+    expected = oracles.backprop(params, shard.features, delta, h_ref)
+    ws = {}
+    _, owned = forward(params, shard.design, ws)
+    caller = owned.copy(order="K")  # column-major, as forward makes it
+    assert np.array_equal(backprop(params, shard.design, delta, owned, ws), expected)
+    assert np.array_equal(owned[:, :hidden], 1.0 - h_ref[:, :hidden] * h_ref[:, :hidden])
+    assert np.all(owned[:, -1] == 1.0)
+    assert "tanh_grad" not in ws
+    assert np.array_equal(backprop(params, shard.design, delta, caller, ws), expected)
+    assert np.array_equal(caller, h_ref)
+    assert ws["tanh_grad"].shape == (n, hidden)
+
+
 @pytest.mark.parametrize("classes", range(2, 10))
 @pytest.mark.parametrize("rows", [1, 2, 31, 1280, 12000])
 def test_softmax_into_a_new_array_bit_identical(classes, rows):
@@ -251,6 +275,29 @@ def test_client_step_bit_identical_and_unaliased(client_hidden, messenger_hidden
     arrays = [trained.theta, injected.theta, variant.theta, z, probs]
     for i, a in enumerate(arrays):
         assert not any(np.shares_memory(a, b) for b in arrays[i + 1 :])
+
+
+@pytest.mark.parametrize("messenger_hidden", [0, 8])
+def test_messenger_logits_and_probs_are_new_arrays(messenger_hidden):
+    """Injection and distillation compute the messenger's logits and
+    probabilities themselves with logits and softmax. A second call, on a
+    shard of another size, leaves the first's bits and shares no memory
+    with it or with its inputs."""
+    mess = init_params(Arch(10, 4, messenger_hidden), 17)
+    large, small = make_shard(300), make_shard(50, seed=1)
+    z_large = logits(mess, large.design)
+    p_large = softmax(z_large)
+    z_ref = oracles.forward(mess, large.features)[0]
+    z_small = logits(mess, small.design)
+    p_small = softmax(z_small)
+    assert np.array_equal(z_large, z_ref)
+    assert np.array_equal(p_large, oracles.softmax(z_ref))
+    assert np.array_equal(z_small, oracles.forward(mess, small.features)[0])
+    assert np.array_equal(p_small, oracles.softmax(z_small))
+    inputs = (mess.theta, large.design, small.design)
+    arrays = [z_large, p_large, z_small, p_small]
+    for i, a in enumerate(arrays):
+        assert not any(np.shares_memory(a, b) for b in (*arrays[i + 1 :], *inputs))
 
 
 def test_client_step_memory_at_an_academic_shard():
